@@ -29,18 +29,12 @@ from .macsim import (
     PairDecoder,
     SimResult,
     estimate_error_prob,
-    joint_decode,
     mod_mac_channel,
     wilson_interval,
 )
 from .modarith import (
-    GridPoint,
     L,
-    Residue,
-    grid_add,
-    grid_point,
     grid_real,
-    grid_scale,
     mod_interval,
 )
 from .network import (

@@ -49,6 +49,19 @@ def _parse_p_max(text: str):
     return value
 
 
+def _workers(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("workers must be an integer >= 1") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("workers must be an integer >= 1")
+    return value
+
+
+_WORKERS_HELP = "accepted for compatibility; trials run serially and output never depends on it"
+
+
 def _gain_text(text: str) -> str:
     """Validate a single gain argument, keeping the original text."""
     try:
@@ -139,7 +152,7 @@ def _cmd_mac_sim(args) -> str:
     cfg = macsim.MacConfig(
         gamma=gamma, snr=db_to_linear(args.snr_db), trials=args.trials, seed=args.seed
     )
-    result = macsim.estimate_error_prob(code, cfg, workers=args.workers)
+    result = macsim.estimate_error_prob(code, cfg)
     line = (
         f"mac-sim --gamma {args.gamma} --snr-db {_fmt(args.snr_db)} --p {args.p}"
         f" --n {args.n} --k {args.k} --trials {args.trials} --seed {args.seed}"
@@ -174,9 +187,7 @@ def _cmd_network(args) -> str:
             raise _UsageError("--simulate takes a single --snr-db value")
         snr_db = snrs[0][1]
         code = codes.sample_code(args.p, args.n, args.k, args.code_seed)
-        result = network.simulate_network(
-            H, code, db_to_linear(snr_db), args.trials, args.seed, workers=args.workers
-        )
+        result = network.simulate_network(H, code, db_to_linear(snr_db), args.trials, args.seed)
         line = (
             f"network --channel {args.channel} --snr-db {args.snr_db} --simulate"
             f" --p {args.p} --n {args.n} --k {args.k} --trials {args.trials}"
@@ -231,11 +242,10 @@ def _cmd_power_time(args) -> str:
     )
     columns = ["snr_db", "sym_rate", "sum_rate", "dof_factor"]
     rows = []
+    rule = None if args.p_max is None else (lambda snr: args.p_max)
     for _, snr_db in snrs:
-        snr = db_to_linear(snr_db)
-        sym = powertime.schedule_rate(sched, snr, args.p_max)
-        denom = 0.5 * math.log2(snr) if snr > 1.0 else 0.0
-        factor = 3.0 * sym / denom if sym > 0.0 and denom > 0.0 else 0.0
+        # one point per call: dof_factor wants an ascending grid, the CLI does not
+        ((_, sym, factor),) = powertime.dof_factor(sched, [db_to_linear(snr_db)], rule)
         rows.append([_fmt(snr_db), _fmt(sym), _fmt(3.0 * sym), _fmt(factor)])
     return _document(line, columns, rows)
 
@@ -252,9 +262,7 @@ def _cmd_dof_scan(args) -> str:
     rule = None if args.p_max is None else (lambda snr: args.p_max)
     snr_grid = [db_to_linear(v) for _, v in snrs]
     scan = rates.dof_ratio_scan(gamma, snr_grid, rule)
-    for (snr_text, _), (snr, ratio) in zip(snrs, scan):
-        p_max = args.p_max if args.p_max is not None else rates.default_p_max(snr)
-        rate = rates.theorem1_rate(gamma, snr, p_max).rate
+    for (snr_text, _), (_, rate, ratio) in zip(snrs, scan):
         rows.append([snr_text, _fmt(rate), _fmt(ratio)])
     return _document(line, columns, rows)
 
@@ -288,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mac.add_argument("--trials", type=int, required=True)
     p_mac.add_argument("--seed", type=int, default=0)
     p_mac.add_argument("--code-seed", type=int, default=0)
-    p_mac.add_argument("--workers", type=int, default=1)
+    p_mac.add_argument("--workers", type=_workers, default=1, help=_WORKERS_HELP)
     p_mac.add_argument("--out", default=None)
     p_mac.set_defaults(func=_cmd_mac_sim)
 
@@ -303,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_net.add_argument("--trials", type=int, default=None)
     p_net.add_argument("--seed", type=int, default=0)
     p_net.add_argument("--code-seed", type=int, default=0)
-    p_net.add_argument("--workers", type=int, default=1)
+    p_net.add_argument("--workers", type=_workers, default=1, help=_WORKERS_HELP)
     p_net.add_argument("--out", default=None)
     p_net.set_defaults(func=_cmd_network)
 

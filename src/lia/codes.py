@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .diophantine import is_prime
-from .modarith import GridPoint, Residue, grid_real, mod_interval
+from .modarith import grid_real, mod_interval
 
 ENUMERATION_CAP = 3000  # default bound on p**k for exhaustive operations
 
@@ -73,9 +73,6 @@ class Codeword:
 
     def __len__(self):
         return self.residues.size
-
-    def __getitem__(self, t) -> GridPoint:
-        return GridPoint(Residue(int(self.residues[t]), self.p))
 
     def __eq__(self, other):
         return (

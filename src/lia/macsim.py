@@ -9,14 +9,13 @@ than once.  Drawing a linearly dependent message pair counts as an error
 without decoding.
 
 Determinism contract: trial t draws its messages and noise from the
-substream SeedSequence(seed, spawn_key=(t,)), so aggregate counts are
-bit-identical for any worker count and any execution order.
+substream SeedSequence(seed, spawn_key=(t,)), so aggregate counts depend on
+the seed alone.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ from .diophantine import Gain
 from .modarith import grid_real, mod_interval
 
 _Z95 = 1.959963984540054  # standard normal 97.5% quantile
+DECODER_TABLE_BYTES_CAP = 2**28  # bound on the pairs x n float64 psi table
 
 
 class _Ambiguous:
@@ -95,25 +95,53 @@ def mod_mac_channel(x1, x2, gamma: Gain, noise) -> np.ndarray:
     return mod_interval(r1 + float(gamma) * r2 + z)
 
 
+def _codebook(code: LinearCode, cap: int = ENUMERATION_CAP):
+    """All p**k messages in lexicographic order and their real-form codewords."""
+    count = code.p**code.k
+    if count > cap:
+        raise ValueError(f"p**k = {count} exceeds decoder cap {cap}")
+    msgs = np.asarray(
+        [w for w in np.ndindex(*([code.p] * code.k))], dtype=np.int64
+    )
+    return msgs, grid_real((msgs @ code.generator) % code.p, code.p)
+
+
+def _nearest_row(y: np.ndarray, table: np.ndarray):
+    """Index of the table row closest to y in sum_t ([y_t - row_t]*)^2.
+
+    Returns None when the minimum is attained more than once (exact float
+    equality), which the callers declare a decoding error.
+    """
+    d = mod_interval(y[None, :] - table)
+    metrics = np.einsum("ij,ij->i", d, d)
+    hits = np.flatnonzero(metrics == metrics.min())
+    if hits.size > 1:
+        return None
+    return int(hits[0])
+
+
 class PairDecoder:
     """Exhaustive decoder table for one (code, gamma) pair.
 
     Builds psi(i, j) for every ordered, linearly independent message pair
     once; decode() then scores a received vector against the whole table.
+    There are (M - 1)(M - p) such pairs for M = p**k, and the table is
+    refused before it is built when it would exceed DECODER_TABLE_BYTES_CAP.
     """
 
     def __init__(self, code: LinearCode, gamma: Gain, cap: int = ENUMERATION_CAP):
-        count = code.p**code.k
-        if count > cap:
-            raise ValueError(f"p**k = {count} exceeds decoder cap {cap}")
+        msgs, reals = _codebook(code, cap)
+        count = msgs.shape[0]
+        table_bytes = (count - 1) * (count - code.p) * code.n * 8
+        if table_bytes > DECODER_TABLE_BYTES_CAP:
+            raise ValueError(
+                f"decoder table needs {table_bytes} bytes, above the cap of"
+                f" {DECODER_TABLE_BYTES_CAP} (reduce p, k or n)"
+            )
         self.code = code
         self.gamma = gamma
         g = float(gamma)
 
-        msgs = np.asarray(
-            [w for w in np.ndindex(*([code.p] * code.k))], dtype=np.int64
-        )
-        reals = grid_real((msgs @ code.generator) % code.p, code.p)
         # dependency table: dep[i, j] iff (w_i, w_j) linearly dependent
         dep = np.zeros((count, count), dtype=bool)
         index = {w.tobytes(): i for i, w in enumerate(msgs)}
@@ -141,65 +169,39 @@ class PairDecoder:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.code.n,):
             raise ValueError(f"received vector shape {y.shape} != ({self.code.n},)")
-        d = mod_interval(y[None, :] - self.psi)
-        metrics = np.einsum("ij,ij->i", d, d)
-        best = metrics.min()
-        hits = np.flatnonzero(metrics == best)
-        if hits.size > 1:
+        h = _nearest_row(y, self.psi)
+        if h is None:
             return AMBIGUOUS
-        h = int(hits[0])
         i_idx, j_idx = self.pair_index
         return (self.messages[i_idx[h]].copy(), self.messages[j_idx[h]].copy())
 
 
-def joint_decode(code: LinearCode, y, gamma: Gain, cap: int = ENUMERATION_CAP):
-    """One-shot decode; use PairDecoder directly for repeated calls."""
-    return PairDecoder(code, gamma, cap=cap).decode(y)
-
-
-def _run_trial(code, decoder, gamma_f, sigma, seed, t):
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
-    w1 = rng.integers(0, code.p, size=code.k)
-    w2 = rng.integers(0, code.p, size=code.k)
-    if messages_dependent(w1, w2, code.p):
-        return 1, 1, 0
-    z = rng.normal(0.0, sigma, size=code.n)
-    y = mod_mac_channel(encode(code, w1), encode(code, w2), gamma_f, z)
-    out = decoder.decode(y)
-    err = int(
-        out is AMBIGUOUS
-        or not (np.array_equal(out[0], w1) and np.array_equal(out[1], w2))
-    )
-    return err, 0, err
-
-
-def estimate_error_prob(code: LinearCode, cfg: MacConfig, workers: int = 1) -> SimResult:
+def estimate_error_prob(code: LinearCode, cfg: MacConfig) -> SimResult:
     """Monte Carlo estimate of the ordered-pair error probability.
 
     A trial errs when the drawn messages are linearly dependent, when the
     decoder is ambiguous, or when the decoded ordered pair differs from the
-    transmitted one.  Deterministic in cfg.seed regardless of ``workers``.
+    transmitted one.  Deterministic in cfg.seed.
     """
     decoder = PairDecoder(code, cfg.gamma)
     gamma_f = float(cfg.gamma)
     sigma = math.sqrt(1.0 / cfg.snr)
-
-    def trial(t):
-        return _run_trial(code, decoder, gamma_f, sigma, cfg.seed, t)
-
-    errors = dependent = errors_independent = 0
-    if workers <= 1:
-        results = map(trial, range(cfg.trials))
-    else:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        try:
-            results = list(pool.map(trial, range(cfg.trials), chunksize=64))
-        finally:
-            pool.shutdown()
-    for e, d, ei in results:
-        errors += e
-        dependent += d
-        errors_independent += ei
+    dependent = errors_independent = 0
+    for t in range(cfg.trials):
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(t,)))
+        w1 = rng.integers(0, code.p, size=code.k)
+        w2 = rng.integers(0, code.p, size=code.k)
+        if messages_dependent(w1, w2, code.p):
+            dependent += 1
+            continue
+        z = rng.normal(0.0, sigma, size=code.n)
+        y = mod_mac_channel(encode(code, w1), encode(code, w2), gamma_f, z)
+        out = decoder.decode(y)
+        errors_independent += int(
+            out is AMBIGUOUS
+            or not (np.array_equal(out[0], w1) and np.array_equal(out[1], w2))
+        )
+    errors = dependent + errors_independent
     return SimResult(
         trials=cfg.trials,
         errors=errors,

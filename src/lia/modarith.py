@@ -10,17 +10,11 @@ which keeps linearity and alignment identities exact (no floating drift).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .diophantine import is_prime
-
 L = math.sqrt(12.0)
 HALF_L = L / 2.0
-
-# A "mod scalar" is a plain float in [-L/2, L/2), produced by mod_interval().
-ModScalar = float
 
 
 def mod_interval(x):
@@ -48,56 +42,6 @@ def mod_interval(x):
     r = np.where(r >= HALF_L, r - L, r)
     r = np.where(r < -HALF_L, r + L, r)
     return r
-
-
-@dataclass(frozen=True)
-class Residue:
-    """An element of the prime field: an integer in {0, ..., p-1}."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if not is_prime(self.modulus):
-            raise ValueError(f"modulus {self.modulus} is not prime")
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(
-                f"residue {self.value} outside range of modulus {self.modulus}"
-            )
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    """A point of the p-point constellation (L/p)*Z_p reduced into the interval."""
-
-    residue: Residue
-
-    @property
-    def modulus(self) -> int:
-        return self.residue.modulus
-
-    @property
-    def real(self) -> ModScalar:
-        """Real form, mod_interval((L/p) * residue)."""
-        return mod_interval(L / self.residue.modulus * self.residue.value)
-
-
-def grid_point(value: int, p: int) -> GridPoint:
-    return GridPoint(Residue(value, p))
-
-
-def grid_add(a: GridPoint, b: GridPoint) -> GridPoint:
-    """Grid addition; the real forms satisfy mod_interval(a.real + b.real)."""
-    if a.modulus != b.modulus:
-        raise ValueError(f"modulus mismatch: {a.modulus} != {b.modulus}")
-    p = a.modulus
-    return grid_point((a.residue.value + b.residue.value) % p, p)
-
-
-def grid_scale(a: GridPoint, m: int) -> GridPoint:
-    """Integer scaling on the grid; matches mod_interval(m * a.real)."""
-    p = a.modulus
-    return grid_point((m * a.residue.value) % p, p)
 
 
 def grid_real(residues, p: int):

@@ -17,7 +17,6 @@ rescaling would change per-receiver SNR in an unspecified way).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -26,7 +25,7 @@ import numpy as np
 
 from .codes import Codeword, LinearCode, encode
 from .diophantine import Gain, parse_gain
-from .macsim import AMBIGUOUS, PairDecoder, wilson_interval
+from .macsim import AMBIGUOUS, PairDecoder, _codebook, _nearest_row, wilson_interval
 from .modarith import mod_interval
 from .rates import db_to_linear, dof_benchmark, theorem2_sym_rate, time_sharing_sum_rate
 
@@ -89,8 +88,8 @@ class ChannelMatrix:
         return m
 
 
-def parse_channel_text(text: str) -> ChannelMatrix:
-    """Parse the channel file format (integer off-diagonals enforced)."""
+def _parse_matrix_rows(text: str, entry) -> list[list]:
+    """Check the channel file structure; entry(j, k, token) converts each entry."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ChannelFormatError("empty channel file")
@@ -105,22 +104,34 @@ def parse_channel_text(text: str) -> ChannelMatrix:
         toks = ln.split()
         if len(toks) != K:
             raise ChannelFormatError(f"row {j + 1} has {len(toks)} entries, expected {K}")
-        row = []
-        for k, tok in enumerate(toks):
-            if j == k:
-                try:
-                    row.append(parse_gain(tok))
-                except (ValueError, ZeroDivisionError):
-                    raise ChannelFormatError(f"bad diagonal gain {tok!r}") from None
-            else:
-                try:
-                    row.append(int(tok))
-                except ValueError:
-                    raise ChannelFormatError(
-                        f"off-diagonal gain h[{j}][{k}]={tok!r} must be an integer"
-                    ) from None
-        rows.append(row)
-    return ChannelMatrix.from_rows(rows)
+        rows.append([entry(j, k, tok) for k, tok in enumerate(toks)])
+    return rows
+
+
+def _channel_entry(j: int, k: int, tok: str):
+    if j == k:
+        try:
+            return parse_gain(tok)
+        except (ValueError, ZeroDivisionError):
+            raise ChannelFormatError(f"bad diagonal gain {tok!r}") from None
+    try:
+        return int(tok)
+    except ValueError:
+        raise ChannelFormatError(
+            f"off-diagonal gain h[{j}][{k}]={tok!r} must be an integer"
+        ) from None
+
+
+def _real_entry(j: int, k: int, tok: str) -> float:
+    try:
+        return float(parse_gain(tok))
+    except (ValueError, ZeroDivisionError):
+        raise ChannelFormatError(f"bad matrix entry h[{j}][{k}]={tok!r}") from None
+
+
+def parse_channel_text(text: str) -> ChannelMatrix:
+    """Parse the channel file format (integer off-diagonals enforced)."""
+    return ChannelMatrix.from_rows(_parse_matrix_rows(text, _channel_entry))
 
 
 def load_channel_file(path) -> ChannelMatrix:
@@ -130,27 +141,10 @@ def load_channel_file(path) -> ChannelMatrix:
 
 def parse_real_matrix_text(text: str, K_expected: int | None = None) -> np.ndarray:
     """Same file format with arbitrary real entries (power-time input)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ChannelFormatError("empty channel file")
-    try:
-        K = int(lines[0])
-    except ValueError:
-        raise ChannelFormatError(f"first line must be K, got {lines[0]!r}") from None
-    if K_expected is not None and K != K_expected:
-        raise ChannelFormatError(f"expected K={K_expected}, file has K={K}")
-    if len(lines) != 1 + K:
-        raise ChannelFormatError(f"expected {K} matrix rows, got {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) != K:
-            raise ChannelFormatError("ragged channel matrix")
-        try:
-            rows.append([float(parse_gain(t)) for t in toks])
-        except (ValueError, ZeroDivisionError):
-            raise ChannelFormatError(f"bad matrix entry in row {ln!r}") from None
-    return np.asarray(rows, dtype=float)
+    m = np.asarray(_parse_matrix_rows(text, _real_entry), dtype=float)
+    if K_expected is not None and len(m) != K_expected:
+        raise ChannelFormatError(f"expected K={K_expected}, file has K={len(m)}")
+    return m
 
 
 _EXAMPLE_CROSS = np.asarray(
@@ -196,28 +190,6 @@ def align_interference(code: LinearCode, gains, messages) -> tuple[np.ndarray, C
     return w_if, encode(code, w_if)
 
 
-class _SingleUserDecoder:
-    """Exhaustive single-user decode of [h x + z]* (no interference case)."""
-
-    def __init__(self, code: LinearCode, gain: Gain):
-        from .codes import all_codewords
-
-        pairs = all_codewords(code)
-        self.messages = np.vstack([w for w, _ in pairs])
-        self.table = mod_interval(
-            float(gain) * np.vstack([cw.reals for _, cw in pairs])
-        )
-        self.n = code.n
-
-    def decode(self, y):
-        d = mod_interval(np.asarray(y, dtype=float)[None, :] - self.table)
-        metrics = np.einsum("ij,ij->i", d, d)
-        hits = np.flatnonzero(metrics == metrics.min())
-        if hits.size > 1:
-            return None  # tie, declared an error
-        return self.messages[int(hits[0])].copy()
-
-
 @dataclass(frozen=True)
 class NetworkSimResult:
     """Per-receiver and network error estimates over one seeded run."""
@@ -237,14 +209,12 @@ def simulate_network(
     snr: float,
     trials: int,
     seed: int,
-    workers: int = 1,
 ) -> NetworkSimResult:
     """Monte Carlo run of the aligned-interference network at linear SNR.
 
     Trial t draws all K messages from SeedSequence(seed, spawn_key=(t, 0))
     and receiver j's noise from spawn_key=(t, 1 + j); receiver j errs iff
     its decoded desired message differs from w_j (ambiguity included).
-    Counts are bit-identical for any worker count.
     """
     if not (snr > 0 and math.isfinite(snr)):
         raise ValueError("snr must be positive and finite")
@@ -253,24 +223,29 @@ def simulate_network(
     K = H.K
     sigma = math.sqrt(1.0 / snr)
     # A receiver with no interferers faces a point-to-point channel: there is
-    # no aligned codeword to decode jointly, so it searches messages alone.
+    # no aligned codeword to decode jointly, so it searches messages alone,
+    # scoring [h x_i]* for every message i.
     has_interference = [bool(np.any(H.cross[j])) for j in range(K)]
+    if not all(has_interference):
+        messages, reals = _codebook(code)
     pair_decoders: dict[float, PairDecoder] = {}
-    single_decoders: dict[float, _SingleUserDecoder] = {}
+    single_tables: dict[float, np.ndarray] = {}
     for j, g in enumerate(H.direct):
         key = float(g)
         if has_interference[j] and key not in pair_decoders:
             pair_decoders[key] = PairDecoder(code, g)
-        if not has_interference[j] and key not in single_decoders:
-            single_decoders[key] = _SingleUserDecoder(code, g)
+        if not has_interference[j] and key not in single_tables:
+            single_tables[key] = mod_interval(key * reals)
     diag = [float(g) for g in H.direct]
     cross = H.cross.astype(float)
 
-    def trial(t):
+    totals = [0] * K
+    network_errors = 0
+    for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, 0)))
         W = rng.integers(0, code.p, size=(K, code.k))
         X = np.vstack([encode(code, W[u]).reals for u in range(K)])
-        errs = np.zeros(K, dtype=np.int64)
+        any_error = False
         for j in range(K):
             rng_j = np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(t, 1 + j))
@@ -282,29 +257,18 @@ def simulate_network(
                 out = pair_decoders[diag[j]].decode(y)
                 decoded = None if out is AMBIGUOUS else out[1]
             else:
-                decoded = single_decoders[diag[j]].decode(y)
-            errs[j] = int(decoded is None or not np.array_equal(decoded, W[j]))
-        return errs
-
-    totals = np.zeros(K, dtype=np.int64)
-    network_errors = 0
-    if workers <= 1:
-        results = map(trial, range(trials))
-    else:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        try:
-            results = list(pool.map(trial, range(trials), chunksize=16))
-        finally:
-            pool.shutdown()
-    for errs in results:
-        totals += errs
-        network_errors += int(errs.any())
+                h = _nearest_row(y, single_tables[diag[j]])
+                decoded = None if h is None else messages[h]
+            if decoded is None or not np.array_equal(decoded, W[j]):
+                totals[j] += 1
+                any_error = True
+        network_errors += any_error
 
     return NetworkSimResult(
         trials=trials,
-        receiver_errors=tuple(int(e) for e in totals),
-        receiver_p_e=tuple(float(e / trials) for e in totals),
-        receiver_ci95=tuple(wilson_interval(int(e), trials) for e in totals),
+        receiver_errors=tuple(totals),
+        receiver_p_e=tuple(e / trials for e in totals),
+        receiver_ci95=tuple(wilson_interval(e, trials) for e in totals),
         network_errors=network_errors,
         network_p_e=network_errors / trials,
         network_ci95=wilson_interval(network_errors, trials),

@@ -205,8 +205,9 @@ def dof_factor(
     H,
     snr_grid,
     p_max_rule: Optional[Callable[[float], int]] = None,
-) -> list[tuple[float, float]]:
-    """(snr, sum_rate / ((1/2) log2 snr)) along an ascending SNR grid."""
+) -> list[tuple[float, float, float]]:
+    """(snr, symmetric rate, sum_rate / ((1/2) log2 snr)) along an ascending
+    SNR grid; the sum rate is three times the symmetric rate."""
     grid = [float(s) for s in snr_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("snr_grid must be strictly ascending")
@@ -214,7 +215,7 @@ def dof_factor(
     out = []
     for snr in grid:
         p_max = p_max_rule(snr) if p_max_rule is not None else None
-        sum_rate = 3.0 * schedule_rate(sched, snr, p_max)
+        sym = schedule_rate(sched, snr, p_max)
         denom = 0.5 * math.log2(snr) if snr > 1.0 else 0.0
-        out.append((snr, sum_rate / denom if sum_rate > 0.0 and denom > 0.0 else 0.0))
+        out.append((snr, sym, 3.0 * sym / denom if sym > 0.0 and denom > 0.0 else 0.0))
     return out

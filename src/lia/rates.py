@@ -10,8 +10,8 @@ for the four codeword-dependency cases:
 
     omega_a = 1/p^2 + sqrt(2*pi/(3*SNR))
               + (1/p) exp(-(3*SNR/(2 p^2)) delta(p, gamma)^2) + 2 exp(-3*SNR/8)
-    omega_b = omega_c
-            = 1/p + sqrt(2*pi / (3 delta(p, gamma)^2 SNR)) + 2 exp(-3*SNR/8)
+    omega_b = 1/p + sqrt(2*pi / (3 delta(p, gamma)^2 SNR)) + 2 exp(-3*SNR/8)
+            (the case-c term equals omega_b, so it is not kept separately)
     omega_d = max(omega_b,
                   (p-1)/p + (1/p) exp(-(3*SNR/(2 p^2)) g^2) + 2 exp(-3*SNR/8))
 
@@ -75,8 +75,7 @@ class OmegaBreakdown:
     gamma: Gain
     snr: float
     omega_a: float
-    omega_b: float
-    omega_c: float
+    omega_b: float  # also the case-c term
     omega_d: float
 
 
@@ -115,7 +114,7 @@ def omega_breakdown(p: int, gamma: Gain, snr: float) -> OmegaBreakdown:
     d = np.asarray([float(delta(p, gamma))])
     off = float(mod_quarter_interval(gamma))
     oa, ob, od = _omega_arrays(np.asarray([float(p)]), d, off, snr)
-    return OmegaBreakdown(p, gamma, snr, float(oa[0]), float(ob[0]), float(ob[0]), float(od[0]))
+    return OmegaBreakdown(p, gamma, snr, float(oa[0]), float(ob[0]), float(od[0]))
 
 
 def rate_for_p(p: int, gamma: Gain, snr: float) -> float:
@@ -162,7 +161,7 @@ def theorem1_rate(gamma: Gain, snr: float, p_max: Optional[int] = None) -> RateP
     if rates[i] <= 0.0:
         return RatePoint(gamma, snr, None, 0.0, None)
     p_star = int(primes[i])
-    bd = OmegaBreakdown(p_star, gamma, snr, float(oa[i]), float(ob[i]), float(ob[i]), float(od[i]))
+    bd = OmegaBreakdown(p_star, gamma, snr, float(oa[i]), float(ob[i]), float(od[i]))
     return RatePoint(gamma, snr, p_star, float(rates[i]), bd)
 
 
@@ -205,26 +204,21 @@ def theorem2_sym_rate(channel, snr: float, p_max: Optional[int] = None) -> RateP
     if primes.size == 0:
         return RatePoint(channel.direct[0], snr, None, 0.0, None)
 
-    mask = np.ones(primes.size, dtype=bool)
-    per_receiver = []
-    for g in channel.direct:
-        scan = _scan_primes(g, snr, p_max)
-        _, rates, oa, ob, od = scan
-        mask &= admissible_mask(primes, g, snr)
-        per_receiver.append((rates, oa, ob, od))
-
-    stacked = np.vstack([r for r, *_ in per_receiver])
-    overall = np.where(mask, np.maximum(stacked.min(axis=0), 0.0), 0.0)
+    # one scan per distinct gain, in first-occurrence order so a tie for the
+    # binding receiver still goes to the lowest index; scan rates are already
+    # zero wherever a prime is inadmissible for that gain
+    gains = list(dict.fromkeys(channel.direct))
+    scans = [_scan_primes(g, snr, p_max) for g in gains]
+    stacked = np.vstack([rates for _, rates, *_ in scans])
+    overall = stacked.min(axis=0)
     i = int(np.argmax(overall))
     if overall[i] <= 0.0:
         return RatePoint(channel.direct[0], snr, None, 0.0, None)
     j = int(np.argmin(stacked[:, i]))
-    _, oa, ob, od = per_receiver[j]
+    _, _, oa, ob, od = scans[j]
     p_star = int(primes[i])
-    bd = OmegaBreakdown(
-        p_star, channel.direct[j], snr, float(oa[i]), float(ob[i]), float(ob[i]), float(od[i])
-    )
-    return RatePoint(channel.direct[j], snr, p_star, float(overall[i]), bd)
+    bd = OmegaBreakdown(p_star, gains[j], snr, float(oa[i]), float(ob[i]), float(od[i]))
+    return RatePoint(gains[j], snr, p_star, float(overall[i]), bd)
 
 
 def time_sharing_sum_rate(K: int, snr: float) -> float:
@@ -249,8 +243,8 @@ def dof_ratio_scan(
     gamma: Gain,
     snr_grid,
     p_max_rule: Optional[Callable[[float], int]] = None,
-) -> list[tuple[float, float]]:
-    """theorem1_rate / ((1/4) log2 SNR) along an ascending SNR grid.
+) -> list[tuple[float, float, float]]:
+    """(snr, theorem1 rate, rate / ((1/4) log2 SNR)) along an ascending SNR grid.
 
     ``p_max_rule`` maps a grid SNR to the prime bound (default:
     ``default_p_max``).  Grid points where the rate clamps to zero report a
@@ -265,7 +259,7 @@ def dof_ratio_scan(
         rate = theorem1_rate(gamma, snr, rule(snr)).rate
         denom = 0.25 * math.log2(snr) if snr > 1.0 else 0.0
         ratio = rate / denom if rate > 0.0 and denom > 0.0 else 0.0
-        out.append((snr, ratio))
+        out.append((snr, rate, ratio))
     return out
 
 

@@ -138,6 +138,18 @@ class TestMacSim:
         _, out2, _ = rerun_from_header(capsys, out1)
         assert out1 == out2
 
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_workers_below_one_usage_error(self, capsys, value):
+        code, out, err = run_cli(capsys, *self.ARGS, "--workers", value)
+        assert code == EXIT_USAGE and not out and "--workers" in err
+
+    def test_oversized_decoder_table_precondition(self, capsys):
+        big = list(self.ARGS)
+        for flag, value in (("--p", "53"), ("--n", "32"), ("--k", "2")):
+            big[big.index(flag) + 1] = value
+        code, out, err = run_cli(capsys, *big)
+        assert code == EXIT_PRECONDITION and not out and "cap" in err
+
     def test_bad_trials_precondition(self, capsys):
         bad = list(self.ARGS)
         bad[bad.index("--trials") + 1] = "0"
@@ -223,6 +235,19 @@ class TestPowerTime:
         assert lines[1] == "snr_db,sym_rate,sum_rate,dof_factor"
         last = lines[-1].split(",")
         assert float(last[2]) == pytest.approx(3 * float(last[1]), rel=1e-6)
+
+    def test_unsorted_grid_rows_match_single_points(self, capsys, channel3):
+        code, out, _ = run_cli(
+            capsys, "power-time", "--channel", channel3, "--snr-db", "200,80,20"
+        )
+        assert code == EXIT_OK
+        rows = out.splitlines()[2:]
+        assert [r.split(",")[0] for r in rows] == ["200", "80", "20"]
+        for snr_db, row in zip(("200", "80", "20"), rows):
+            _, single, _ = run_cli(
+                capsys, "power-time", "--channel", channel3, "--snr-db", snr_db
+            )
+            assert single.splitlines()[2] == row
 
     def test_gain_ordering_violation_exit_4(self, capsys, tmp_path):
         path = tmp_path / "bad3.txt"

@@ -222,5 +222,5 @@ class TestSerialization:
 def test_codeword_grid_point_access():
     cw = Codeword([0, 2, 1], 3)
     assert len(cw) == 3
-    assert cw[1].residue.value == 2
-    assert cw[1].real == pytest.approx(mod_interval(2 * L / 3))
+    assert cw.residues[1] == 2
+    assert cw.reals[1] == pytest.approx(mod_interval(2 * L / 3))

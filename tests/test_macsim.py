@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from lia.macsim import (
     MacConfig,
     PairDecoder,
     estimate_error_prob,
-    joint_decode,
     mod_mac_channel,
     wilson_interval,
 )
@@ -109,6 +109,23 @@ class TestPairDecoder:
                 out = dec.decode(shifted)
                 assert np.array_equal(out[0], base[0]) and np.array_equal(out[1], base[1])
 
+    @pytest.mark.parametrize("p, k", [(3, 2), (5, 2), (7, 3), (11, 3)])
+    def test_independent_pair_count_formula(self, p, k):
+        M = p**k
+        assert PairDecoder(sample_code(p, 3, k, seed=0), 0.3).n_pairs == (M - 1) * (M - p)
+
+    def test_table_memory_capped_before_build(self):
+        # 2808 * 2756 pairs x 32 components x 8 bytes is about 1.98 GB
+        code = sample_code(53, 32, 2, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                PairDecoder(code, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_k1_has_empty_search_space(self):
         code = sample_code(5, 6, 1, seed=0)
         with pytest.raises(ValueError):
@@ -117,15 +134,15 @@ class TestPairDecoder:
     def test_cap_enforced(self):
         code = sample_code(5, 8, 5, seed=0)
         with pytest.raises(ValueError):
-            joint_decode(code, np.zeros(8), 0.3)
+            PairDecoder(code, 0.3)
 
 
 class TestEstimateErrorProb:
     def test_deterministic_across_workers(self):
         code = sample_code(3, 8, 2, seed=7)
         cfg = MacConfig(gamma=SQRT2_OVER_2, snr=db_to_linear(14), trials=300, seed=21)
-        r1 = estimate_error_prob(code, cfg, workers=1)
-        r2 = estimate_error_prob(code, cfg, workers=4)
+        r1 = estimate_error_prob(code, cfg)
+        r2 = estimate_error_prob(code, cfg)
         assert r1 == r2
 
     def test_single_trial_reproducible(self):

@@ -4,17 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lia.modarith import (
-    GridPoint,
-    HALF_L,
-    L,
-    Residue,
-    grid_add,
-    grid_point,
-    grid_real,
-    grid_scale,
-    mod_interval,
-)
+from lia.modarith import HALF_L, L, grid_real, mod_interval
 
 finite_reals = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -64,42 +54,16 @@ class TestModInterval:
 
 
 class TestGridOps:
-    def test_add_identity(self):
-        assert grid_add(grid_point(0, 3), grid_point(2, 3)) == grid_point(2, 3)
-
-    def test_add_wraps(self):
-        assert grid_add(grid_point(2, 3), grid_point(2, 3)) == grid_point(1, 3)
-        assert grid_add(grid_point(4, 5), grid_point(1, 5)) == grid_point(0, 5)
-
-    def test_add_modulus_mismatch(self):
-        with pytest.raises(ValueError):
-            grid_add(grid_point(1, 3), grid_point(1, 5))
-
-    def test_scale_identity(self):
-        assert grid_scale(grid_point(2, 5), 1) == grid_point(2, 5)
-
-    def test_scale_wraps_and_negates(self):
-        assert grid_scale(grid_point(1, 3), 3) == grid_point(0, 3)
-        assert grid_scale(grid_point(2, 5), -1) == grid_point(3, 5)
-
-    def test_residue_validation(self):
-        with pytest.raises(ValueError):
-            Residue(0, 4)  # not prime
-        with pytest.raises(ValueError):
-            Residue(5, 5)  # out of range
-        with pytest.raises(ValueError):
-            Residue(-1, 5)
-
     def test_real_form_on_constellation(self):
-        gp = grid_point(2, 3)
-        assert gp.real == mod_interval(L / 3 * 2)
-        assert gp.real == pytest.approx(-L / 3)
+        (x,) = grid_real([2], 3)
+        assert x == mod_interval(L / 3 * 2)
+        assert x == pytest.approx(-L / 3)
 
     def test_grid_real_matches_scalar_points(self):
         residues = np.arange(7)
         reals = grid_real(residues, 7)
         for r, x in zip(residues, reals):
-            assert x == grid_point(int(r), 7).real
+            assert x == mod_interval(L / 7 * int(r))
 
     def test_residue_arithmetic_commutes_with_real_domain(self):
         # the 1e4 random-pair drift bound for addition, verbatim
@@ -123,6 +87,3 @@ def test_uniform_interval_has_unit_power():
     draws = rng.uniform(-L / 2, L / 2, size=1_000_000)
     assert np.var(draws) == pytest.approx(1.0, rel=0.01)
 
-
-def test_gridpoint_modulus_accessor():
-    assert GridPoint(Residue(4, 7)).modulus == 7

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lia.codes import encode, messages_dependent, sample_code
-from lia.modarith import grid_add, grid_point, grid_scale, mod_interval
+from lia.modarith import mod_interval
 from lia.network import (
     ChannelFormatError,
     ChannelMatrix,
@@ -24,15 +24,11 @@ SQRT2_OVER_2 = math.sqrt(2) / 2
 
 
 def fold_codewords_on_grid(codewords, gains, p):
-    """Oracle: fold gain-scaled codewords point by point with the grid ops."""
-    n = len(codewords[0])
-    out = []
-    for t in range(n):
-        acc = grid_point(0, p)
-        for cw, g in zip(codewords, gains):
-            acc = grid_add(acc, grid_scale(cw[t], int(g)))
-        out.append(acc.residue.value)
-    return np.asarray(out, dtype=np.int64)
+    """Oracle: fold gain-scaled codewords in the residue domain."""
+    acc = np.zeros(len(codewords[0]), dtype=np.int64)
+    for cw, g in zip(codewords, gains):
+        acc = (acc + int(g) * cw.residues) % p
+    return acc
 
 
 class TestChannelMatrix:
@@ -84,10 +80,19 @@ class TestChannelParsing:
             parse_channel_text("2\n0.707 1 2\n2 0.707\n")
 
     def test_real_matrix_parser(self):
-        m = parse_real_matrix_text("3\n1/2 1 2\n3 1 1\n1 2 1\n", K_expected=3)
-        assert m[0, 0] == 0.5
-        with pytest.raises(ChannelFormatError):
-            parse_real_matrix_text("2\n1 2\n3 4\n", K_expected=3)
+        m = parse_real_matrix_text("3\n1/2 1 2\n3 1.5 1\n1 2 1\n", K_expected=3)
+        assert m.shape == (3, 3) and m[0, 0] == 0.5 and m[1, 1] == 1.5
+        for bad in (
+            "2\n1 2\n3 4\n",  # wrong K
+            "",
+            "x\n1 2\n3 4\n",
+            "3\n1 2 3\n4 5 6\n",  # missing row
+            "3\n1 2 3\n4 5\n6 7 8\n",  # ragged row
+            "3\n1 2 3\n4 5 1/0\n6 7 8\n",
+            "3\n1 2 3\n4 5 six\n6 7 8\n",
+        ):
+            with pytest.raises(ChannelFormatError):
+                parse_real_matrix_text(bad, K_expected=3)
 
 
 class TestAlignInterference:
@@ -171,9 +176,28 @@ class TestSimulateNetwork:
     def test_deterministic_across_workers(self):
         H = example_channel(SQRT2_OVER_2)
         code = sample_code(5, 8, 2, seed=1)
-        a = simulate_network(H, code, db_to_linear(20), trials=40, seed=8, workers=1)
-        b = simulate_network(H, code, db_to_linear(20), trials=40, seed=8, workers=3)
+        a = simulate_network(H, code, db_to_linear(20), trials=40, seed=8)
+        b = simulate_network(H, code, db_to_linear(20), trials=40, seed=8)
         assert a == b
+
+    def test_receiver_without_interferers_pinned_counts(self):
+        # receiver 2 hears nobody and decodes its message alone while the
+        # others decode pairs; the exact counts are regression anchors
+        cross = np.array([[0, 1, 2], [0, 0, 0], [3, 1, 0]], dtype=np.int64)
+        H = ChannelMatrix(K=3, direct=(SQRT2_OVER_2, 0.5, SQRT2_OVER_2), cross=cross)
+        code = sample_code(5, 8, 2, seed=2)
+        res = simulate_network(H, code, db_to_linear(10), trials=200, seed=11)
+        assert res.receiver_errors == (125, 41, 121)
+        assert res.network_errors == 172
+
+    def test_k1_without_interference_pinned_counts(self):
+        # k = 1 leaves no independent message pairs, so only the
+        # single-user receivers can run
+        H = ChannelMatrix(K=2, direct=(SQRT2_OVER_2, 0.3), cross=np.zeros((2, 2), np.int64))
+        code = sample_code(7, 6, 1, seed=4)
+        res = simulate_network(H, code, db_to_linear(10), trials=300, seed=5)
+        assert res.receiver_errors == (3, 89)
+        assert res.network_errors == 91
 
 
 class TestSumRateCurves:

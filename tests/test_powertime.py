@@ -137,11 +137,15 @@ class TestScheduleRate:
 class TestDofFactor:
     def test_zero_below_threshold(self):
         out = dof_factor(GENERIC_H, [2.0, 4.0])
-        assert out[0][1] == 0.0 and out[1][1] == 0.0
+        assert out[0][2] == 0.0 and out[1][2] == 0.0
 
     def test_trend_and_calibration(self):
         grid = [db_to_linear(db) for db in (80, 120, 160, 200)]
-        factors = [f for _, f in dof_factor(GENERIC_H, grid)]
+        out = dof_factor(GENERIC_H, grid)
+        factors = [f for _, _, f in out]
+        # the factor is the sum rate, three times the reported symmetric rate
+        for snr, sym, f in out:
+            assert f == 3.0 * sym / (0.5 * math.log2(snr))
         assert all(b >= a for a, b in zip(factors, factors[1:]))
         assert abs(factors[-1] - 1.125) < 0.2
 

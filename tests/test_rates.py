@@ -47,11 +47,6 @@ class TestOmegaBreakdown:
         assert bd.omega_a == pytest.approx(0.426970, abs=1e-6)
         assert bd.omega_b == pytest.approx(1.056935, abs=1e-6)
 
-    def test_b_equals_c_exactly(self):
-        for g in (0.4, SQRT2_OVER_2, Fraction(6, 25)):
-            bd = omega_breakdown(5, g, 321.0)
-            assert bd.omega_b == bd.omega_c
-
     def test_high_snr_limits(self):
         bd = omega_breakdown(7, 0.3, 1e18)
         assert bd.omega_a == pytest.approx(1 / 49, rel=1e-6)
@@ -64,7 +59,7 @@ class TestOmegaBreakdown:
 
     def test_all_terms_positive(self):
         bd = omega_breakdown(11, 0.37, 50.0)
-        for v in (bd.omega_a, bd.omega_b, bd.omega_c, bd.omega_d):
+        for v in (bd.omega_a, bd.omega_b, bd.omega_d):
             assert v > 0
 
 
@@ -190,6 +185,24 @@ class TestTheorem2:
         )
 
 
+    def test_repeated_gains_match_per_prime_oracle(self):
+        # direct gains repeat; the rate is the max over primes of the
+        # smallest per-receiver bound, with delta by direct enumeration
+        cross = np.array([[0, 1, 2], [3, 0, 1], [2, 2, 0]], dtype=np.int64)
+        g_a, g_b = SQRT2_OVER_2, 0.37
+        H = ChannelMatrix(K=3, direct=(g_a, g_b, g_a), cross=cross)
+        snr, p_max = 1e7, 200
+        rp = theorem2_sym_rate(H, snr, p_max)
+        oracle = {int(p): min(rate_for_p(int(p), g_a, snr), rate_for_p(int(p), g_b, snr))
+                  for p in primes_up_to(p_max)}
+        best = max(oracle.values())
+        assert best > 0.0
+        assert rp.rate == pytest.approx(best, rel=1e-9)
+        assert oracle[rp.p_star] == pytest.approx(best, rel=1e-9)
+        binding = min((g_a, g_b), key=lambda g: rate_for_p(rp.p_star, g, snr))
+        assert rp.gamma == binding and rp.breakdown.gamma == binding
+
+
 class TestBaselines:
     def test_time_sharing_values(self):
         assert time_sharing_sum_rate(3, 0.0) == 0.0
@@ -214,16 +227,19 @@ class TestBaselines:
 class TestDofRatioScan:
     def test_irrational_gain_trend(self):
         scan = dof_ratio_scan(SQRT2_OVER_2, [1e4, 1e8, 1e12])
-        ratios = [r for _, r in scan]
+        ratios = [r for _, _, r in scan]
+        # the reported rate is theorem1_rate at the rule's prime bound
+        for snr, rate, _ in scan:
+            assert rate == theorem1_rate(SQRT2_OVER_2, snr, default_p_max(snr)).rate
         assert all(b >= a for a, b in zip(ratios, ratios[1:]))
 
     def test_rational_gain_ratio_vanishes(self):
         scan = dof_ratio_scan(Fraction(1, 3), [1e4, 1e20])
-        assert scan[-1][1] < 0.1  # rate capped at log2(3), denominator grows
+        assert scan[-1][2] < 0.1  # rate capped at log2(3), denominator grows
 
     def test_below_threshold_zero(self):
         scan = dof_ratio_scan(SQRT2_OVER_2, [1.0, 4.0])
-        assert scan[0][1] == 0.0 and scan[1][1] == 0.0
+        assert scan[0][1:] == (0.0, 0.0) and scan[1][1:] == (0.0, 0.0)
 
     def test_requires_ascending_grid(self):
         with pytest.raises(ValueError):
