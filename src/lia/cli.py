@@ -260,9 +260,9 @@ def _cmd_dof_scan(args) -> str:
     columns = ["snr_db", "rate_lin", "ratio"]
     rows = []
     rule = None if args.p_max is None else (lambda snr: args.p_max)
-    snr_grid = [db_to_linear(v) for _, v in snrs]
-    scan = rates.dof_ratio_scan(gamma, snr_grid, rule)
-    for (snr_text, _), (_, rate, ratio) in zip(snrs, scan):
+    for snr_text, snr_db in snrs:
+        # one point per call: dof_ratio_scan wants an ascending grid, the CLI does not
+        ((_, rate, ratio),) = rates.dof_ratio_scan(gamma, [db_to_linear(snr_db)], rule)
         rows.append([snr_text, _fmt(rate), _fmt(ratio)])
     return _document(line, columns, rows)
 

@@ -25,7 +25,8 @@ from .diophantine import Gain
 from .modarith import grid_real, mod_interval
 
 _Z95 = 1.959963984540054  # standard normal 97.5% quantile
-DECODER_TABLE_BYTES_CAP = 2**28  # bound on the pairs x n float64 psi table
+DECODER_TABLE_BYTES_CAP = 2**28  # bound on PairDecoder's arrays plus one decode's temporaries
+_RESCORE_ROWS = 4096  # near-tie candidates re-scored per chunk
 
 
 class _Ambiguous:
@@ -96,84 +97,154 @@ def mod_mac_channel(x1, x2, gamma: Gain, noise) -> np.ndarray:
 
 
 def _codebook(code: LinearCode, cap: int = ENUMERATION_CAP):
-    """All p**k messages in lexicographic order and their real-form codewords."""
+    """All p**k messages in lexicographic order and their codeword residues.
+
+    Row i of the messages holds the base-p digits of i, most significant
+    first, so a message's row index is its base-p value.
+    """
     count = code.p**code.k
     if count > cap:
         raise ValueError(f"p**k = {count} exceeds decoder cap {cap}")
     msgs = np.asarray(
         [w for w in np.ndindex(*([code.p] * code.k))], dtype=np.int64
     )
-    return msgs, grid_real((msgs @ code.generator) % code.p, code.p)
+    return msgs, (msgs @ code.generator) % code.p
 
 
-def _nearest_row(y: np.ndarray, table: np.ndarray):
-    """Index of the table row closest to y in sum_t ([y_t - row_t]*)^2.
+def _nearest_row(y: np.ndarray, tables):
+    """Index of the row closest to y in sum_t ([y_t - row_t]*)^2.
 
-    Returns None when the minimum is attained more than once (exact float
-    equality), which the callers declare a decoding error.
+    ``tables`` is an iterable of 2-D arrays whose rows, taken in order, are
+    the candidates; the index counts across them.  Returns None when the
+    minimum is attained more than once (exact float equality), which the
+    callers declare a decoding error.
     """
-    d = mod_interval(y[None, :] - table)
-    metrics = np.einsum("ij,ij->i", d, d)
-    hits = np.flatnonzero(metrics == metrics.min())
-    if hits.size > 1:
-        return None
-    return int(hits[0])
+    best, winner, tied, offset = np.inf, None, False, 0
+    for table in tables:
+        d = mod_interval(y[None, :] - table)
+        metrics = np.einsum("ij,ij->i", d, d)
+        low = metrics.min()
+        if low <= best:
+            at = np.flatnonzero(metrics == low)
+            tied = at.size > 1 or low == best
+            best, winner = low, offset + int(at[0])
+        offset += table.shape[0]
+    return None if tied else winner
+
+
+def _decoder_bytes(count: int, n: int, p: int, k: int) -> int:
+    """Bytes a PairDecoder holds plus the temporaries of one decode.
+
+    Held: the one-hot codebook (count x n*p float64), the additive mask
+    (count x count float64), the residues, their one-hot columns and the
+    messages (int64), and psi.  Per decode: the gathered distances (count x
+    n*p) beside the metric matrix (count x count float64, which the
+    candidate list replaces), the candidate test (count x count bool), the n
+    x p x p distance table with the temporaries of mod_interval, and one
+    chunk of re-scored psi rows.  The build's boolean dependency table is
+    smaller than the per-decode part.
+    """
+    onehot = count * n * p * 8
+    square = count * count * 8
+    held = onehot + square + count * (2 * n + k) * 8 + p * p * 8
+    chunk = min(count * count, _RESCORE_ROWS) * (8 * n + 4) * 8
+    return held + onehot + square + count * count + 8 * n * p * p * 8 + chunk
 
 
 class PairDecoder:
-    """Exhaustive decoder table for one (code, gamma) pair.
+    """Exhaustive decoder for one (code, gamma) pair, scored per component.
 
-    Builds psi(i, j) for every ordered, linearly independent message pair
-    once; decode() then scores a received vector against the whole table.
-    There are (M - 1)(M - p) such pairs for M = p**k, and the table is
-    refused before it is built when it would exceed DECODER_TABLE_BYTES_CAP.
+    Component t of the metric of the ordered message pair (i, j) depends only
+    on the residue pair (a, b) = (c_i,t, c_j,t), through the p x p
+    constellation ``psi[a, b] = [grid(a) + gamma*grid(b)]*``.  decode()
+    builds the n x p x p table D[t, a, b] = ([y_t - psi[a, b]]*)^2, gathers
+    E[i, (t, b)] = D[t, c_i,t, b] and scores every pair at once as the
+    count x count matrix E @ A.T plus an additive mask, where A is the
+    one-hot codebook and the mask is +inf on linearly dependent pairs.  No
+    per-pair table is stored or formed; there are n_pairs = (M - 1)(M - p)
+    independent pairs for M = p**k.
+
+    The matrix product sums each metric in an order of its own, so pairs
+    whose metrics tie exactly under one order can differ in the last bits.
+    Every pair within a relative 16*n*eps of the minimum, which covers the
+    rounding gap between any two summation orders of n nonnegative terms,
+    is therefore re-scored on its psi row by ``_nearest_row`` (mod_interval,
+    einsum, a minimum attained more than once is ambiguous), in chunks of
+    _RESCORE_ROWS: every decision, ties included, is the one the exhaustive
+    pairs x n table gives, bit for bit.  The decoder is refused before it is built when its
+    arrays plus one decode's temporaries would exceed
+    DECODER_TABLE_BYTES_CAP.
     """
 
     def __init__(self, code: LinearCode, gamma: Gain, cap: int = ENUMERATION_CAP):
-        msgs, reals = _codebook(code, cap)
-        count = msgs.shape[0]
-        table_bytes = (count - 1) * (count - code.p) * code.n * 8
-        if table_bytes > DECODER_TABLE_BYTES_CAP:
+        p, n = code.p, code.n
+        count = p**code.k
+        need = _decoder_bytes(count, n, p, code.k)
+        if need > DECODER_TABLE_BYTES_CAP:
             raise ValueError(
-                f"decoder table needs {table_bytes} bytes, above the cap of"
+                f"decoder needs {need} bytes, above the cap of"
                 f" {DECODER_TABLE_BYTES_CAP} (reduce p, k or n)"
             )
+        msgs, residues = _codebook(code, cap)
         self.code = code
         self.gamma = gamma
-        g = float(gamma)
-
-        # dependency table: dep[i, j] iff (w_i, w_j) linearly dependent
-        dep = np.zeros((count, count), dtype=bool)
-        index = {w.tobytes(): i for i, w in enumerate(msgs)}
-        zero = ~msgs.any(axis=1)
-        dep[zero, :] = True
-        dep[:, zero] = True
-        for c in range(1, code.p):
-            scaled = (c * msgs) % code.p
-            for i in range(count):
-                dep[i, index[scaled[i].tobytes()]] = True
-        i_idx, j_idx = np.nonzero(~dep)
-        if i_idx.size == 0:
-            raise ValueError("empty search space: no independent message pairs (need k >= 2)")
-
         self.messages = msgs
-        self.pair_index = (i_idx, j_idx)
-        self.psi = mod_interval(reals[i_idx] + g * reals[j_idx])
+        self.residues = residues
 
-    @property
-    def n_pairs(self) -> int:
-        return self.pair_index[0].size
+        # dep[i, j] iff (w_i, w_j) linearly dependent: message 0 is the zero
+        # vector, and j = c*w_i (c = 1..p-1) sits at row base-p value of c*w_i
+        dep = np.zeros((count, count), dtype=bool)
+        dep[0, :] = True
+        dep[:, 0] = True
+        multiples = (np.arange(1, p)[:, None, None] * msgs) % p
+        dep[np.arange(count), multiples @ (p ** np.arange(code.k - 1, -1, -1))] = True
+        self.n_pairs = dep.size - int(np.count_nonzero(dep))
+        if self.n_pairs == 0:
+            raise ValueError("empty search space: no independent message pairs (need k >= 2)")
+        self.mask = np.where(dep, np.inf, 0.0)
+        del dep
+
+        grid = grid_real(np.arange(p), p)
+        self.psi = mod_interval(grid[:, None] + float(gamma) * grid[None, :])
+        # column t*p + c_i,t of the one-hot row i; also the row of D[t, c_i,t]
+        # in D reshaped to (n*p) x p
+        self._cols = residues + p * np.arange(n)
+        self._onehot = np.zeros((count, n * p))
+        np.put_along_axis(self._onehot, self._cols, 1.0, axis=1)
+        self._slack = 16 * n * np.finfo(float).eps
+        # rounding of squares below the normal range is absolute, not relative
+        self._floor = n * np.finfo(float).smallest_subnormal
 
     def decode(self, y):
         """Closest pair (w_i, w_j), or AMBIGUOUS when the minimum ties."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.code.n,):
             raise ValueError(f"received vector shape {y.shape} != ({self.code.n},)")
-        h = _nearest_row(y, self.psi)
-        if h is None:
-            return AMBIGUOUS
-        i_idx, j_idx = self.pair_index
-        return (self.messages[i_idx[h]].copy(), self.messages[j_idx[h]].copy())
+        count = self.messages.shape[0]
+        d = mod_interval(y[:, None, None] - self.psi)
+        e = np.take((d * d).reshape(-1, self.code.p), self._cols, axis=0)
+        s = e.reshape(count, -1) @ self._onehot.T
+        del e
+        s += self.mask
+        near = s <= s.min() * (1.0 + self._slack) + self._floor
+        del s  # the candidate list below takes the metric matrix's place
+        hits = np.flatnonzero(near)
+        if hits.size > 1:
+            chunks = (
+                self._psi_rows(hits[start : start + _RESCORE_ROWS])
+                for start in range(0, hits.size, _RESCORE_ROWS)
+            )
+            h = _nearest_row(y, chunks)
+            if h is None:
+                return AMBIGUOUS
+            hits = hits[h : h + 1]
+        i, j = divmod(int(hits[0]), count)
+        return (self.messages[i].copy(), self.messages[j].copy())
+
+    def _psi_rows(self, flat):
+        """psi(i, j) rows, n components each, of the pairs at flat = i*M + j."""
+        rows, cols = np.divmod(flat, self.messages.shape[0])
+        return self.psi[self.residues[rows], self.residues[cols]]
 
 
 def estimate_error_prob(code: LinearCode, cfg: MacConfig) -> SimResult:

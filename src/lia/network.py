@@ -26,7 +26,7 @@ import numpy as np
 from .codes import Codeword, LinearCode, encode
 from .diophantine import Gain, parse_gain
 from .macsim import AMBIGUOUS, PairDecoder, _codebook, _nearest_row, wilson_interval
-from .modarith import mod_interval
+from .modarith import grid_real, mod_interval
 from .rates import db_to_linear, dof_benchmark, theorem2_sym_rate, time_sharing_sum_rate
 
 
@@ -227,7 +227,8 @@ def simulate_network(
     # scoring [h x_i]* for every message i.
     has_interference = [bool(np.any(H.cross[j])) for j in range(K)]
     if not all(has_interference):
-        messages, reals = _codebook(code)
+        messages, residues = _codebook(code)
+        reals = grid_real(residues, code.p)
     pair_decoders: dict[float, PairDecoder] = {}
     single_tables: dict[float, np.ndarray] = {}
     for j, g in enumerate(H.direct):
@@ -257,7 +258,7 @@ def simulate_network(
                 out = pair_decoders[diag[j]].decode(y)
                 decoded = None if out is AMBIGUOUS else out[1]
             else:
-                h = _nearest_row(y, single_tables[diag[j]])
+                h = _nearest_row(y, [single_tables[diag[j]]])
                 decoded = None if h is None else messages[h]
             if decoded is None or not np.array_equal(decoded, W[j]):
                 totals[j] += 1

@@ -1,5 +1,9 @@
 import math
+import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,10 +149,28 @@ class TestMacSim:
 
     def test_oversized_decoder_table_precondition(self, capsys):
         big = list(self.ARGS)
-        for flag, value in (("--p", "53"), ("--n", "32"), ("--k", "2")):
+        for flag, value in (("--p", "53"), ("--n", "256"), ("--k", "2")):
             big[big.index(flag) + 1] = value
         code, out, err = run_cli(capsys, *big)
         assert code == EXIT_PRECONDITION and not out and "cap" in err
+
+    def test_output_independent_of_blas_threads(self):
+        # the pair decoder scores with a matrix product, whose summation order
+        # depends on the BLAS thread count; the decisions must not
+        argv = [
+            sys.executable, "-m", "lia", "mac-sim", "--gamma", "0.707106781",
+            "--snr-db", "15", "--p", "7", "--n", "16", "--k", "3", "--trials", "40",
+            "--seed", "3", "--code-seed", "5",
+        ]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            done = subprocess.run(argv, env=env, capture_output=True, timeout=120, check=True)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[2].split(b",")[5] == b"40"
 
     def test_bad_trials_precondition(self, capsys):
         bad = list(self.ARGS)
@@ -272,6 +294,15 @@ class TestDofScan:
         assert lines[1] == "snr_db,rate_lin,ratio"
         ratios = [float(ln.split(",")[2]) for ln in lines[2:]]
         assert ratios == sorted(ratios)
+
+    def test_unsorted_grid_rows_match_single_points(self, capsys):
+        code, out, _ = run_cli(capsys, "dof-scan", "--gamma", "707/1000", "--snr-db", "200,10,40")
+        assert code == EXIT_OK
+        rows = out.splitlines()[2:]
+        assert [r.split(",")[0] for r in rows] == ["200", "10", "40"]
+        for snr_db, row in zip(("200", "10", "40"), rows):
+            _, single, _ = run_cli(capsys, "dof-scan", "--gamma", "707/1000", "--snr-db", snr_db)
+            assert single.splitlines()[2] == row
 
 
 class TestGlobalBehavior:

@@ -6,19 +6,86 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lia.codes import encode, messages_dependent, sample_code
+from lia.codes import LinearCode, encode, messages_dependent, sample_code
 from lia.macsim import (
     AMBIGUOUS,
+    DECODER_TABLE_BYTES_CAP,
     MacConfig,
     PairDecoder,
+    _decoder_bytes,
     estimate_error_prob,
     mod_mac_channel,
     wilson_interval,
 )
-from lia.modarith import L, mod_interval
+from lia.modarith import L, grid_real, mod_interval
 from lia.rates import db_to_linear, dependent_message_prob
 
 SQRT2_OVER_2 = math.sqrt(2) / 2
+
+
+class OracleDecoder:
+    """The exhaustive pairs x n table decoder, the reference for PairDecoder.
+
+    It stores psi(i, j) for every ordered independent pair (found with a
+    dictionary of scaled messages), scores y with mod_interval and einsum
+    over the whole table, and declares an exact-equality tie ambiguous.
+    """
+
+    def __init__(self, code, gamma):
+        msgs = np.asarray(list(np.ndindex(*([code.p] * code.k))), dtype=np.int64)
+        reals = grid_real((msgs @ code.generator) % code.p, code.p)
+        count = msgs.shape[0]
+        dep = np.zeros((count, count), dtype=bool)
+        index = {w.tobytes(): i for i, w in enumerate(msgs)}
+        zero = ~msgs.any(axis=1)
+        dep[zero, :] = True
+        dep[:, zero] = True
+        for c in range(1, code.p):
+            scaled = (c * msgs) % code.p
+            for i in range(count):
+                dep[i, index[scaled[i].tobytes()]] = True
+        self.i_idx, self.j_idx = np.nonzero(~dep)
+        self.messages = msgs
+        self.psi = mod_interval(reals[self.i_idx] + float(gamma) * reals[self.j_idx])
+
+    def metrics(self, y):
+        d = mod_interval(y[None, :] - self.psi)
+        return np.einsum("ij,ij->i", d, d)
+
+    def decode(self, y):
+        metrics = self.metrics(y)
+        hits = np.flatnonzero(metrics == metrics.min())
+        if hits.size > 1:
+            return AMBIGUOUS
+        return (self.messages[self.i_idx[hits[0]]], self.messages[self.j_idx[hits[0]]])
+
+
+def _same_decision(a, b) -> bool:
+    if a is AMBIGUOUS or b is AMBIGUOUS:
+        return a is b
+    return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def _corpus_generators(p, n, k, rng):
+    """A random generator, one with a duplicated row (distinct messages share
+    codewords) and one with zero columns (components equal for every pair)."""
+    g = rng.integers(0, p, size=(k, n))
+    duplicated = g.copy()
+    duplicated[-1] = duplicated[0]
+    zero_columns = g.copy()
+    zero_columns[:, ::3] = 0
+    return (("random", g), ("duplicated-row", duplicated), ("zero-columns", zero_columns))
+
+
+def _corpus_received(code, gamma, oracle, rng, draws):
+    """y = 0, then noiseless and noisy (sigma 0.3 and 1.5) receptions of
+    random independent pairs."""
+    yield "zero", np.zeros(code.n)
+    for label, sigma in (("noiseless", 0.0), ("sigma0.3", 0.3), ("sigma1.5", 1.5)):
+        for h in rng.integers(0, oracle.i_idx.size, size=draws):
+            x1 = encode(code, oracle.messages[oracle.i_idx[h]])
+            x2 = encode(code, oracle.messages[oracle.j_idx[h]])
+            yield label, mod_mac_channel(x1, x2, gamma, rng.normal(0.0, sigma, size=code.n))
 
 
 class TestWilsonInterval:
@@ -77,7 +144,7 @@ class TestPairDecoder:
     def test_all_independent_pairs_decode_noiselessly(self):
         code = sample_code(3, 8, 2, seed=5)
         dec = PairDecoder(code, SQRT2_OVER_2)
-        i_idx, j_idx = dec.pair_index
+        i_idx, j_idx = np.nonzero(dec.mask == 0.0)
         for i, j in zip(i_idx[::5], j_idx[::5]):
             w1, w2 = dec.messages[i], dec.messages[j]
             y = mod_interval(encode(code, w1).reals + SQRT2_OVER_2 * encode(code, w2).reals)
@@ -92,9 +159,43 @@ class TestPairDecoder:
         y = np.zeros(4)
         assert dec.decode(y) is AMBIGUOUS
         # brute-force confirmation over the 48-pair metric table
-        d = mod_interval(y[None, :] - dec.psi)
-        metrics = (d * d).sum(axis=1)
+        metrics = OracleDecoder(code, SQRT2_OVER_2).metrics(y)
+        assert metrics.size == 48
         assert np.count_nonzero(metrics == metrics.min()) >= 2
+
+    def test_agrees_with_oracle_on_tie_corpus(self):
+        # every decision, ambiguous ones included, must be the pairs x n
+        # table's; gamma = 1 (psi(i, j) = psi(j, i)), duplicated generator
+        # rows and y = 0 make exact ties, and the corpus must exercise them
+        rng = np.random.default_rng(2024)
+        shapes = [(3, 4, 2, 4), (3, 6, 3, 4), (5, 8, 2, 4), (5, 5, 3, 4), (7, 10, 2, 4), (7, 16, 3, 1)]
+        gammas = [0.707106781, 1.0, 0.5, 2.0, -1.0, 0.3]
+        draws = ambiguous = 0
+        disagreements = []
+        for p, n, k, per_kind in shapes:
+            for kind, generator in _corpus_generators(p, n, k, rng):
+                code = LinearCode(p=p, n=n, k=k, generator=generator)
+                for gamma in gammas:
+                    oracle = OracleDecoder(code, gamma)
+                    dec = PairDecoder(code, gamma)
+                    for label, y in _corpus_received(code, gamma, oracle, rng, per_kind):
+                        want = oracle.decode(y)
+                        draws += 1
+                        ambiguous += want is AMBIGUOUS
+                        if not _same_decision(dec.decode(y), want):
+                            disagreements.append((p, n, k, kind, gamma, label))
+        assert disagreements == []
+        assert draws >= 1000
+        assert ambiguous >= 500
+
+    @pytest.mark.parametrize("p, k", [(3, 2), (5, 2), (3, 3)])
+    def test_mask_matches_messages_dependent(self, p, k):
+        dec = PairDecoder(sample_code(p, 4, k, seed=1), 0.3)
+        want = np.asarray(
+            [[messages_dependent(a, b, p) for b in dec.messages] for a in dec.messages]
+        )
+        assert np.array_equal(np.isinf(dec.mask), want)
+        assert np.all(dec.mask[~want] == 0.0)
 
     def test_metric_invariant_to_interval_shifts(self):
         code = sample_code(3, 8, 2, seed=5)
@@ -115,8 +216,8 @@ class TestPairDecoder:
         assert PairDecoder(sample_code(p, 3, k, seed=0), 0.3).n_pairs == (M - 1) * (M - p)
 
     def test_table_memory_capped_before_build(self):
-        # 2808 * 2756 pairs x 32 components x 8 bytes is about 1.98 GB
-        code = sample_code(53, 32, 2, seed=0)
+        # the 2809 x 13568 one-hot codebook alone is about 305 MB
+        code = sample_code(53, 256, 2, seed=0)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="cap"):
@@ -125,6 +226,23 @@ class TestPairDecoder:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_traced_memory_within_bound(self, degenerate):
+        # an all-zero generator makes every independent pair tie at y = 0, so
+        # all 114912 of them go through the chunked re-scoring
+        code = sample_code(7, 16, 3, seed=0)
+        if degenerate:
+            code = LinearCode(p=7, n=16, k=3, generator=np.zeros((3, 16), dtype=np.int64))
+        tracemalloc.start()
+        try:
+            dec = PairDecoder(code, 1.0)
+            outs = [dec.decode(y) for y in (np.zeros(16), np.full(16, 0.3))]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outs[0] is AMBIGUOUS
+        assert peak <= _decoder_bytes(7**3, 16, 7, 3) <= DECODER_TABLE_BYTES_CAP
 
     def test_k1_has_empty_search_space(self):
         code = sample_code(5, 6, 1, seed=0)
