@@ -7,8 +7,8 @@ configuration as a "# args:" comment line that can be fed back verbatim to
 reproduce the run, then a CSV header row, then data rows with floats at 9
 significant digits.
 
-Exit status: 0 success, 2 usage error, 3 input-file error, 4 precondition
-violation.
+Exit status: 0 success, 2 usage error, 3 input- or output-file error, 4
+precondition violation.
 """
 
 from __future__ import annotations
@@ -49,14 +49,19 @@ def _parse_p_max(text: str):
     return value
 
 
-def _workers(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("workers must be an integer >= 1") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("workers must be an integer >= 1")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer >= low (argparse names the flag in its error)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 _WORKERS_HELP = "accepted for compatibility; trials run serially and output never depends on it"
@@ -294,9 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mac.add_argument("--n", type=int, required=True)
     p_mac.add_argument("--k", type=int, required=True)
     p_mac.add_argument("--trials", type=int, required=True)
-    p_mac.add_argument("--seed", type=int, default=0)
-    p_mac.add_argument("--code-seed", type=int, default=0)
-    p_mac.add_argument("--workers", type=_workers, default=1, help=_WORKERS_HELP)
+    p_mac.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_mac.add_argument("--code-seed", type=_int_at_least(0), default=0)
+    p_mac.add_argument("--workers", type=_int_at_least(1), default=1, help=_WORKERS_HELP)
     p_mac.add_argument("--out", default=None)
     p_mac.set_defaults(func=_cmd_mac_sim)
 
@@ -309,9 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_net.add_argument("--n", type=int, default=None)
     p_net.add_argument("--k", type=int, default=None)
     p_net.add_argument("--trials", type=int, default=None)
-    p_net.add_argument("--seed", type=int, default=0)
-    p_net.add_argument("--code-seed", type=int, default=0)
-    p_net.add_argument("--workers", type=_workers, default=1, help=_WORKERS_HELP)
+    p_net.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_net.add_argument("--code-seed", type=_int_at_least(0), default=0)
+    p_net.add_argument("--workers", type=_int_at_least(1), default=1, help=_WORKERS_HELP)
     p_net.add_argument("--out", default=None)
     p_net.set_defaults(func=_cmd_network)
 
@@ -349,7 +354,11 @@ def main(argv=None) -> int:
     except (GainOrderingError, ValueError) as exc:
         print(f"lia: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    _emit(text, getattr(args, "out", None))
+    try:
+        _emit(text, getattr(args, "out", None))
+    except OSError as exc:
+        print(f"lia: output file: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     return EXIT_OK
 
 

@@ -10,7 +10,12 @@ without decoding.
 
 Determinism contract: trial t draws its messages and noise from the
 substream SeedSequence(seed, spawn_key=(t,)), so aggregate counts depend on
-the seed alone.
+the seed alone.  Trials run in blocks: each trial of a block draws from its
+own substream, then the block's codewords come from a codebook lookup, its
+dependent draws from the decoder's mask, its received vectors from one
+elementwise channel evaluation, and its decisions from one
+PairDecoder.decode_many call, which decides every row exactly as decoding
+it alone would.
 """
 
 from __future__ import annotations
@@ -20,13 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import Codeword, LinearCode, ENUMERATION_CAP, encode, messages_dependent
+from .codes import Codeword, LinearCode, ENUMERATION_CAP
+# macsim.encode stays importable: bench/test_bench.py checks the tracer patches it here
+from .codes import encode  # noqa: F401
 from .diophantine import Gain
 from .modarith import grid_real, mod_interval
 
 _Z95 = 1.959963984540054  # standard normal 97.5% quantile
-DECODER_TABLE_BYTES_CAP = 2**28  # bound on PairDecoder's arrays plus one decode's temporaries
+DECODER_TABLE_BYTES_CAP = 2**28  # bound on PairDecoder's arrays plus one block decode's temporaries
 _RESCORE_ROWS = 4096  # near-tie candidates re-scored per chunk
+_BATCH_BYTES = 2**20  # temporaries of one block decode, when one decode's are smaller
 
 
 class _Ambiguous:
@@ -53,6 +61,8 @@ class MacConfig:
             raise ValueError("snr must be positive and finite (linear scale)")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -60,7 +70,9 @@ class SimResult:
     """Error-probability estimate with a Wilson 95% interval.
 
     ``dependent`` and ``errors_independent`` split the error count into the
-    dependent-draw floor and decoding failures on independent draws.
+    dependent-draw floor and decoding failures on independent draws;
+    ``ambiguous`` counts the decoder ties among the latter, so
+    errors_independent - ambiguous are wrong decodes.
     """
 
     trials: int
@@ -69,6 +81,7 @@ class SimResult:
     ci95: tuple[float, float]
     dependent: int
     errors_independent: int
+    ambiguous: int
 
 
 def wilson_interval(errors: int, trials: int, z: float = _Z95) -> tuple[float, float]:
@@ -100,7 +113,7 @@ def _codebook(code: LinearCode, cap: int = ENUMERATION_CAP):
     """All p**k messages in lexicographic order and their codeword residues.
 
     Row i of the messages holds the base-p digits of i, most significant
-    first, so a message's row index is its base-p value.
+    first, so a message's row index is its base-p value (_message_rows).
     """
     count = code.p**code.k
     if count > cap:
@@ -111,44 +124,73 @@ def _codebook(code: LinearCode, cap: int = ENUMERATION_CAP):
     return msgs, (msgs @ code.generator) % code.p
 
 
-def _nearest_row(y: np.ndarray, tables):
-    """Index of the row closest to y in sum_t ([y_t - row_t]*)^2.
+def _message_rows(messages, p: int) -> np.ndarray:
+    """Row in _codebook's order of each message along the last axis."""
+    messages = np.asarray(messages, dtype=np.int64)
+    return messages @ p ** np.arange(messages.shape[-1] - 1, -1, -1)
+
+
+def _blocks(total: int, size: int):
+    """Consecutive ranges of at most ``size`` indices covering range(total)."""
+    return (range(start, min(start + size, total)) for start in range(0, total, size))
+
+
+def _nearest_rows(Y: np.ndarray, tables) -> np.ndarray:
+    """Index of the row closest to each row y of Y in sum_t ([y_t - row_t]*)^2.
 
     ``tables`` is an iterable of 2-D arrays whose rows, taken in order, are
-    the candidates; the index counts across them.  Returns None when the
+    the candidates; the index counts across them.  It is -1 where the
     minimum is attained more than once (exact float equality), which the
-    callers declare a decoding error.
+    callers declare a decoding error.  A metric's bits do not depend on how
+    many rows Y or a table has: mod_interval is elementwise and einsum sums
+    each row's n terms in an order fixed by n.
     """
-    best, winner, tied, offset = np.inf, None, False, 0
+    best = np.full(Y.shape[0], np.inf)
+    winner = np.zeros(Y.shape[0], dtype=np.int64)
+    tied = np.zeros(Y.shape[0], dtype=bool)
+    offset = 0
     for table in tables:
-        d = mod_interval(y[None, :] - table)
-        metrics = np.einsum("ij,ij->i", d, d)
-        low = metrics.min()
-        if low <= best:
-            at = np.flatnonzero(metrics == low)
-            tied = at.size > 1 or low == best
-            best, winner = low, offset + int(at[0])
+        d = mod_interval(Y[:, None, :] - table).reshape(-1, table.shape[1])
+        metrics = np.einsum("ij,ij->i", d, d).reshape(Y.shape[0], -1)
+        low = metrics.min(axis=1)
+        at = metrics == low[:, None]
+        take = low <= best
+        tied = np.where(take, (np.count_nonzero(at, axis=1) > 1) | (low == best), tied)
+        winner = np.where(take, offset + at.argmax(axis=1), winner)
+        best = np.minimum(best, low)
         offset += table.shape[0]
-    return None if tied else winner
+    return np.where(tied, -1, winner)
+
+
+def _per_vector_bytes(count: int, n: int, p: int) -> int:
+    """Temporaries of decoding one received vector.
+
+    The gathered distances (count x n*p float64) beside the metric matrix
+    (count x count float64), the candidate test (count x count bool) and the
+    n x p x p distance table with the temporaries of mod_interval.
+    """
+    return count * n * p * 8 + count * count * 9 + 8 * n * p * p * 8
+
+
+def _block_rows(count: int, n: int, p: int) -> int:
+    """Received vectors decoded together: as many as fit in _BATCH_BYTES, at least one."""
+    return max(1, _BATCH_BYTES // _per_vector_bytes(count, n, p))
 
 
 def _decoder_bytes(count: int, n: int, p: int, k: int) -> int:
-    """Bytes a PairDecoder holds plus the temporaries of one decode.
+    """Bytes a PairDecoder holds plus the temporaries of one block decode.
 
     Held: the one-hot codebook (count x n*p float64), the additive mask
     (count x count float64), the residues, their one-hot columns and the
-    messages (int64), and psi.  Per decode: the gathered distances (count x
-    n*p) beside the metric matrix (count x count float64, which the
-    candidate list replaces), the candidate test (count x count bool), the n
-    x p x p distance table with the temporaries of mod_interval, and one
-    chunk of re-scored psi rows.  The build's boolean dependency table is
-    smaller than the per-decode part.
+    messages (int64), and psi.  Per block: the temporaries of _block_rows
+    received vectors (_per_vector_bytes each; the block's candidate list
+    takes the place of its freed metric matrices), and one chunk of
+    re-scored psi rows.  The build's boolean dependency table is smaller
+    than the per-block part.
     """
-    onehot = count * n * p * 8
-    square = count * count * 8
-    held = onehot + square + count * (2 * n + k) * 8 + p * p * 8
+    held = count * n * p * 8 + count * count * 8 + count * (2 * n + k) * 8 + p * p * 8
     chunk = min(count * count, _RESCORE_ROWS) * (8 * n + 4) * 8
-    return held + onehot + square + count * count + 8 * n * p * p * 8 + chunk
+    return held + _block_rows(count, n, p) * _per_vector_bytes(count, n, p) + chunk
 
 
 class PairDecoder:
@@ -156,23 +198,27 @@ class PairDecoder:
 
     Component t of the metric of the ordered message pair (i, j) depends only
     on the residue pair (a, b) = (c_i,t, c_j,t), through the p x p
-    constellation ``psi[a, b] = [grid(a) + gamma*grid(b)]*``.  decode()
-    builds the n x p x p table D[t, a, b] = ([y_t - psi[a, b]]*)^2, gathers
-    E[i, (t, b)] = D[t, c_i,t, b] and scores every pair at once as the
-    count x count matrix E @ A.T plus an additive mask, where A is the
-    one-hot codebook and the mask is +inf on linearly dependent pairs.  No
-    per-pair table is stored or formed; there are n_pairs = (M - 1)(M - p)
-    independent pairs for M = p**k.
+    constellation ``psi[a, b] = [grid(a) + gamma*grid(b)]*``.  decode_many()
+    takes a block of received vectors y and builds, per y, the n x p x p
+    table D[t, a, b] = ([y_t - psi[a, b]]*)^2, gathers E[i, (t, b)] =
+    D[t, c_i,t, b] and scores every pair at once as the count x count matrix
+    E @ A.T plus an additive mask, where A is the one-hot codebook and the
+    mask is +inf on linearly dependent pairs; the whole block is one
+    distance table, one gather and one matrix product.  No per-pair table is
+    stored or formed; there are n_pairs = (M - 1)(M - p) independent pairs
+    for M = p**k.
 
     The matrix product sums each metric in an order of its own, so pairs
     whose metrics tie exactly under one order can differ in the last bits.
-    Every pair within a relative 16*n*eps of the minimum, which covers the
-    rounding gap between any two summation orders of n nonnegative terms,
-    is therefore re-scored on its psi row by ``_nearest_row`` (mod_interval,
-    einsum, a minimum attained more than once is ambiguous), in chunks of
-    _RESCORE_ROWS: every decision, ties included, is the one the exhaustive
-    pairs x n table gives, bit for bit.  The decoder is refused before it is built when its
-    arrays plus one decode's temporaries would exceed
+    Every pair within a relative 16*n*eps of its row's minimum, which covers
+    the rounding gap between any two summation orders of n nonnegative
+    terms, is therefore re-scored on its psi row by ``_nearest_rows``
+    (mod_interval, einsum, a minimum attained more than once is ambiguous),
+    in chunks of _RESCORE_ROWS: every decision, ties included, is the one
+    the exhaustive pairs x n table gives, bit for bit, however many vectors
+    are decoded together.  block_rows vectors are decoded at a time (see
+    _block_rows).  The decoder is refused before it is built when its
+    arrays plus one block decode's temporaries would exceed
     DECODER_TABLE_BYTES_CAP.
     """
 
@@ -190,6 +236,7 @@ class PairDecoder:
         self.gamma = gamma
         self.messages = msgs
         self.residues = residues
+        self.block_rows = _block_rows(count, n, p)
 
         # dep[i, j] iff (w_i, w_j) linearly dependent: message 0 is the zero
         # vector, and j = c*w_i (c = 1..p-1) sits at row base-p value of c*w_i
@@ -197,7 +244,7 @@ class PairDecoder:
         dep[0, :] = True
         dep[:, 0] = True
         multiples = (np.arange(1, p)[:, None, None] * msgs) % p
-        dep[np.arange(count), multiples @ (p ** np.arange(code.k - 1, -1, -1))] = True
+        dep[np.arange(count), _message_rows(multiples, p)] = True
         self.n_pairs = dep.size - int(np.count_nonzero(dep))
         if self.n_pairs == 0:
             raise ValueError("empty search space: no independent message pairs (need k >= 2)")
@@ -220,26 +267,52 @@ class PairDecoder:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.code.n,):
             raise ValueError(f"received vector shape {y.shape} != ({self.code.n},)")
-        count = self.messages.shape[0]
-        d = mod_interval(y[:, None, None] - self.psi)
-        e = np.take((d * d).reshape(-1, self.code.p), self._cols, axis=0)
-        s = e.reshape(count, -1) @ self._onehot.T
-        del e
-        s += self.mask
-        near = s <= s.min() * (1.0 + self._slack) + self._floor
-        del s  # the candidate list below takes the metric matrix's place
-        hits = np.flatnonzero(near)
-        if hits.size > 1:
-            chunks = (
-                self._psi_rows(hits[start : start + _RESCORE_ROWS])
-                for start in range(0, hits.size, _RESCORE_ROWS)
-            )
-            h = _nearest_row(y, chunks)
-            if h is None:
-                return AMBIGUOUS
-            hits = hits[h : h + 1]
-        i, j = divmod(int(hits[0]), count)
+        h = int(self.decode_many(y[None])[0])
+        if h < 0:
+            return AMBIGUOUS
+        i, j = divmod(h, self.messages.shape[0])
         return (self.messages[i].copy(), self.messages[j].copy())
+
+    def decode_many(self, Y) -> np.ndarray:
+        """Decide each row y of Y: the closest pair's flat index i*M + j, -1 on a tie.
+
+        Row by row the decisions are decode()'s; block_rows rows are scored at
+        a time.
+        """
+        Y = np.asarray(Y, dtype=float)
+        if Y.ndim != 2 or Y.shape[1] != self.code.n:
+            raise ValueError(f"received block shape {Y.shape} != (rows, {self.code.n})")
+        out = np.empty(Y.shape[0], dtype=np.int64)
+        for block in _blocks(Y.shape[0], self.block_rows):
+            out[block.start : block.stop] = self._decode_block(Y[block.start : block.stop])
+        return out
+
+    def _decode_block(self, Y):
+        rows, (n, p) = Y.shape[0], (self.code.n, self.code.p)
+        count = self.messages.shape[0]
+        d = mod_interval(Y[:, :, None, None] - self.psi)
+        e = np.take((d * d).reshape(rows, n * p, p), self._cols, axis=1)
+        del d
+        s = e.reshape(rows * count, n * p) @ self._onehot.T
+        del e
+        s = s.reshape(rows, count * count)
+        s += self.mask.reshape(-1)
+        near = s <= s.min(axis=1, keepdims=True) * (1.0 + self._slack) + self._floor
+        del s  # the candidate list below takes the metric matrix's place
+        flat = np.flatnonzero(near)  # r*M*M + i*M + j for pair (i, j) of row r, ascending
+        del near
+        square = count * count
+        first = np.searchsorted(flat, np.arange(rows + 1) * square)
+        out = flat[first[:-1]] - np.arange(rows) * square
+        for r in np.flatnonzero(np.diff(first) > 1):
+            hits = flat[first[r] : first[r + 1]]
+            chunks = (
+                self._psi_rows(hits[c.start : c.stop] - r * square)
+                for c in _blocks(hits.size, _RESCORE_ROWS)
+            )
+            h = _nearest_rows(Y[r : r + 1], chunks)[0]
+            out[r] = -1 if h < 0 else hits[h] - r * square
+        return out
 
     def _psi_rows(self, flat):
         """psi(i, j) rows, n components each, of the pairs at flat = i*M + j."""
@@ -255,23 +328,29 @@ def estimate_error_prob(code: LinearCode, cfg: MacConfig) -> SimResult:
     transmitted one.  Deterministic in cfg.seed.
     """
     decoder = PairDecoder(code, cfg.gamma)
+    count = decoder.messages.shape[0]
+    reals = grid_real(decoder.residues, code.p)  # row i: the real codeword of message i
     gamma_f = float(cfg.gamma)
     sigma = math.sqrt(1.0 / cfg.snr)
-    dependent = errors_independent = 0
-    for t in range(cfg.trials):
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(t,)))
-        w1 = rng.integers(0, code.p, size=code.k)
-        w2 = rng.integers(0, code.p, size=code.k)
-        if messages_dependent(w1, w2, code.p):
-            dependent += 1
-            continue
-        z = rng.normal(0.0, sigma, size=code.n)
-        y = mod_mac_channel(encode(code, w1), encode(code, w2), gamma_f, z)
-        out = decoder.decode(y)
-        errors_independent += int(
-            out is AMBIGUOUS
-            or not (np.array_equal(out[0], w1) and np.array_equal(out[1], w2))
+    dependent = errors_independent = ambiguous = 0
+    for block in _blocks(cfg.trials, decoder.block_rows):
+        rngs = [
+            np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(t,)))
+            for t in block
+        ]
+        # w1 then w2 from each trial's substream, as in a per-trial loop
+        sent = _message_rows(
+            [[g.integers(0, code.p, size=code.k) for _ in range(2)] for g in rngs], code.p
         )
+        independent = np.flatnonzero(decoder.mask[sent[:, 0], sent[:, 1]] == 0.0)
+        dependent += len(block) - independent.size
+        sent = sent[independent]
+        # only independent draws go on to draw their noise
+        z = np.array([rngs[b].normal(0.0, sigma, size=code.n) for b in independent])
+        y = mod_interval(reals[sent[:, 0]] + gamma_f * reals[sent[:, 1]] + z.reshape(-1, code.n))
+        decided = decoder.decode_many(y)
+        ambiguous += int(np.count_nonzero(decided < 0))
+        errors_independent += int(np.count_nonzero(decided != sent[:, 0] * count + sent[:, 1]))
     errors = dependent + errors_independent
     return SimResult(
         trials=cfg.trials,
@@ -280,4 +359,5 @@ def estimate_error_prob(code: LinearCode, cfg: MacConfig) -> SimResult:
         ci95=wilson_interval(errors, cfg.trials),
         dependent=dependent,
         errors_independent=errors_independent,
+        ambiguous=ambiguous,
     )

@@ -8,6 +8,11 @@ takes the unit-gain role and the desired candidate the gain-h_jj role in
 the joint decoder.  Only the desired message is scored; a wrong
 interference-sum estimate alone does not count against the scheme.
 
+The simulation runs on macsim's block trial engine: every trial draws from
+its own seed substreams, and each receiver decodes a whole block of trials
+with one PairDecoder.decode_many call (or, when it hears no interferer, one
+nearest-codeword pass over the block).
+
 Channel files: first line K, then K whitespace-separated rows.  Diagonal
 entries may be "a/b" fractions or decimals; off-diagonal entries must parse
 as integers (rational cross gains are rejected, not rescaled, because the
@@ -25,7 +30,15 @@ import numpy as np
 
 from .codes import Codeword, LinearCode, encode
 from .diophantine import Gain, parse_gain
-from .macsim import AMBIGUOUS, PairDecoder, _codebook, _nearest_row, wilson_interval
+from .macsim import (
+    PairDecoder,
+    _block_rows,
+    _blocks,
+    _codebook,
+    _message_rows,
+    _nearest_rows,
+    wilson_interval,
+)
 from .modarith import grid_real, mod_interval
 from .rates import db_to_linear, dof_benchmark, theorem2_sym_rate, time_sharing_sum_rate
 
@@ -192,7 +205,11 @@ def align_interference(code: LinearCode, gains, messages) -> tuple[np.ndarray, C
 
 @dataclass(frozen=True)
 class NetworkSimResult:
-    """Per-receiver and network error estimates over one seeded run."""
+    """Per-receiver and network error estimates over one seeded run.
+
+    ``receiver_ambiguous`` counts, per receiver, the errors that were
+    decoder ties; the rest of ``receiver_errors`` are wrong decodes.
+    """
 
     trials: int
     receiver_errors: tuple[int, ...]
@@ -201,6 +218,7 @@ class NetworkSimResult:
     network_errors: int
     network_p_e: float
     network_ci95: tuple[float, float]
+    receiver_ambiguous: tuple[int, ...]
 
 
 def simulate_network(
@@ -215,64 +233,76 @@ def simulate_network(
     Trial t draws all K messages from SeedSequence(seed, spawn_key=(t, 0))
     and receiver j's noise from spawn_key=(t, 1 + j); receiver j errs iff
     its decoded desired message differs from w_j (ambiguity included).
+    Trials are decoded in blocks, with the decisions of decoding each alone.
     """
     if not (snr > 0 and math.isfinite(snr)):
         raise ValueError("snr must be positive and finite")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    K = H.K
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    K, p, n = H.K, code.p, code.n
     sigma = math.sqrt(1.0 / snr)
     # A receiver with no interferers faces a point-to-point channel: there is
     # no aligned codeword to decode jointly, so it searches messages alone,
     # scoring [h x_i]* for every message i.
-    has_interference = [bool(np.any(H.cross[j])) for j in range(K)]
-    if not all(has_interference):
-        messages, residues = _codebook(code)
-        reals = grid_real(residues, code.p)
+    has_interference = H.cross.any(axis=1)
     pair_decoders: dict[float, PairDecoder] = {}
-    single_tables: dict[float, np.ndarray] = {}
     for j, g in enumerate(H.direct):
-        key = float(g)
-        if has_interference[j] and key not in pair_decoders:
-            pair_decoders[key] = PairDecoder(code, g)
-        if not has_interference[j] and key not in single_tables:
-            single_tables[key] = mod_interval(key * reals)
-    diag = [float(g) for g in H.direct]
+        if has_interference[j] and float(g) not in pair_decoders:
+            pair_decoders[float(g)] = PairDecoder(code, g)
+    messages, residues = _codebook(code)
+    reals = grid_real(residues, p)  # row i: the real codeword of message i
+    single_tables = {
+        float(g): mod_interval(float(g) * reals)
+        for j, g in enumerate(H.direct)
+        if not has_interference[j]
+    }
+    diag = np.asarray([float(g) for g in H.direct])
     cross = H.cross.astype(float)
 
-    totals = [0] * K
+    errors, ambiguous = [0] * K, [0] * K
     network_errors = 0
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, 0)))
-        W = rng.integers(0, code.p, size=(K, code.k))
-        X = np.vstack([encode(code, W[u]).reals for u in range(K)])
-        any_error = False
+    # the pair decoders' block size; a single-user pass over a block holds
+    # block x p**k x n floats, 1/p of a pair decode's gathered distances
+    for block in _blocks(trials, _block_rows(messages.shape[0], n, p)):
+        W = np.empty((len(block), K, code.k), dtype=np.int64)
+        z = np.empty((len(block), K, n))
+        for b, t in enumerate(block):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, 0)))
+            W[b] = rng.integers(0, p, size=(K, code.k))
+            for j in range(K):
+                rng_j = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, 1 + j)))
+                z[b, j] = rng_j.normal(0.0, sigma, size=n)
+        sent = _message_rows(W, p)
+        x = reals[sent]
+        # one vector-matrix product per (trial, receiver), a_jj = 0 keeping the
+        # desired term out: stacked products would round differently
+        interference = np.array([[cross[j] @ x[b] for j in range(K)] for b in range(len(block))])
+        y = mod_interval(diag[:, None] * x + interference + z)
+        failed = np.zeros(len(block), dtype=bool)
         for j in range(K):
-            rng_j = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(t, 1 + j))
-            )
-            z = rng_j.normal(0.0, sigma, size=code.n)
-            interference = cross[j] @ X  # a_jj = 0 keeps the desired term out
-            y = mod_interval(diag[j] * X[j] + interference + z)
             if has_interference[j]:
-                out = pair_decoders[diag[j]].decode(y)
-                decoded = None if out is AMBIGUOUS else out[1]
+                decided = pair_decoders[diag[j]].decode_many(y[:, j])
+                # the desired message plays the gain-h_jj (second) role
+                decided = np.where(decided < 0, -1, decided % messages.shape[0])
             else:
-                h = _nearest_row(y, [single_tables[diag[j]]])
-                decoded = None if h is None else messages[h]
-            if decoded is None or not np.array_equal(decoded, W[j]):
-                totals[j] += 1
-                any_error = True
-        network_errors += any_error
+                decided = _nearest_rows(y[:, j], [single_tables[diag[j]]])
+            erred = decided != sent[:, j]
+            errors[j] += int(np.count_nonzero(erred))
+            ambiguous[j] += int(np.count_nonzero(decided < 0))
+            failed |= erred
+        network_errors += int(np.count_nonzero(failed))
 
     return NetworkSimResult(
         trials=trials,
-        receiver_errors=tuple(totals),
-        receiver_p_e=tuple(e / trials for e in totals),
-        receiver_ci95=tuple(wilson_interval(e, trials) for e in totals),
+        receiver_errors=tuple(errors),
+        receiver_p_e=tuple(e / trials for e in errors),
+        receiver_ci95=tuple(wilson_interval(e, trials) for e in errors),
         network_errors=network_errors,
         network_p_e=network_errors / trials,
         network_ci95=wilson_interval(network_errors, trials),
+        receiver_ambiguous=tuple(ambiguous),
     )
 
 

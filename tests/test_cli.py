@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import os
 import shlex
@@ -9,6 +11,15 @@ import pytest
 
 from lia.cli import EXIT_INPUT, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, main
 from lia.network import bundled_channel_path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def child_env(**extra):
+    """Environment for a `python -m lia` child that imports this checkout's src."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    return env
 
 
 def run_cli(capsys, *tokens):
@@ -96,6 +107,15 @@ class TestSweep:
         assert rows[0].split(",")[0] == "1/3"
         assert rows[1].split(",")[0] == "0.4"
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_is_output_file_error(self, capsys, tmp_path, where):
+        out = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+        code, stdout, err = run_cli(
+            capsys, "sweep", "--gamma", "0.3", "--snr-db", "20", "--out", str(out)
+        )
+        assert code == EXIT_INPUT and not stdout
+        assert err.startswith("lia: output file: ") and "Traceback" not in err
+
     def test_round_trip_to_file(self, capsys, tmp_path):
         _, out1, _ = run_cli(capsys, "sweep", "--gamma", "0.1,0.2", "--snr-db", "20,40")
         path = tmp_path / "redo.csv"
@@ -147,6 +167,13 @@ class TestMacSim:
         code, out, err = run_cli(capsys, *self.ARGS, "--workers", value)
         assert code == EXIT_USAGE and not out and "--workers" in err
 
+    @pytest.mark.parametrize("flag", ["--seed", "--code-seed"])
+    @pytest.mark.parametrize("value", ["-1", "1.5", "x"])
+    def test_bad_seed_usage_error(self, capsys, flag, value):
+        argv = [*self.ARGS, flag, value]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and not out and f"argument {flag}:" in err
+
     def test_oversized_decoder_table_precondition(self, capsys):
         big = list(self.ARGS)
         for flag, value in (("--p", "53"), ("--n", "256"), ("--k", "2")):
@@ -162,11 +189,9 @@ class TestMacSim:
             "--snr-db", "15", "--p", "7", "--n", "16", "--k", "3", "--trials", "40",
             "--seed", "3", "--code-seed", "5",
         ]
-        src = str(Path(__file__).resolve().parents[1] / "src")
         outputs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            env = child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             done = subprocess.run(argv, env=env, capture_output=True, timeout=120, check=True)
             outputs.append(done.stdout)
         assert outputs[0] == outputs[1]
@@ -221,6 +246,14 @@ class TestNetwork:
         assert lines[1] == "receiver,trials,errors,p_e,ci_lo,ci_hi"
         assert len(lines) == 2 + 5 + 1
         assert lines[-1].split(",")[0] == "net"
+
+    @pytest.mark.parametrize("flag", ["--seed", "--code-seed"])
+    def test_negative_seed_usage_error(self, capsys, flag):
+        code, out, err = run_cli(
+            capsys, "network", "--channel", str(bundled_channel_path()), "--snr-db", "20",
+            "--simulate", "--p", "5", "--n", "8", "--k", "2", "--trials", "3", flag, "-2",
+        )
+        assert code == EXIT_USAGE and not out and f"argument {flag}:" in err
 
     def test_missing_sim_params_usage(self, capsys):
         code, _, err = run_cli(
@@ -319,3 +352,22 @@ class TestGlobalBehavior:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+
+class TestBenchmarkReference:
+    def test_simulations_print_the_reference_bytes(self):
+        # the benchmark's stored stdout hashes for case 0, checked from tier 1:
+        # a count that drifts in the trial engine or the decoder fails here
+        reference = json.loads((ROOT / "bench" / "reference.json").read_text())
+        case = reference["cases"]["0"]
+        env = child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        checked = 0
+        for workload in ("trial-engine", "mac-decode"):
+            for inv in case[workload]:
+                done = subprocess.run(
+                    [sys.executable, "-m", "lia", *inv["argv"]],
+                    cwd=ROOT, env=env, capture_output=True, timeout=120, check=True,
+                )
+                assert hashlib.sha256(done.stdout).hexdigest() == inv["sha256"], inv["label"]
+                checked += 1
+        assert checked == 5

@@ -12,52 +12,24 @@ from lia.macsim import (
     DECODER_TABLE_BYTES_CAP,
     MacConfig,
     PairDecoder,
+    _block_rows,
     _decoder_bytes,
+    _message_rows,
     estimate_error_prob,
     mod_mac_channel,
     wilson_interval,
 )
-from lia.modarith import L, grid_real, mod_interval
+from lia.modarith import L, mod_interval
 from lia.rates import db_to_linear, dependent_message_prob
+from oracles import (
+    ENGINE_SHAPES,
+    OracleDecoder,
+    engine_trial_counts,
+    mac_result,
+    mac_trial_outcomes,
+)
 
 SQRT2_OVER_2 = math.sqrt(2) / 2
-
-
-class OracleDecoder:
-    """The exhaustive pairs x n table decoder, the reference for PairDecoder.
-
-    It stores psi(i, j) for every ordered independent pair (found with a
-    dictionary of scaled messages), scores y with mod_interval and einsum
-    over the whole table, and declares an exact-equality tie ambiguous.
-    """
-
-    def __init__(self, code, gamma):
-        msgs = np.asarray(list(np.ndindex(*([code.p] * code.k))), dtype=np.int64)
-        reals = grid_real((msgs @ code.generator) % code.p, code.p)
-        count = msgs.shape[0]
-        dep = np.zeros((count, count), dtype=bool)
-        index = {w.tobytes(): i for i, w in enumerate(msgs)}
-        zero = ~msgs.any(axis=1)
-        dep[zero, :] = True
-        dep[:, zero] = True
-        for c in range(1, code.p):
-            scaled = (c * msgs) % code.p
-            for i in range(count):
-                dep[i, index[scaled[i].tobytes()]] = True
-        self.i_idx, self.j_idx = np.nonzero(~dep)
-        self.messages = msgs
-        self.psi = mod_interval(reals[self.i_idx] + float(gamma) * reals[self.j_idx])
-
-    def metrics(self, y):
-        d = mod_interval(y[None, :] - self.psi)
-        return np.einsum("ij,ij->i", d, d)
-
-    def decode(self, y):
-        metrics = self.metrics(y)
-        hits = np.flatnonzero(metrics == metrics.min())
-        if hits.size > 1:
-            return AMBIGUOUS
-        return (self.messages[self.i_idx[hits[0]]], self.messages[self.j_idx[hits[0]]])
 
 
 def _same_decision(a, b) -> bool:
@@ -188,6 +160,48 @@ class TestPairDecoder:
         assert draws >= 1000
         assert ambiguous >= 500
 
+    def test_decode_many_matches_oracle_row_by_row(self):
+        # a block mixing the adversarial tie y = 0 with noiseless and noisy
+        # rows, decoded in several blocks, gives each row's oracle decision
+        rng = np.random.default_rng(7)
+        code = sample_code(3, 4, 2, seed=0)
+        dec = PairDecoder(code, SQRT2_OVER_2)
+        oracle = OracleDecoder(code, SQRT2_OVER_2)
+        ys = np.array([y for _, y in _corpus_received(code, SQRT2_OVER_2, oracle, rng, 200)])
+        assert ys.shape[0] > dec.block_rows
+        decided = dec.decode_many(ys)
+        assert decided[0] == -1  # y = 0
+        count = dec.messages.shape[0]
+        for h, y in zip(decided, ys):
+            want = oracle.decode(y)
+            if want is AMBIGUOUS:
+                assert h == -1
+            else:
+                assert h == _message_rows(want, 3) @ [count, 1]
+        assert dec.decode_many(np.zeros((0, 4))).shape == (0,)
+        with pytest.raises(ValueError):
+            dec.decode_many(np.zeros(4))
+
+    def test_decode_many_memory_within_bound(self):
+        # 500 rows go through in blocks of block_rows; at once they would
+        # take about 13 MB
+        code = sample_code(5, 8, 2, seed=0)
+        dec = PairDecoder(code, SQRT2_OVER_2)
+        ys = np.random.default_rng(3).uniform(-L / 2, L / 2, size=(500, 8))
+        tracemalloc.start()
+        try:
+            dec.decode_many(ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _decoder_bytes(25, 8, 5, 2)
+
+    def test_block_rows(self):
+        # one block decode's temporaries stay within 1 MiB unless one decode
+        # alone is larger (p=7, n=16, k=3: about 1.4 MB)
+        assert PairDecoder(sample_code(7, 16, 3, seed=0), 0.3).block_rows == 1
+        assert PairDecoder(sample_code(5, 8, 2, seed=0), 0.3).block_rows > 1
+
     @pytest.mark.parametrize("p, k", [(3, 2), (5, 2), (3, 3)])
     def test_mask_matches_messages_dependent(self, p, k):
         dec = PairDecoder(sample_code(p, 4, k, seed=1), 0.3)
@@ -308,3 +322,46 @@ class TestEstimateErrorProb:
             MacConfig(gamma=0.4, snr=0.0, trials=10, seed=0)
         with pytest.raises(ValueError):
             MacConfig(gamma=0.4, snr=1.0, trials=0, seed=0)
+        with pytest.raises(ValueError):
+            MacConfig(gamma=0.4, snr=1.0, trials=10, seed=-1)
+
+    @pytest.mark.parametrize("p, n, k", ENGINE_SHAPES)
+    @pytest.mark.parametrize("snr_db", [200.0, 10.0, 40.0])
+    def test_block_engine_matches_per_trial_loop(self, p, n, k, snr_db):
+        code = sample_code(p, n, k, seed=p + n)
+        counts = engine_trial_counts(p, n, k)
+        outcomes = mac_trial_outcomes(code, SQRT2_OVER_2, db_to_linear(snr_db), 17, counts[-1])
+        for trials in counts:
+            cfg = MacConfig(gamma=SQRT2_OVER_2, snr=db_to_linear(snr_db), trials=trials, seed=17)
+            assert estimate_error_prob(code, cfg) == mac_result(outcomes[:trials])
+
+    def test_ties_and_wrong_decodes_split_the_decoding_errors(self):
+        code = sample_code(5, 8, 2, seed=3)
+        trials = 2 * _block_rows(25, 8, 5) + 3
+        results = {}
+        for gamma in (SQRT2_OVER_2, 1.0):
+            cfg = MacConfig(gamma=gamma, snr=db_to_linear(10), trials=trials, seed=4)
+            res = estimate_error_prob(code, cfg)
+            assert res == mac_result(mac_trial_outcomes(code, gamma, cfg.snr, 4, trials))
+            assert res.errors == res.dependent + res.errors_independent
+            assert 0 <= res.ambiguous <= res.errors_independent
+            results[gamma] = res
+        # gamma = 1 gives psi(i, j) = psi(j, i) bit for bit: every decode ties
+        tied = results[1.0]
+        assert tied.ambiguous == tied.errors_independent == trials - tied.dependent > 0
+        noisy = results[SQRT2_OVER_2]
+        assert noisy.ambiguous == 0 < noisy.errors_independent
+
+    def test_traced_peak_of_block_engine_within_bound(self):
+        # 3000 trials in blocks of block_rows: one block's temporaries, not
+        # 3000 decodes' (about 79 MB), bound the run
+        code = sample_code(5, 8, 2, seed=3)
+        cfg = MacConfig(gamma=SQRT2_OVER_2, snr=db_to_linear(10), trials=3000, seed=1)
+        tracemalloc.start()
+        try:
+            res = estimate_error_prob(code, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.trials == 3000
+        assert peak <= _decoder_bytes(25, 8, 5, 2)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lia.codes import encode, messages_dependent, sample_code
+from lia.codes import LinearCode, encode, messages_dependent, sample_code
 from lia.modarith import mod_interval
 from lia.network import (
     ChannelFormatError,
@@ -19,8 +19,11 @@ from lia.network import (
     sum_rate_curves,
 )
 from lia.rates import db_to_linear
+from oracles import ENGINE_SHAPES, engine_trial_counts, network_result, network_trial_outcomes
 
 SQRT2_OVER_2 = math.sqrt(2) / 2
+# receiver 2 hears nobody and decodes its message alone
+ZERO_ROW_CROSS = np.array([[0, 1, 2], [0, 0, 0], [3, 1, 0]], dtype=np.int64)
 
 
 def fold_codewords_on_grid(codewords, gains, p):
@@ -183,8 +186,7 @@ class TestSimulateNetwork:
     def test_receiver_without_interferers_pinned_counts(self):
         # receiver 2 hears nobody and decodes its message alone while the
         # others decode pairs; the exact counts are regression anchors
-        cross = np.array([[0, 1, 2], [0, 0, 0], [3, 1, 0]], dtype=np.int64)
-        H = ChannelMatrix(K=3, direct=(SQRT2_OVER_2, 0.5, SQRT2_OVER_2), cross=cross)
+        H = ChannelMatrix(K=3, direct=(SQRT2_OVER_2, 0.5, SQRT2_OVER_2), cross=ZERO_ROW_CROSS)
         code = sample_code(5, 8, 2, seed=2)
         res = simulate_network(H, code, db_to_linear(10), trials=200, seed=11)
         assert res.receiver_errors == (125, 41, 121)
@@ -198,6 +200,35 @@ class TestSimulateNetwork:
         res = simulate_network(H, code, db_to_linear(10), trials=300, seed=5)
         assert res.receiver_errors == (3, 89)
         assert res.network_errors == 91
+
+    @pytest.mark.parametrize("p, n, k", ENGINE_SHAPES)
+    @pytest.mark.parametrize("snr_db", [200.0, 10.0, 40.0])
+    @pytest.mark.parametrize("matrix", ["bundled", "zero-row"])
+    def test_block_engine_matches_per_trial_loop(self, p, n, k, snr_db, matrix):
+        if matrix == "bundled":
+            H = load_channel_file(bundled_channel_path())
+        else:
+            H = ChannelMatrix(K=3, direct=(SQRT2_OVER_2, 0.5, 0.3), cross=ZERO_ROW_CROSS)
+        code = sample_code(p, n, k, seed=p * n)
+        counts = engine_trial_counts(p, n, k)
+        outcomes = network_trial_outcomes(H, code, db_to_linear(snr_db), 23, counts[-1])
+        for trials in counts:
+            res = simulate_network(H, code, db_to_linear(snr_db), trials, 23)
+            assert res == network_result(outcomes[:trials])
+
+    def test_ties_counted_per_receiver(self):
+        # an all-zero generator makes every codeword zero: every pair and
+        # every single-user candidate ties, so every error is a tie
+        H = ChannelMatrix(K=3, direct=(SQRT2_OVER_2, 0.5, 0.3), cross=ZERO_ROW_CROSS)
+        code = LinearCode(p=3, n=4, k=2, generator=np.zeros((2, 4), dtype=np.int64))
+        res = simulate_network(H, code, db_to_linear(40), trials=50, seed=2)
+        assert res.receiver_ambiguous == res.receiver_errors == (50, 50, 50)
+        noisy = simulate_network(H, sample_code(3, 4, 2, seed=1), db_to_linear(10), 50, 2)
+        assert all(0 <= a <= e for a, e in zip(noisy.receiver_ambiguous, noisy.receiver_errors))
+
+    def test_negative_seed_rejected_before_decoding(self):
+        with pytest.raises(ValueError, match="seed"):
+            simulate_network(example_channel(0.3), sample_code(5, 8, 2, seed=1), 10.0, 5, -1)
 
 
 class TestSumRateCurves:
