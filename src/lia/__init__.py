@@ -2,6 +2,7 @@
 interference alignment on the same-linear-code modulo MAC."""
 
 from .codes import (
+    Codebook,
     Codeword,
     LinearCode,
     all_codewords,
@@ -51,7 +52,6 @@ from .network import (
 )
 from .powertime import (
     DecodeStep,
-    GainAssumption,
     GainOrderingError,
     Schedule,
     build_schedule,
@@ -65,7 +65,7 @@ from .rates import (
     default_p_max,
     dependent_message_prob,
     dof_benchmark,
-    dof_ratio_scan,
+    dof_ratio,
     normalized_rate,
     omega_breakdown,
     random_sym_capacity,

@@ -80,6 +80,9 @@ def _p_max_text(p_max) -> str:
     return "auto" if p_max is None else str(p_max)
 
 
+_GRID_POINTS_CAP = 100_000  # points in one range, and rows in one sweep
+
+
 def _parse_value_grid(text: str, parser=float):
     """Comma list or colon range "start:stop:step" -> [(item_text, value)]."""
     if ":" in text:
@@ -90,9 +93,12 @@ def _parse_value_grid(text: str, parser=float):
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise _UsageError(f"bad range {text!r}") from None
-        if step <= 0 or stop < start:
+        if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise _UsageError(f"bad range {text!r}")
-        count = math.floor((stop - start) / step + 1e-9) + 1
+        span = (stop - start) / step + 1e-9
+        if not span < _GRID_POINTS_CAP:
+            raise _UsageError(f"range {text!r} has more than {_GRID_POINTS_CAP} points")
+        count = math.floor(span) + 1
         values = [start + i * step for i in range(count)]
         return [(_fmt(v), v) for v in values]
     out = []
@@ -143,6 +149,8 @@ def _cmd_rate(args) -> str:
 def _cmd_sweep(args) -> str:
     gammas = _parse_value_grid(args.gamma, parse_gain)
     snrs = _parse_value_grid(args.snr_db)
+    if len(gammas) * len(snrs) > _GRID_POINTS_CAP:
+        raise _UsageError(f"sweep has more than {_GRID_POINTS_CAP} points")
     line = f"sweep --gamma {args.gamma} --snr-db {args.snr_db} --p-max {_p_max_text(args.p_max)}"
     rows = []
     for g_text, g in gammas:
@@ -247,10 +255,8 @@ def _cmd_power_time(args) -> str:
     )
     columns = ["snr_db", "sym_rate", "sum_rate", "dof_factor"]
     rows = []
-    rule = None if args.p_max is None else (lambda snr: args.p_max)
     for _, snr_db in snrs:
-        # one point per call: dof_factor wants an ascending grid, the CLI does not
-        ((_, sym, factor),) = powertime.dof_factor(sched, [db_to_linear(snr_db)], rule)
+        sym, factor = powertime.dof_factor(sched, db_to_linear(snr_db), args.p_max)
         rows.append([_fmt(snr_db), _fmt(sym), _fmt(3.0 * sym), _fmt(factor)])
     return _document(line, columns, rows)
 
@@ -264,10 +270,8 @@ def _cmd_dof_scan(args) -> str:
     )
     columns = ["snr_db", "rate_lin", "ratio"]
     rows = []
-    rule = None if args.p_max is None else (lambda snr: args.p_max)
     for snr_text, snr_db in snrs:
-        # one point per call: dof_ratio_scan wants an ascending grid, the CLI does not
-        ((_, rate, ratio),) = rates.dof_ratio_scan(gamma, [db_to_linear(snr_db)], rule)
+        rate, ratio = rates.dof_ratio(gamma, db_to_linear(snr_db), args.p_max)
         rows.append([snr_text, _fmt(rate), _fmt(ratio)])
     return _document(line, columns, rows)
 
@@ -296,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mac.add_argument("--gamma", type=_gain_text, required=True)
     p_mac.add_argument("--snr-db", type=float, required=True)
     p_mac.add_argument("--p", type=int, required=True)
-    p_mac.add_argument("--n", type=int, required=True)
-    p_mac.add_argument("--k", type=int, required=True)
-    p_mac.add_argument("--trials", type=int, required=True)
+    p_mac.add_argument("--n", type=_int_at_least(1), required=True)
+    p_mac.add_argument("--k", type=_int_at_least(1), required=True)
+    p_mac.add_argument("--trials", type=_int_at_least(1), required=True)
     p_mac.add_argument("--seed", type=_int_at_least(0), default=0)
     p_mac.add_argument("--code-seed", type=_int_at_least(0), default=0)
     p_mac.add_argument("--workers", type=_int_at_least(1), default=1, help=_WORKERS_HELP)
@@ -311,9 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_net.add_argument("--p-max", type=_parse_p_max, default=None)
     p_net.add_argument("--simulate", action="store_true")
     p_net.add_argument("--p", type=int, default=None)
-    p_net.add_argument("--n", type=int, default=None)
-    p_net.add_argument("--k", type=int, default=None)
-    p_net.add_argument("--trials", type=int, default=None)
+    p_net.add_argument("--n", type=_int_at_least(1), default=None)
+    p_net.add_argument("--k", type=_int_at_least(1), default=None)
+    p_net.add_argument("--trials", type=_int_at_least(1), default=None)
     p_net.add_argument("--seed", type=_int_at_least(0), default=0)
     p_net.add_argument("--code-seed", type=_int_at_least(0), default=0)
     p_net.add_argument("--workers", type=_int_at_least(1), default=1, help=_WORKERS_HELP)

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .diophantine import is_prime
 from .modarith import grid_real, mod_interval
 
-ENUMERATION_CAP = 3000  # default bound on p**k for exhaustive operations
+ENUMERATION_CAP = 3000  # bound on p**k for exhaustive operations
 
 MessageVector = np.ndarray  # length-k int vector with entries in {0, ..., p-1}
 
@@ -102,16 +101,36 @@ def encode(code: LinearCode, w) -> Codeword:
     return Codeword((wv @ code.generator) % code.p, code.p)
 
 
-def all_codewords(code: LinearCode, cap: int = ENUMERATION_CAP):
+class Codebook:
+    """Every message of a code beside its codeword, in one fixed row order.
+
+    Row i holds the message whose base-p digits, most significant first,
+    spell i, so rows() is the base-p value of a message.  ``residues`` and
+    ``reals`` hold row i's codeword on Z_p and on the grid.  Codes with more
+    than ENUMERATION_CAP messages are refused.
+    """
+
+    def __init__(self, code: LinearCode):
+        count = code.p**code.k
+        if count > ENUMERATION_CAP:
+            raise ValueError(f"p**k = {count} exceeds enumeration cap {ENUMERATION_CAP}")
+        self._weights = code.p ** np.arange(code.k - 1, -1, -1)
+        self.messages = np.arange(count)[:, None] // self._weights % code.p
+        self.residues = (self.messages @ code.generator) % code.p
+        self.reals = grid_real(self.residues, code.p)
+
+    def __len__(self):
+        return self.messages.shape[0]
+
+    def rows(self, messages) -> np.ndarray:
+        """Row of each message along the last axis."""
+        return np.asarray(messages, dtype=np.int64) @ self._weights
+
+
+def all_codewords(code: LinearCode):
     """All p**k (message, codeword) pairs in lexicographic message order."""
-    count = code.p**code.k
-    if count > cap:
-        raise ValueError(f"p**k = {count} exceeds enumeration cap {cap}")
-    out = []
-    for w in product(range(code.p), repeat=code.k):
-        wv = np.asarray(w, dtype=np.int64)
-        out.append((wv, encode(code, wv)))
-    return out
+    book = Codebook(code)
+    return [(w, Codeword(r, code.p)) for w, r in zip(book.messages, book.residues)]
 
 
 def messages_dependent(w1, w2, p: int) -> bool:

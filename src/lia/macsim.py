@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import Codeword, LinearCode, ENUMERATION_CAP
+from .codes import Codebook, Codeword, LinearCode
 # macsim.encode stays importable: bench/test_bench.py checks the tracer patches it here
 from .codes import encode  # noqa: F401
 from .diophantine import Gain
@@ -109,27 +109,6 @@ def mod_mac_channel(x1, x2, gamma: Gain, noise) -> np.ndarray:
     return mod_interval(r1 + float(gamma) * r2 + z)
 
 
-def _codebook(code: LinearCode, cap: int = ENUMERATION_CAP):
-    """All p**k messages in lexicographic order and their codeword residues.
-
-    Row i of the messages holds the base-p digits of i, most significant
-    first, so a message's row index is its base-p value (_message_rows).
-    """
-    count = code.p**code.k
-    if count > cap:
-        raise ValueError(f"p**k = {count} exceeds decoder cap {cap}")
-    msgs = np.asarray(
-        [w for w in np.ndindex(*([code.p] * code.k))], dtype=np.int64
-    )
-    return msgs, (msgs @ code.generator) % code.p
-
-
-def _message_rows(messages, p: int) -> np.ndarray:
-    """Row in _codebook's order of each message along the last axis."""
-    messages = np.asarray(messages, dtype=np.int64)
-    return messages @ p ** np.arange(messages.shape[-1] - 1, -1, -1)
-
-
 def _blocks(total: int, size: int):
     """Consecutive ranges of at most ``size`` indices covering range(total)."""
     return (range(start, min(start + size, total)) for start in range(0, total, size))
@@ -181,14 +160,14 @@ def _decoder_bytes(count: int, n: int, p: int, k: int) -> int:
     """Bytes a PairDecoder holds plus the temporaries of one block decode.
 
     Held: the one-hot codebook (count x n*p float64), the additive mask
-    (count x count float64), the residues, their one-hot columns and the
-    messages (int64), and psi.  Per block: the temporaries of _block_rows
-    received vectors (_per_vector_bytes each; the block's candidate list
-    takes the place of its freed metric matrices), and one chunk of
-    re-scored psi rows.  The build's boolean dependency table is smaller
-    than the per-block part.
+    (count x count float64), the Codebook (messages, residues and reals)
+    with the residues' one-hot columns, and psi.  Per block: the
+    temporaries of _block_rows received vectors (_per_vector_bytes each;
+    the block's candidate list takes the place of its freed metric
+    matrices), and one chunk of re-scored psi rows.  The build's boolean
+    dependency table is smaller than the per-block part.
     """
-    held = count * n * p * 8 + count * count * 8 + count * (2 * n + k) * 8 + p * p * 8
+    held = count * n * p * 8 + count * count * 8 + count * (3 * n + k) * 8 + p * p * 8
     chunk = min(count * count, _RESCORE_ROWS) * (8 * n + 4) * 8
     return held + _block_rows(count, n, p) * _per_vector_bytes(count, n, p) + chunk
 
@@ -222,7 +201,7 @@ class PairDecoder:
     DECODER_TABLE_BYTES_CAP.
     """
 
-    def __init__(self, code: LinearCode, gamma: Gain, cap: int = ENUMERATION_CAP):
+    def __init__(self, code: LinearCode, gamma: Gain):
         p, n = code.p, code.n
         count = p**code.k
         need = _decoder_bytes(count, n, p, code.k)
@@ -231,11 +210,9 @@ class PairDecoder:
                 f"decoder needs {need} bytes, above the cap of"
                 f" {DECODER_TABLE_BYTES_CAP} (reduce p, k or n)"
             )
-        msgs, residues = _codebook(code, cap)
         self.code = code
         self.gamma = gamma
-        self.messages = msgs
-        self.residues = residues
+        self.book = book = Codebook(code)
         self.block_rows = _block_rows(count, n, p)
 
         # dep[i, j] iff (w_i, w_j) linearly dependent: message 0 is the zero
@@ -243,8 +220,8 @@ class PairDecoder:
         dep = np.zeros((count, count), dtype=bool)
         dep[0, :] = True
         dep[:, 0] = True
-        multiples = (np.arange(1, p)[:, None, None] * msgs) % p
-        dep[np.arange(count), _message_rows(multiples, p)] = True
+        multiples = (np.arange(1, p)[:, None, None] * book.messages) % p
+        dep[np.arange(count), book.rows(multiples)] = True
         self.n_pairs = dep.size - int(np.count_nonzero(dep))
         if self.n_pairs == 0:
             raise ValueError("empty search space: no independent message pairs (need k >= 2)")
@@ -255,7 +232,7 @@ class PairDecoder:
         self.psi = mod_interval(grid[:, None] + float(gamma) * grid[None, :])
         # column t*p + c_i,t of the one-hot row i; also the row of D[t, c_i,t]
         # in D reshaped to (n*p) x p
-        self._cols = residues + p * np.arange(n)
+        self._cols = book.residues + p * np.arange(n)
         self._onehot = np.zeros((count, n * p))
         np.put_along_axis(self._onehot, self._cols, 1.0, axis=1)
         self._slack = 16 * n * np.finfo(float).eps
@@ -270,8 +247,8 @@ class PairDecoder:
         h = int(self.decode_many(y[None])[0])
         if h < 0:
             return AMBIGUOUS
-        i, j = divmod(h, self.messages.shape[0])
-        return (self.messages[i].copy(), self.messages[j].copy())
+        i, j = divmod(h, len(self.book))
+        return (self.book.messages[i].copy(), self.book.messages[j].copy())
 
     def decode_many(self, Y) -> np.ndarray:
         """Decide each row y of Y: the closest pair's flat index i*M + j, -1 on a tie.
@@ -289,7 +266,7 @@ class PairDecoder:
 
     def _decode_block(self, Y):
         rows, (n, p) = Y.shape[0], (self.code.n, self.code.p)
-        count = self.messages.shape[0]
+        count = len(self.book)
         d = mod_interval(Y[:, :, None, None] - self.psi)
         e = np.take((d * d).reshape(rows, n * p, p), self._cols, axis=1)
         del d
@@ -316,8 +293,8 @@ class PairDecoder:
 
     def _psi_rows(self, flat):
         """psi(i, j) rows, n components each, of the pairs at flat = i*M + j."""
-        rows, cols = np.divmod(flat, self.messages.shape[0])
-        return self.psi[self.residues[rows], self.residues[cols]]
+        rows, cols = np.divmod(flat, len(self.book))
+        return self.psi[self.book.residues[rows], self.book.residues[cols]]
 
 
 def estimate_error_prob(code: LinearCode, cfg: MacConfig) -> SimResult:
@@ -328,8 +305,7 @@ def estimate_error_prob(code: LinearCode, cfg: MacConfig) -> SimResult:
     transmitted one.  Deterministic in cfg.seed.
     """
     decoder = PairDecoder(code, cfg.gamma)
-    count = decoder.messages.shape[0]
-    reals = grid_real(decoder.residues, code.p)  # row i: the real codeword of message i
+    book = decoder.book
     gamma_f = float(cfg.gamma)
     sigma = math.sqrt(1.0 / cfg.snr)
     dependent = errors_independent = ambiguous = 0
@@ -339,18 +315,18 @@ def estimate_error_prob(code: LinearCode, cfg: MacConfig) -> SimResult:
             for t in block
         ]
         # w1 then w2 from each trial's substream, as in a per-trial loop
-        sent = _message_rows(
-            [[g.integers(0, code.p, size=code.k) for _ in range(2)] for g in rngs], code.p
-        )
+        sent = book.rows([[g.integers(0, code.p, size=code.k) for _ in range(2)] for g in rngs])
         independent = np.flatnonzero(decoder.mask[sent[:, 0], sent[:, 1]] == 0.0)
         dependent += len(block) - independent.size
         sent = sent[independent]
         # only independent draws go on to draw their noise
         z = np.array([rngs[b].normal(0.0, sigma, size=code.n) for b in independent])
-        y = mod_interval(reals[sent[:, 0]] + gamma_f * reals[sent[:, 1]] + z.reshape(-1, code.n))
+        y = mod_interval(
+            book.reals[sent[:, 0]] + gamma_f * book.reals[sent[:, 1]] + z.reshape(-1, code.n)
+        )
         decided = decoder.decode_many(y)
         ambiguous += int(np.count_nonzero(decided < 0))
-        errors_independent += int(np.count_nonzero(decided != sent[:, 0] * count + sent[:, 1]))
+        errors_independent += int(np.count_nonzero(decided != sent[:, 0] * len(book) + sent[:, 1]))
     errors = dependent + errors_independent
     return SimResult(
         trials=cfg.trials,

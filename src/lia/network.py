@@ -28,18 +28,10 @@ from importlib import resources
 
 import numpy as np
 
-from .codes import Codeword, LinearCode, encode
+from .codes import Codebook, Codeword, LinearCode, encode
 from .diophantine import Gain, parse_gain
-from .macsim import (
-    PairDecoder,
-    _block_rows,
-    _blocks,
-    _codebook,
-    _message_rows,
-    _nearest_rows,
-    wilson_interval,
-)
-from .modarith import grid_real, mod_interval
+from .macsim import PairDecoder, _block_rows, _blocks, _nearest_rows, wilson_interval
+from .modarith import mod_interval
 from .rates import db_to_linear, dof_benchmark, theorem2_sym_rate, time_sharing_sum_rate
 
 
@@ -251,10 +243,9 @@ def simulate_network(
     for j, g in enumerate(H.direct):
         if has_interference[j] and float(g) not in pair_decoders:
             pair_decoders[float(g)] = PairDecoder(code, g)
-    messages, residues = _codebook(code)
-    reals = grid_real(residues, p)  # row i: the real codeword of message i
+    book = Codebook(code)
     single_tables = {
-        float(g): mod_interval(float(g) * reals)
+        float(g): mod_interval(float(g) * book.reals)
         for j, g in enumerate(H.direct)
         if not has_interference[j]
     }
@@ -265,7 +256,7 @@ def simulate_network(
     network_errors = 0
     # the pair decoders' block size; a single-user pass over a block holds
     # block x p**k x n floats, 1/p of a pair decode's gathered distances
-    for block in _blocks(trials, _block_rows(messages.shape[0], n, p)):
+    for block in _blocks(trials, _block_rows(len(book), n, p)):
         W = np.empty((len(block), K, code.k), dtype=np.int64)
         z = np.empty((len(block), K, n))
         for b, t in enumerate(block):
@@ -274,8 +265,8 @@ def simulate_network(
             for j in range(K):
                 rng_j = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, 1 + j)))
                 z[b, j] = rng_j.normal(0.0, sigma, size=n)
-        sent = _message_rows(W, p)
-        x = reals[sent]
+        sent = book.rows(W)
+        x = book.reals[sent]
         # one vector-matrix product per (trial, receiver), a_jj = 0 keeping the
         # desired term out: stacked products would round differently
         interference = np.array([[cross[j] @ x[b] for j in range(K)] for b in range(len(block))])
@@ -285,7 +276,7 @@ def simulate_network(
             if has_interference[j]:
                 decided = pair_decoders[diag[j]].decode_many(y[:, j])
                 # the desired message plays the gain-h_jj (second) role
-                decided = np.where(decided < 0, -1, decided % messages.shape[0])
+                decided = np.where(decided < 0, -1, decided % len(book))
             else:
                 decided = _nearest_rows(y[:, j], [single_tables[diag[j]]])
             erred = decided != sent[:, j]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -50,28 +50,6 @@ class GainOrderingError(ValueError):
             f"gain ordering {inequality} fails ({lhs:.6g} < {rhs:.6g}); "
             "only the canonical ordering is supported"
         )
-
-
-@dataclass(frozen=True)
-class GainAssumption:
-    """The three orderings the canonical schedule requires."""
-
-    h13_ge_h12: bool
-    h22_ge_h23: bool
-    h32_ge_h31: bool
-
-    @classmethod
-    def from_matrix(cls, H) -> "GainAssumption":
-        H = np.asarray(H, dtype=float)
-        return cls(
-            h13_ge_h12=bool(H[0, 2] >= H[0, 1]),
-            h22_ge_h23=bool(H[1, 1] >= H[1, 2]),
-            h32_ge_h31=bool(H[2, 1] >= H[2, 0]),
-        )
-
-    @property
-    def ok(self) -> bool:
-        return self.h13_ge_h12 and self.h22_ge_h23 and self.h32_ge_h31
 
 
 @dataclass(frozen=True)
@@ -116,7 +94,6 @@ class Schedule:
     alphas: tuple[float, float, float]  # frame-1 alpha3, frame-2 alpha1, frame-3 alpha2
     frame_matrices: tuple[np.ndarray, ...]  # equivalent gains, frames 1..4
     steps: tuple[DecodeStep, ...]
-    symbol_rate: float = SYMBOL_RATE
 
 
 ALIGNMENT_TOL = 1e-12
@@ -201,21 +178,9 @@ def schedule_rate(H, snr: float, p_max: Optional[int] = None) -> float:
     return SYMBOL_RATE * worst
 
 
-def dof_factor(
-    H,
-    snr_grid,
-    p_max_rule: Optional[Callable[[float], int]] = None,
-) -> list[tuple[float, float, float]]:
-    """(snr, symmetric rate, sum_rate / ((1/2) log2 snr)) along an ascending
-    SNR grid; the sum rate is three times the symmetric rate."""
-    grid = [float(s) for s in snr_grid]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("snr_grid must be strictly ascending")
-    sched = H if isinstance(H, Schedule) else build_schedule(H)
-    out = []
-    for snr in grid:
-        p_max = p_max_rule(snr) if p_max_rule is not None else None
-        sym = schedule_rate(sched, snr, p_max)
-        denom = 0.5 * math.log2(snr) if snr > 1.0 else 0.0
-        out.append((snr, sym, 3.0 * sym / denom if sym > 0.0 and denom > 0.0 else 0.0))
-    return out
+def dof_factor(H, snr: float, p_max: Optional[int] = None) -> tuple[float, float]:
+    """(symmetric rate, sum_rate / ((1/2) log2 snr)) at one SNR; the sum rate
+    is three times the symmetric rate."""
+    sym = schedule_rate(H, snr, p_max)
+    denom = 0.5 * math.log2(snr) if snr > 1.0 else 0.0
+    return sym, 3.0 * sym / denom if sym > 0.0 and denom > 0.0 else 0.0

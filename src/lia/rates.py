@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -143,6 +143,33 @@ def _scan_primes(gamma: Gain, snr: float, p_max: int):
     return primes, rates, oa, ob, od
 
 
+def _best_prime(gains, snr: float, p_max: Optional[int]) -> RatePoint:
+    """Max over primes <= p_max of the smallest rate bound over ``gains``.
+
+    p_max defaults to ``default_p_max(snr)``.  A prime inadmissible for any
+    gain scores 0 there.  Ties go to the smallest prime, and the binding gain
+    (the first of the gains whose bound is smallest at p*) names the point
+    and its breakdown.  Returns rate 0 with no prime when every bound clamps.
+    """
+    _require_positive_snr(snr)
+    if p_max is None:
+        p_max = default_p_max(snr)
+    scans = [_scan_primes(g, snr, p_max) for g in gains]
+    if scans[0] is None:
+        return RatePoint(gains[0], snr, None, 0.0, None)
+    overall = scans[0][1]
+    for scan in scans[1:]:
+        overall = np.minimum(overall, scan[1])
+    i = int(np.argmax(overall))
+    if overall[i] <= 0.0:
+        return RatePoint(gains[0], snr, None, 0.0, None)
+    j = next(j for j, scan in enumerate(scans) if scan[1][i] == overall[i])
+    primes, _, oa, ob, od = scans[j]
+    p_star = int(primes[i])
+    bd = OmegaBreakdown(p_star, gains[j], snr, float(oa[i]), float(ob[i]), float(od[i]))
+    return RatePoint(gains[j], snr, p_star, float(overall[i]), bd)
+
+
 def theorem1_rate(gamma: Gain, snr: float, p_max: Optional[int] = None) -> RatePoint:
     """Achievable symmetric rate of the two-user same-codebook modulo MAC.
 
@@ -150,19 +177,7 @@ def theorem1_rate(gamma: Gain, snr: float, p_max: Optional[int] = None) -> RateP
     ``default_p_max(snr)``); ties go to the smallest prime.  Returns rate 0
     with no prime when the admissible set is empty or every bound clamps.
     """
-    _require_positive_snr(snr)
-    if p_max is None:
-        p_max = default_p_max(snr)
-    scan = _scan_primes(gamma, snr, p_max)
-    if scan is None:
-        return RatePoint(gamma, snr, None, 0.0, None)
-    primes, rates, oa, ob, od = scan
-    i = int(np.argmax(rates))
-    if rates[i] <= 0.0:
-        return RatePoint(gamma, snr, None, 0.0, None)
-    p_star = int(primes[i])
-    bd = OmegaBreakdown(p_star, gamma, snr, float(oa[i]), float(ob[i]), float(od[i]))
-    return RatePoint(gamma, snr, p_star, float(rates[i]), bd)
+    return _best_prime([gamma], snr, p_max)
 
 
 def random_sym_capacity(gamma: Gain, snr: float) -> float:
@@ -197,28 +212,9 @@ def theorem2_sym_rate(channel, snr: float, p_max: Optional[int] = None) -> RateP
 
     if not isinstance(channel, ChannelMatrix):
         channel = ChannelMatrix.from_rows(channel)
-    _require_positive_snr(snr)
-    if p_max is None:
-        p_max = default_p_max(snr)
-    primes = primes_up_to(p_max)
-    if primes.size == 0:
-        return RatePoint(channel.direct[0], snr, None, 0.0, None)
-
-    # one scan per distinct gain, in first-occurrence order so a tie for the
-    # binding receiver still goes to the lowest index; scan rates are already
-    # zero wherever a prime is inadmissible for that gain
-    gains = list(dict.fromkeys(channel.direct))
-    scans = [_scan_primes(g, snr, p_max) for g in gains]
-    stacked = np.vstack([rates for _, rates, *_ in scans])
-    overall = stacked.min(axis=0)
-    i = int(np.argmax(overall))
-    if overall[i] <= 0.0:
-        return RatePoint(channel.direct[0], snr, None, 0.0, None)
-    j = int(np.argmin(stacked[:, i]))
-    _, _, oa, ob, od = scans[j]
-    p_star = int(primes[i])
-    bd = OmegaBreakdown(p_star, gains[j], snr, float(oa[i]), float(ob[i]), float(od[i]))
-    return RatePoint(gains[j], snr, p_star, float(overall[i]), bd)
+    # first-occurrence order, so a tie for the binding receiver goes to the
+    # lowest index
+    return _best_prime(list(dict.fromkeys(channel.direct)), snr, p_max)
 
 
 def time_sharing_sum_rate(K: int, snr: float) -> float:
@@ -239,28 +235,14 @@ def dof_benchmark(K: int, h: Gain, snr: float) -> float:
     return (K / 2.0) * 0.5 * math.log2(1.0 + (1.0 + hf * hf) * snr)
 
 
-def dof_ratio_scan(
-    gamma: Gain,
-    snr_grid,
-    p_max_rule: Optional[Callable[[float], int]] = None,
-) -> list[tuple[float, float, float]]:
-    """(snr, theorem1 rate, rate / ((1/4) log2 SNR)) along an ascending SNR grid.
+def dof_ratio(gamma: Gain, snr: float, p_max: Optional[int] = None) -> tuple[float, float]:
+    """(theorem1 rate, rate / ((1/4) log2 SNR)) at one SNR.
 
-    ``p_max_rule`` maps a grid SNR to the prime bound (default:
-    ``default_p_max``).  Grid points where the rate clamps to zero report a
-    zero ratio.
+    The ratio is zero where the rate clamps to zero.
     """
-    grid = [float(s) for s in snr_grid]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("snr_grid must be strictly ascending")
-    rule = p_max_rule if p_max_rule is not None else default_p_max
-    out = []
-    for snr in grid:
-        rate = theorem1_rate(gamma, snr, rule(snr)).rate
-        denom = 0.25 * math.log2(snr) if snr > 1.0 else 0.0
-        ratio = rate / denom if rate > 0.0 and denom > 0.0 else 0.0
-        out.append((snr, rate, ratio))
-    return out
+    rate = theorem1_rate(gamma, snr, p_max).rate
+    denom = 0.25 * math.log2(snr) if snr > 1.0 else 0.0
+    return rate, rate / denom if rate > 0.0 and denom > 0.0 else 0.0
 
 
 def dependent_message_prob(p: int, k: int) -> Fraction:

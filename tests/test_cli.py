@@ -9,7 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from lia.cli import EXIT_INPUT, EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, main
+from lia.cli import (
+    _GRID_POINTS_CAP,
+    EXIT_INPUT,
+    EXIT_OK,
+    EXIT_PRECONDITION,
+    EXIT_USAGE,
+    _parse_value_grid,
+    _UsageError,
+    main,
+)
 from lia.network import bundled_channel_path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -197,11 +206,19 @@ class TestMacSim:
         assert outputs[0] == outputs[1]
         assert outputs[0].splitlines()[2].split(b",")[5] == b"40"
 
-    def test_bad_trials_precondition(self, capsys):
+    @pytest.mark.parametrize("flag", ["--trials", "--n", "--k"])
+    def test_count_below_one_usage_error(self, capsys, flag):
         bad = list(self.ARGS)
-        bad[bad.index("--trials") + 1] = "0"
-        code, _, err = run_cli(capsys, *bad)
-        assert code == EXIT_PRECONDITION and err
+        bad[bad.index(flag) + 1] = "0"
+        code, out, err = run_cli(capsys, *bad)
+        assert code == EXIT_USAGE and not out and f"argument {flag}:" in err
+
+    @pytest.mark.parametrize("flag, value", [("--p", "4"), ("--k", "9")])
+    def test_composite_p_and_k_above_n_precondition(self, capsys, flag, value):
+        bad = list(self.ARGS)
+        bad[bad.index(flag) + 1] = value
+        code, out, err = run_cli(capsys, *bad)
+        assert code == EXIT_PRECONDITION and not out and err
 
 
 class TestNetwork:
@@ -253,6 +270,16 @@ class TestNetwork:
             capsys, "network", "--channel", str(bundled_channel_path()), "--snr-db", "20",
             "--simulate", "--p", "5", "--n", "8", "--k", "2", "--trials", "3", flag, "-2",
         )
+        assert code == EXIT_USAGE and not out and f"argument {flag}:" in err
+
+    @pytest.mark.parametrize("flag", ["--trials", "--n", "--k"])
+    def test_count_below_one_usage_error(self, capsys, flag):
+        argv = [
+            "network", "--channel", str(bundled_channel_path()), "--snr-db", "20",
+            "--simulate", "--p", "5", "--n", "8", "--k", "2", "--trials", "3",
+        ]
+        argv[argv.index(flag) + 1] = "0"
+        code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE and not out and f"argument {flag}:" in err
 
     def test_missing_sim_params_usage(self, capsys):
@@ -336,6 +363,27 @@ class TestDofScan:
         for snr_db, row in zip(("200", "10", "40"), rows):
             _, single, _ = run_cli(capsys, "dof-scan", "--gamma", "707/1000", "--snr-db", snr_db)
             assert single.splitlines()[2] == row
+
+
+class TestValueGrid:
+    @pytest.mark.parametrize(
+        "text", ["0:inf:1", "-inf:0:1", "0:nan:1", "nan:1:1", "0:10:nan", "0:10:inf"]
+    )
+    def test_nonfinite_range_usage_error(self, capsys, text):
+        code, out, err = run_cli(capsys, "dof-scan", "--gamma", "0.3", f"--snr-db={text}")
+        assert code == EXIT_USAGE and not out and "bad range" in err
+
+    def test_point_cap(self):
+        assert len(_parse_value_grid(f"1:{_GRID_POINTS_CAP}:1")) == _GRID_POINTS_CAP
+        with pytest.raises(_UsageError, match="more than"):
+            _parse_value_grid(f"0:{_GRID_POINTS_CAP}:1")
+        with pytest.raises(_UsageError, match="more than"):
+            _parse_value_grid("-1e308:1e308:1e-300")
+
+    def test_sweep_product_cap(self, capsys):
+        # 1000 gammas x 101 SNRs: each range is within the cap, the product is not
+        code, out, err = run_cli(capsys, "sweep", "--gamma", "0.001:1:0.001", "--snr-db", "0:100:1")
+        assert code == EXIT_USAGE and not out and "sweep has more than" in err
 
 
 class TestGlobalBehavior:

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import chi2
 
 from lia.codes import (
+    Codebook,
     Codeword,
     LinearCode,
     all_codewords,
@@ -105,7 +106,41 @@ class TestAllCodewords:
         code = sample_code(5, 8, 5, seed=0)  # 5**5 = 3125 > 3000
         with pytest.raises(ValueError):
             all_codewords(code)
-        assert len(all_codewords(code, cap=4000)) == 3125
+
+
+def _linearity_failures(book, residues, p):
+    """Message pairs (a, b) whose residues do not add up to those of a + b."""
+    sums = (book.messages[:, None, :] + book.messages[None, :, :]) % p
+    lhs = (residues[:, None, :] + residues[None, :, :]) % p
+    return int(np.count_nonzero(np.any(lhs != residues[book.rows(sums)], axis=-1)))
+
+
+class TestCodebook:
+    @pytest.mark.parametrize("p, k", [(2, 4), (3, 2), (5, 2), (7, 3)])
+    def test_rows_invert_the_enumeration(self, p, k):
+        book = Codebook(sample_code(p, 5, k, seed=p * k))
+        assert np.array_equal(book.rows(book.messages), np.arange(p**k))
+        assert len(book) == p**k
+        # row i spells i in base p, most significant digit first
+        for i in (0, 1, p, p**k - 1):
+            assert int("".join(map(str, book.messages[i])), p) == i
+
+    @pytest.mark.parametrize("p, k", [(3, 2), (5, 3)])
+    def test_codewords_match_encode(self, p, k):
+        code = sample_code(p, 6, k, seed=4)
+        book = Codebook(code)
+        for w, residues, reals in zip(book.messages, book.residues, book.reals):
+            assert encode(code, w) == Codeword(residues, p)
+            assert np.array_equal(encode(code, w).reals, reals)
+
+    @pytest.mark.parametrize("p, k", [(2, 4), (3, 2), (5, 2), (7, 3)])
+    def test_exhaustive_linearity(self, p, k):
+        book = Codebook(sample_code(p, 6, k, seed=11))
+        assert _linearity_failures(book, book.residues, p) == 0
+        # negative control: one corrupted residue breaks the identity
+        corrupted = book.residues.copy()
+        corrupted[1, 0] = (corrupted[1, 0] + 1) % p
+        assert _linearity_failures(book, corrupted, p) > 0
 
 
 class TestMessagesDependent:

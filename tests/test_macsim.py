@@ -14,7 +14,6 @@ from lia.macsim import (
     PairDecoder,
     _block_rows,
     _decoder_bytes,
-    _message_rows,
     estimate_error_prob,
     mod_mac_channel,
     wilson_interval,
@@ -118,7 +117,7 @@ class TestPairDecoder:
         dec = PairDecoder(code, SQRT2_OVER_2)
         i_idx, j_idx = np.nonzero(dec.mask == 0.0)
         for i, j in zip(i_idx[::5], j_idx[::5]):
-            w1, w2 = dec.messages[i], dec.messages[j]
+            w1, w2 = dec.book.messages[i], dec.book.messages[j]
             y = mod_interval(encode(code, w1).reals + SQRT2_OVER_2 * encode(code, w2).reals)
             out = dec.decode(y)
             assert np.array_equal(out[0], w1) and np.array_equal(out[1], w2)
@@ -171,13 +170,13 @@ class TestPairDecoder:
         assert ys.shape[0] > dec.block_rows
         decided = dec.decode_many(ys)
         assert decided[0] == -1  # y = 0
-        count = dec.messages.shape[0]
+        count = len(dec.book)
         for h, y in zip(decided, ys):
             want = oracle.decode(y)
             if want is AMBIGUOUS:
                 assert h == -1
             else:
-                assert h == _message_rows(want, 3) @ [count, 1]
+                assert h == dec.book.rows(want) @ [count, 1]
         assert dec.decode_many(np.zeros((0, 4))).shape == (0,)
         with pytest.raises(ValueError):
             dec.decode_many(np.zeros(4))
@@ -206,7 +205,7 @@ class TestPairDecoder:
     def test_mask_matches_messages_dependent(self, p, k):
         dec = PairDecoder(sample_code(p, 4, k, seed=1), 0.3)
         want = np.asarray(
-            [[messages_dependent(a, b, p) for b in dec.messages] for a in dec.messages]
+            [[messages_dependent(a, b, p) for b in dec.book.messages] for a in dec.book.messages]
         )
         assert np.array_equal(np.isinf(dec.mask), want)
         assert np.all(dec.mask[~want] == 0.0)

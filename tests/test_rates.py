@@ -11,7 +11,7 @@ from lia.rates import (
     default_p_max,
     dependent_message_prob,
     dof_benchmark,
-    dof_ratio_scan,
+    dof_ratio,
     normalized_rate,
     omega_breakdown,
     random_sym_capacity,
@@ -202,6 +202,20 @@ class TestTheorem2:
         binding = min((g_a, g_b), key=lambda g: rate_for_p(rp.p_star, g, snr))
         assert rp.gamma == binding and rp.breakdown.gamma == binding
 
+    @pytest.mark.parametrize("gamma", [SQRT2_OVER_2, Fraction(707, 1000)])
+    def test_receiver_tie_goes_to_first_gain(self, gamma):
+        # gamma and -gamma share delta and the reduced offset's square at
+        # every prime, so both receivers bind at p*
+        cross = np.array([[0, 1], [1, 0]], dtype=np.int64)
+        snr = 1e8
+        a, b = theorem1_rate(gamma, snr), theorem1_rate(-gamma, snr)
+        assert (a.p_star, a.rate, a.breakdown.omega_b) == (b.p_star, b.rate, b.breakdown.omega_b)
+        for first, second in ((gamma, -gamma), (-gamma, gamma)):
+            H = ChannelMatrix(K=2, direct=(first, second), cross=cross)
+            rp = theorem2_sym_rate(H, snr)
+            assert rp.rate > 0.0
+            assert rp.gamma == first and rp.breakdown.gamma == first
+
 
 class TestBaselines:
     def test_time_sharing_values(self):
@@ -226,24 +240,23 @@ class TestBaselines:
 
 class TestDofRatioScan:
     def test_irrational_gain_trend(self):
-        scan = dof_ratio_scan(SQRT2_OVER_2, [1e4, 1e8, 1e12])
-        ratios = [r for _, _, r in scan]
-        # the reported rate is theorem1_rate at the rule's prime bound
-        for snr, rate, _ in scan:
+        grid = [1e4, 1e8, 1e12]
+        scan = [dof_ratio(SQRT2_OVER_2, snr) for snr in grid]
+        ratios = [r for _, r in scan]
+        # the reported rate is theorem1_rate at the default prime bound
+        for snr, (rate, ratio) in zip(grid, scan):
             assert rate == theorem1_rate(SQRT2_OVER_2, snr, default_p_max(snr)).rate
+            assert ratio == rate / (0.25 * math.log2(snr))
         assert all(b >= a for a, b in zip(ratios, ratios[1:]))
+        rate = theorem1_rate(SQRT2_OVER_2, 1e8, 101).rate
+        assert dof_ratio(SQRT2_OVER_2, 1e8, 101) == (rate, rate / (0.25 * math.log2(1e8)))
 
     def test_rational_gain_ratio_vanishes(self):
-        scan = dof_ratio_scan(Fraction(1, 3), [1e4, 1e20])
-        assert scan[-1][2] < 0.1  # rate capped at log2(3), denominator grows
+        assert dof_ratio(Fraction(1, 3), 1e20)[1] < 0.1  # rate capped at log2(3), denominator grows
 
     def test_below_threshold_zero(self):
-        scan = dof_ratio_scan(SQRT2_OVER_2, [1.0, 4.0])
-        assert scan[0][1:] == (0.0, 0.0) and scan[1][1:] == (0.0, 0.0)
-
-    def test_requires_ascending_grid(self):
-        with pytest.raises(ValueError):
-            dof_ratio_scan(0.4, [1e4, 1e4])
+        assert dof_ratio(SQRT2_OVER_2, 1.0) == (0.0, 0.0)
+        assert dof_ratio(SQRT2_OVER_2, 4.0) == (0.0, 0.0)
 
 
 class TestDependentMessageProb:
