@@ -64,6 +64,14 @@ def _int_at_least(low: int):
     return parse
 
 
+def _finite_float(text: str) -> float:
+    """argparse type and grid item parser: a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 _WORKERS_HELP = "accepted for compatibility; trials run serially and output never depends on it"
 
 
@@ -83,7 +91,7 @@ def _p_max_text(p_max) -> str:
 _GRID_POINTS_CAP = 100_000  # points in one range, and rows in one sweep
 
 
-def _parse_value_grid(text: str, parser=float):
+def _parse_value_grid(text: str, parser=_finite_float):
     """Comma list or colon range "start:stop:step" -> [(item_text, value)]."""
     if ":" in text:
         parts = text.split(":")
@@ -108,7 +116,7 @@ def _parse_value_grid(text: str, parser=float):
             raise _UsageError(f"empty item in list {text!r}")
         try:
             out.append((item, parser(item)))
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError, argparse.ArgumentTypeError):
             raise _UsageError(f"cannot parse {item!r}") from None
     return out
 
@@ -285,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rate = sub.add_parser("rate", help="single rate point")
     p_rate.add_argument("--gamma", type=_gain_text, required=True, help="gain: decimal or r/q fraction")
-    p_rate.add_argument("--snr-db", type=float, required=True)
+    p_rate.add_argument("--snr-db", type=_finite_float, required=True)
     p_rate.add_argument("--p-max", type=_parse_p_max, default=None)
     p_rate.set_defaults(func=_cmd_rate)
 
@@ -298,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mac = sub.add_parser("mac-sim", help="two-user MAC Monte Carlo")
     p_mac.add_argument("--gamma", type=_gain_text, required=True)
-    p_mac.add_argument("--snr-db", type=float, required=True)
+    p_mac.add_argument("--snr-db", type=_finite_float, required=True)
     p_mac.add_argument("--p", type=int, required=True)
     p_mac.add_argument("--n", type=_int_at_least(1), required=True)
     p_mac.add_argument("--k", type=_int_at_least(1), required=True)

@@ -185,8 +185,8 @@ def mod_quarter_interval(gamma: Gain):
     if isinstance(gamma, Fraction):
         m = math.floor(2 * gamma + Fraction(1, 2))
         return gamma - Fraction(m, 2)
-    g = float(gamma)
-    r = g - 0.5 * math.floor(2.0 * g + 0.5)
+    # fmod is exact, so every finite float reduces (2 * gamma may overflow)
+    r = math.fmod(float(gamma), 0.5)
     if r >= 0.25:
         r -= 0.5
     elif r < -0.25:
@@ -208,11 +208,35 @@ def admissible_mask(primes: np.ndarray, gamma: Gain, snr: float) -> np.ndarray:
     return lhs < rhs
 
 
+def admissible_prefix(primes: np.ndarray, gamma: Gain, snr: float) -> np.ndarray:
+    """The primes of an ascending array that ``admissible_mask`` admits, a
+    prefix (lhs rises with p, rhs falls) found by scalar bisection; if the
+    mask disagrees on either side of the boundary, the full mask decides."""
+    off = float(mod_quarter_interval(gamma))
+    tail = math.exp(-0.375 * snr)
+    lo, hi = 0, len(primes)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        p = float(primes[mid])
+        if math.exp(-(1.5 * snr / p**2) * off * off) < 1.0 - 2.0 * p * tail:
+            lo = mid + 1
+        else:
+            hi = mid
+    first = max(lo - 1, 0)
+    expected = [i < lo for i in range(first, min(len(primes), lo + 1))]
+    if admissible_mask(primes[first : lo + 1], gamma, snr).tolist() == expected:
+        return primes[:lo]
+    return primes[admissible_mask(primes, gamma, snr)]
+
+
+def delta_step_starts(gamma: Gain, primes: np.ndarray) -> np.ndarray:
+    """Index of each staircase step's first prime in an ascending prime array
+    (repeated, or len(primes), for steps that hold no prime)."""
+    return np.searchsorted(primes, _approx_staircase(gamma)[0] + 1)
+
+
 def admissible_primes(gamma: Gain, snr: float, p_max: int) -> list[int]:
     """All admissible primes <= p_max (possibly empty)."""
     if not (snr > 0 and math.isfinite(snr)):
         raise ValueError("snr must be positive and finite (linear scale)")
-    primes = primes_up_to(p_max)
-    if primes.size == 0:
-        return []
-    return [int(p) for p in primes[admissible_mask(primes, gamma, snr)]]
+    return [int(p) for p in admissible_prefix(primes_up_to(p_max), gamma, snr)]

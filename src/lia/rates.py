@@ -19,6 +19,24 @@ with g the reduction of gamma into [-1/4, 1/4).  Exponential error terms use
 base e, rates use log2; all rates are bits per real channel use.  Negative
 bounds clamp to zero.  SNR arguments here are linear; dB conversion happens
 at the CLI boundary.
+
+The prime search is exact but evaluates the omega terms only on primes that
+can win.  The rate is -log2 W, W = max(sqrt(omega_a), omega_b) (for several
+gains, their largest W).  delta is constant on a step of its staircase, so
+with sq = sqrt(2*pi/(3*SNR)) and tail = 2 exp(-3*SNR/8), omega_b = 1/p +
+sq/delta + tail falls as p grows there, and in omega_a = 1/p^2 + sq + f(p) +
+tail, f(p) = exp(-a/p^2)/p with a = 1.5*SNR*delta^2 rises up to p = sqrt(2a)
+and falls after it.  So on the primes in [p_s, p_e] of one step, W >= L with
+
+    L = max(sqrt(1/p_e^2 + sq + min(f(p_s), f(p_e)) + tail), 1/p_e + sq/delta + tail)
+
+(for several gains, the max of their L on segments split at every gain's
+steps).  With U the smallest W seen at an interval's last prime, intervals
+with L > U (1 + 1e-12) are dropped, long ones split and bounded again, and
+the primes of short ones evaluated in one batch.  The slack, thousands of
+ulps, covers the rounding of L, U (math.exp and np.exp may differ in the
+last place) and log2, so every prime whose float rate ties the maximum is
+evaluated: ties still go to the smallest prime.  delta = 0 steps score 0.
 """
 
 from __future__ import annotations
@@ -33,8 +51,10 @@ import numpy as np
 from .diophantine import (
     Gain,
     admissible_mask,
+    admissible_prefix,
     delta,
     delta_for_primes,
+    delta_step_starts,
     is_prime,
     mod_quarter_interval,
     primes_up_to,
@@ -90,15 +110,24 @@ class RatePoint:
     breakdown: Optional[OmegaBreakdown]
 
 
-def _omega_arrays(pf: np.ndarray, dlt: np.ndarray, off: float, snr: float):
-    """Vectorized omega terms over a prime array (pf float, dlt = delta)."""
+def _f_term(pf, dlt, snr: float):
+    """(1/p) exp(-(3*SNR/(2 p^2)) delta^2), the delta-dependent part of omega_a."""
+    return np.exp(-(1.5 * snr / pf**2) * dlt * dlt) / pf
+
+
+def _omega_arrays(pf, dlt, snr: float):
+    """Vectorized (omega_a, omega_b) over a prime array (pf float, dlt = delta)."""
     tail = 2.0 * math.exp(-0.375 * snr)
     sq = math.sqrt(2.0 * math.pi / (3.0 * snr))
-    oa = pf**-2 + sq + np.exp(-(1.5 * snr / pf**2) * dlt * dlt) / pf + tail
+    oa = pf**-2 + sq + _f_term(pf, dlt, snr) + tail
     with np.errstate(divide="ignore"):
         ob = np.where(dlt > 0.0, 1.0 / pf + sq / np.where(dlt > 0.0, dlt, 1.0) + tail, np.inf)
-    od = np.maximum(ob, (pf - 1.0) / pf + np.exp(-(1.5 * snr / pf**2) * off * off) / pf + tail)
-    return oa, ob, od
+    return oa, ob
+
+
+def _omega_d(pf, ob, off: float, snr: float):
+    tail = 2.0 * math.exp(-0.375 * snr)
+    return np.maximum(ob, (pf - 1.0) / pf + _f_term(pf, off, snr) + tail)
 
 
 def _rate_from_omegas(oa: np.ndarray, ob: np.ndarray) -> np.ndarray:
@@ -111,9 +140,9 @@ def _rate_from_omegas(oa: np.ndarray, ob: np.ndarray) -> np.ndarray:
 def omega_breakdown(p: int, gamma: Gain, snr: float) -> OmegaBreakdown:
     """The four omega terms for a single prime (delta by direct enumeration)."""
     _require_positive_snr(snr)
-    d = np.asarray([float(delta(p, gamma))])
-    off = float(mod_quarter_interval(gamma))
-    oa, ob, od = _omega_arrays(np.asarray([float(p)]), d, off, snr)
+    pf = np.asarray([float(p)])
+    oa, ob = _omega_arrays(pf, np.asarray([float(delta(p, gamma))]), snr)
+    od = _omega_d(pf, ob, float(mod_quarter_interval(gamma)), snr)
     return OmegaBreakdown(p, gamma, snr, float(oa[0]), float(ob[0]), float(od[0]))
 
 
@@ -128,19 +157,60 @@ def rate_for_p(p: int, gamma: Gain, snr: float) -> float:
     return max(0.0, float(_rate_from_omegas(oa, ob)[0]))
 
 
-def _scan_primes(gamma: Gain, snr: float, p_max: int):
-    """Rates and omega terms over every prime <= p_max (staircase delta)."""
-    primes = primes_up_to(p_max)
-    if primes.size == 0:
-        return None
-    pf = primes.astype(float)
-    dlt = delta_for_primes(gamma, primes)
-    off = float(mod_quarter_interval(gamma))
-    oa, ob, od = _omega_arrays(pf, dlt, off, snr)
-    rates = _rate_from_omegas(oa, ob)
-    mask = admissible_mask(primes, gamma, snr)
-    rates = np.where(mask, np.maximum(rates, 0.0), 0.0)
-    return primes, rates, oa, ob, od
+# Relative slack on the pruning bound: thousands of ulps (module docstring).
+_PRUNE_SLACK = 1e-12
+# A surviving interval of fewer than _LEAF primes is evaluated prime by prime;
+# a longer one is split into _SPLIT pieces.  On small arrays a numpy call
+# costs as much as the omega terms of tens of primes, so both constants
+# trade extra evaluations for fewer calls (chosen by timing the sweep and
+# power-time grids).
+_LEAF = 128
+_SPLIT = 32
+
+
+def _interval_bounds(primes, s, e, dl, snr: float):
+    """Per interval primes[s..e], L and W at its last prime; dl is each
+    gain's delta on each interval (gains x intervals)."""
+    ps = primes[s].astype(float)
+    pe = primes[e].astype(float)
+    tail = 2.0 * math.exp(-0.375 * snr)
+    sq = math.sqrt(2.0 * math.pi / (3.0 * snr))
+    fe = _f_term(pe, dl, snr)
+    head = pe**-2 + sq
+    wb = 1.0 / pe + sq / dl + tail
+    bound = np.maximum(np.sqrt(head + np.minimum(_f_term(ps, dl, snr), fe) + tail), wb)
+    at_end = np.maximum(np.sqrt(head + fe + tail), wb)
+    return bound.max(axis=0), at_end.max(axis=0)
+
+
+def _candidates(primes, gains, snr: float) -> np.ndarray:
+    """The primes (ascending, admissible for every gain) that L keeps."""
+    if primes.size <= _LEAF:
+        return primes
+    # segments on which every gain's delta is constant (steps that hold no
+    # prime leave empty ones); delta = 0 scores 0
+    s = np.sort(np.concatenate([delta_step_starts(g, primes) for g in gains]))
+    s = s[s < primes.size]
+    e = np.concatenate((s[1:], [primes.size])) - 1
+    dl = np.array([delta_for_primes(g, primes[s]) for g in gains])
+    live = (e >= s) & (dl > 0.0).all(axis=0)
+    s, e, dl = s[live], e[live], dl[:, live]
+    best = math.inf  # the smallest W seen at an interval's last prime
+    leaves = [s[:0]]  # empty, so the concatenation below works with no live segment
+    while s.size:
+        bound, at_end = _interval_bounds(primes, s, e, dl, snr)
+        best = min(best, at_end.min())
+        keep = bound <= best * (1.0 + _PRUNE_SLACK)
+        long = keep & (e - s >= _LEAF)
+        short = keep & ~long
+        offsets = s[short, None] + np.arange(_LEAF)
+        leaves.append(offsets[offsets <= e[short, None]])
+        if not long.any():
+            break
+        s, e, dl = s[long], e[long], dl[:, long]
+        cuts = s[:, None] + ((e - s + 1)[:, None] * np.arange(_SPLIT + 1)) // _SPLIT
+        s, e, dl = cuts[:, :-1].ravel(), cuts[:, 1:].ravel() - 1, np.repeat(dl, _SPLIT, axis=1)
+    return primes[np.sort(np.concatenate(leaves))]
 
 
 def _best_prime(gains, snr: float, p_max: Optional[int]) -> RatePoint:
@@ -150,24 +220,28 @@ def _best_prime(gains, snr: float, p_max: Optional[int]) -> RatePoint:
     gain scores 0 there.  Ties go to the smallest prime, and the binding gain
     (the first of the gains whose bound is smallest at p*) names the point
     and its breakdown.  Returns rate 0 with no prime when every bound clamps.
+    The omega terms are evaluated only on the primes ``_candidates`` keeps.
     """
     _require_positive_snr(snr)
     if p_max is None:
         p_max = default_p_max(snr)
-    scans = [_scan_primes(g, snr, p_max) for g in gains]
-    if scans[0] is None:
+    primes = primes_up_to(p_max)
+    for g in gains:
+        primes = admissible_prefix(primes, g, snr)
+    candidates = _candidates(primes, gains, snr)
+    pf = candidates.astype(float)
+    omegas = [_omega_arrays(pf, delta_for_primes(g, candidates), snr) for g in gains]
+    # fmax: a NaN rate (delta = 0 once 1.5 * SNR overflows) clamps to 0
+    rates = [np.fmax(_rate_from_omegas(oa, ob), 0.0) for oa, ob in omegas]
+    overall = np.min(rates, axis=0)
+    if overall.size == 0 or overall.max() <= 0.0:
         return RatePoint(gains[0], snr, None, 0.0, None)
-    overall = scans[0][1]
-    for scan in scans[1:]:
-        overall = np.minimum(overall, scan[1])
     i = int(np.argmax(overall))
-    if overall[i] <= 0.0:
-        return RatePoint(gains[0], snr, None, 0.0, None)
-    j = next(j for j, scan in enumerate(scans) if scan[1][i] == overall[i])
-    primes, _, oa, ob, od = scans[j]
-    p_star = int(primes[i])
-    bd = OmegaBreakdown(p_star, gains[j], snr, float(oa[i]), float(ob[i]), float(od[i]))
-    return RatePoint(gains[j], snr, p_star, float(overall[i]), bd)
+    j = next(j for j, r in enumerate(rates) if r[i] == overall[i])
+    oa, ob = omegas[j]
+    od = _omega_d(pf[i], ob[i], float(mod_quarter_interval(gains[j])), snr)
+    bd = OmegaBreakdown(int(candidates[i]), gains[j], snr, float(oa[i]), float(ob[i]), float(od))
+    return RatePoint(gains[j], snr, int(candidates[i]), float(overall[i]), bd)
 
 
 def theorem1_rate(gamma: Gain, snr: float, p_max: Optional[int] = None) -> RatePoint:

@@ -1,10 +1,13 @@
-"""Reference implementations that the simulation code is tested against.
+"""Reference implementations that the simulation code and the prime search
+are tested against.
 
 ``OracleDecoder`` is the exhaustive pairs x n table decoder.  The two
 ``*_trial_outcomes`` functions are the per-trial Monte Carlo loops: one seed
 substream, one encode, one dependency check, one channel evaluation and one
 decode per trial, with the substreams of ``lia.macsim`` and ``lia.network``.
 The block engine must reproduce their counts field for field.
+``best_prime_oracle`` is the rate search that evaluates every prime up to
+p_max; the pruned search in ``lia.rates`` must return the same RatePoint.
 """
 
 import math
@@ -12,9 +15,18 @@ import math
 import numpy as np
 
 from lia.codes import encode, messages_dependent
+from lia.diophantine import admissible_mask, delta_for_primes, mod_quarter_interval, primes_up_to
 from lia.macsim import AMBIGUOUS, SimResult, _block_rows, mod_mac_channel, wilson_interval
 from lia.modarith import grid_real, mod_interval
 from lia.network import NetworkSimResult
+from lia.rates import (
+    OmegaBreakdown,
+    RatePoint,
+    _omega_arrays,
+    _omega_d,
+    _rate_from_omegas,
+    default_p_max,
+)
 
 # per-receiver network outcomes
 RIGHT, WRONG, TIE = 0, 1, 2
@@ -153,3 +165,41 @@ def network_result(outcomes) -> NetworkSimResult:
         network_ci95=wilson_interval(network_errors, trials),
         receiver_ambiguous=tuple(int(a) for a in np.count_nonzero(outcomes == TIE, axis=0)),
     )
+
+
+def _scan_primes(gamma, snr, p_max):
+    """Rates and omega terms over every prime <= p_max (staircase delta)."""
+    primes = primes_up_to(p_max)
+    if primes.size == 0:
+        return None
+    pf = primes.astype(float)
+    dlt = delta_for_primes(gamma, primes)
+    off = float(mod_quarter_interval(gamma))
+    oa, ob = _omega_arrays(pf, dlt, snr)
+    od = _omega_d(pf, ob, off, snr)
+    rates = _rate_from_omegas(oa, ob)
+    mask = admissible_mask(primes, gamma, snr)
+    rates = np.where(mask, np.maximum(rates, 0.0), 0.0)
+    return primes, rates, oa, ob, od
+
+
+def best_prime_oracle(gains, snr, p_max=None):
+    """``rates._best_prime`` by evaluating every prime <= p_max: the max over
+    primes of the smallest rate over ``gains``, ties to the smallest prime
+    and then to the first gain."""
+    if p_max is None:
+        p_max = default_p_max(snr)
+    scans = [_scan_primes(g, snr, p_max) for g in gains]
+    if scans[0] is None:
+        return RatePoint(gains[0], snr, None, 0.0, None)
+    overall = scans[0][1]
+    for scan in scans[1:]:
+        overall = np.minimum(overall, scan[1])
+    i = int(np.argmax(overall))
+    if overall[i] <= 0.0:
+        return RatePoint(gains[0], snr, None, 0.0, None)
+    j = next(j for j, scan in enumerate(scans) if scan[1][i] == overall[i])
+    primes, _, oa, ob, od = scans[j]
+    p_star = int(primes[i])
+    bd = OmegaBreakdown(p_star, gains[j], snr, float(oa[i]), float(ob[i]), float(od[i]))
+    return RatePoint(gains[j], snr, p_star, float(overall[i]), bd)

@@ -22,6 +22,8 @@ from lia.cli import (
 from lia.network import bundled_channel_path
 
 ROOT = Path(__file__).resolve().parents[1]
+CHANNEL5 = str(bundled_channel_path())
+CHANNEL3 = str(ROOT / "bench" / "data" / "h3.txt")
 
 
 def child_env(**extra):
@@ -88,6 +90,16 @@ class TestRate:
     def test_overflowing_snr_is_precondition_error(self, capsys):
         code, _, err = run_cli(capsys, "rate", "--gamma", "0.4", "--snr-db", "4000")
         assert code == EXIT_PRECONDITION and "overflow" in err
+
+    @pytest.mark.parametrize("gamma", ["1e308", "-1.7976931348623157e308", "1.7976931348623157e308"])
+    def test_huge_float_gain(self, capsys, gamma):
+        # 2 * gamma overflows; the exact reduction leaves an offset of 0, so
+        # no prime is admissible
+        code, out, _ = run_cli(capsys, "rate", f"--gamma={gamma}", "--snr-db", "30")
+        assert code == EXIT_OK
+        assert out.splitlines()[2].split(",")[2:4] == ["", "0"]
+        code, out, _ = run_cli(capsys, "sweep", f"--gamma={gamma},0.3", "--snr-db", "30,300")
+        assert code == EXIT_OK and len(out.splitlines()) == 6
 
 
 class TestSweep:
@@ -373,6 +385,29 @@ class TestValueGrid:
         code, out, err = run_cli(capsys, "dof-scan", "--gamma", "0.3", f"--snr-db={text}")
         assert code == EXIT_USAGE and not out and "bad range" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dof-scan", "--gamma", "0.3", "--snr-db", "nan"),
+            ("sweep", "--gamma", "0.3", "--snr-db", "400,nan"),
+            ("sweep", "--gamma", "0.3,0.4", "--snr-db=-inf,20"),
+            ("network", "--channel", CHANNEL5, "--snr-db", "20,inf"),
+            ("power-time", "--channel", CHANNEL3, "--snr-db", "1e400"),
+            ("rate", "--gamma", "0.3", "--snr-db", "nan"),
+            ("rate", "--gamma", "0.3", "--snr-db=-inf"),
+            ("mac-sim", "--gamma", "0.3", "--snr-db", "inf", "--p", "3", "--n", "4", "--k", "1",
+             "--trials", "2"),
+        ],
+    )
+    def test_nonfinite_value_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and not out and err
+
+    @pytest.mark.parametrize("command", ["rate", "dof-scan"])
+    def test_overflowing_finite_value_precondition(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--gamma", "0.3", "--snr-db", "3100")
+        assert code == EXIT_PRECONDITION and not out and "overflows" in err
+
     def test_point_cap(self):
         assert len(_parse_value_grid(f"1:{_GRID_POINTS_CAP}:1")) == _GRID_POINTS_CAP
         with pytest.raises(_UsageError, match="more than"):
@@ -419,3 +454,18 @@ class TestBenchmarkReference:
                 assert hashlib.sha256(done.stdout).hexdigest() == inv["sha256"], inv["label"]
                 checked += 1
         assert checked == 5
+
+    def test_rate_commands_print_the_reference_bytes(self, capsys, monkeypatch):
+        # the four analytic commands of case 0 and the sweep of case 1, whose
+        # gamma grid is offset by 1/16000: a prime the rate search skips or
+        # picks differently changes a row here
+        reference = json.loads((ROOT / "bench" / "reference.json").read_text())
+        runs = reference["cases"]["0"]["analytic"] + reference["cases"]["1"]["analytic"][:1]
+        assert [inv["label"] for inv in runs] == [
+            "sweep", "network-curves", "power-time", "dof-scan", "sweep"
+        ]
+        monkeypatch.chdir(ROOT)  # the commands name files relative to the checkout
+        for inv in runs:
+            code, out, _ = run_cli(capsys, *inv["argv"])
+            assert code == EXIT_OK
+            assert hashlib.sha256(out.encode("ascii")).hexdigest() == inv["sha256"], inv["argv"]

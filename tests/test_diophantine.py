@@ -205,6 +205,25 @@ class TestQuarterReduction:
         assert mod_quarter_interval(0.4) == pytest.approx(-0.1, abs=1e-15)
         assert mod_quarter_interval(Fraction(1, 3)) == Fraction(-1, 6)
 
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_float_path_is_the_exact_reduction(self, g):
+        assert mod_quarter_interval(g) == float(mod_quarter_interval(Fraction(g)))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            1.7976931348623157e308, -1.7976931348623157e308, 1e308, -1e308,
+            2.0**60 + 2.0**8, 2.0**50 + 0.25, -(2.0**50 + 0.75),
+            math.nextafter(0.25, 0.0), math.nextafter(-0.25, 0.0), 5e-324,
+        ],
+    )
+    def test_huge_and_boundary_floats(self, g):
+        # 2 * g overflows for the largest; just below 1/4, 2 * g + 1/2 rounds
+        # up to 1, so a floor-based reduction returned -1/4
+        r = mod_quarter_interval(g)
+        assert -0.25 <= r < 0.25
+        assert r == float(mod_quarter_interval(Fraction(g)))
+
     @given(st.floats(-4, 4, allow_nan=False))
     def test_range_and_period(self, g):
         r = mod_quarter_interval(g)

@@ -1,12 +1,17 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lia.diophantine import primes_up_to
-from lia.network import ChannelMatrix
+import oracles
+from lia import diophantine
+from lia.diophantine import admissible_prefix, primes_up_to
+from lia.network import ChannelMatrix, parse_real_matrix_text
+from lia.powertime import build_schedule
 from lia.rates import (
+    PRIME_SEARCH_CAP,
     db_to_linear,
     default_p_max,
     dependent_message_prob,
@@ -22,6 +27,7 @@ from lia.rates import (
 )
 
 SQRT2_OVER_2 = math.sqrt(2) / 2
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def brute_dependent_prob(p, k):
@@ -215,6 +221,118 @@ class TestTheorem2:
             rp = theorem2_sym_rate(H, snr)
             assert rp.rate > 0.0
             assert rp.gamma == first and rp.breakdown.gamma == first
+
+
+# the SNRs of the pruned-search checks: -10 to 300 dB, plus points where only
+# part of the primes up to PRIME_SEARCH_CAP is admissible
+PRUNE_SNRS_DB = [*range(-10, 301, 10), 15, 17.5, 18.5, 19.5]
+PRUNE_P_MAX = (2, 3, 101, PRIME_SEARCH_CAP, None)
+# the sweep's gamma grid at offsets 0 and 5/16000, every 41st gamma
+SWEEP_GAMMAS = [start + i * 0.001 for start in (0.001, 0.0013125) for i in range(0, 499, 41)]
+OTHER_GAMMAS = [
+    SQRT2_OVER_2, 0.37, 0.0, 0.5, -0.3, -SQRT2_OVER_2, 1.7, 3.25, 1e308,
+    # delta is 0 beyond the denominator, so many primes share one delta
+    Fraction(707, 1000), Fraction(1, 3), Fraction(17, 16000), Fraction(355, 113),
+    Fraction(-5, 7), Fraction(144, 89), Fraction(1, 2),
+]
+
+
+def power_time_steps():
+    with open(ROOT / "bench" / "data" / "h3.txt", encoding="ascii") as fh:
+        H = parse_real_matrix_text(fh.read(), K_expected=3)
+    return build_schedule(H).steps
+
+
+class TestPrunedSearch:
+    """The pruned prime search against the full-array selection it replaced
+    (``oracles.best_prime_oracle``): the whole RatePoint must be equal."""
+
+    @pytest.mark.parametrize("gamma", SWEEP_GAMMAS + OTHER_GAMMAS)
+    def test_theorem1_matches_full_scan(self, gamma):
+        for snr_db in PRUNE_SNRS_DB:
+            snr = db_to_linear(snr_db)
+            for p_max in PRUNE_P_MAX:
+                want = oracles.best_prime_oracle([gamma], snr, p_max)
+                assert theorem1_rate(gamma, snr, p_max) == want, (snr_db, p_max)
+
+    def test_power_time_step_gains_match_full_scan(self):
+        steps = power_time_steps()
+        assert len(steps) == 12
+        for step in steps:
+            for snr_db in range(20, 201, 15):
+                snr = db_to_linear(snr_db) * step.snr_mult
+                want = oracles.best_prime_oracle([step.gamma_eff], snr)
+                assert theorem1_rate(step.gamma_eff, snr) == want, (step.label, snr_db)
+
+    @pytest.mark.parametrize(
+        "direct",
+        [
+            (SQRT2_OVER_2, SQRT2_OVER_2, 0.37),
+            (0.37, SQRT2_OVER_2, 0.37),
+            (SQRT2_OVER_2, -SQRT2_OVER_2, 0.41),
+            (-SQRT2_OVER_2, SQRT2_OVER_2, SQRT2_OVER_2),
+            (Fraction(707, 1000), 0.37, Fraction(-707, 1000)),
+        ],
+    )
+    def test_theorem2_matches_full_scan(self, direct):
+        cross = np.array([[0, 1, 2], [3, 0, 1], [2, 2, 0]], dtype=np.int64)
+        H = ChannelMatrix(K=3, direct=direct, cross=cross)
+        gains = list(dict.fromkeys(direct))
+        for snr_db in PRUNE_SNRS_DB:
+            snr = db_to_linear(snr_db)
+            for p_max in PRUNE_P_MAX:
+                want = oracles.best_prime_oracle(gains, snr, p_max)
+                assert theorem2_sym_rate(H, snr, p_max) == want, (snr_db, p_max)
+
+    @pytest.mark.parametrize("gamma", [0.37, -SQRT2_OVER_2, Fraction(707, 1000), 1.7])
+    def test_admissible_prefix_matches_full_mask(self, gamma):
+        interior = 0
+        for p_max in (1, 2, 3, 101, PRIME_SEARCH_CAP):
+            primes = primes_up_to(p_max)
+            for snr_db in [*np.arange(0.0, 30.0, 0.5), *PRUNE_SNRS_DB]:
+                snr = db_to_linear(snr_db)
+                mask = diophantine.admissible_mask(primes, gamma, snr)
+                got = admissible_prefix(primes, gamma, snr)
+                assert np.array_equal(got, primes[mask]) and mask[: got.size].all()
+                interior += 0 < got.size < primes.size
+        assert interior > 10
+
+    @pytest.mark.parametrize("admitted", ["fewer", "more"])
+    def test_mask_overrides_bisection(self, monkeypatch, admitted):
+        # a mask that disagrees with the scalar bisection at the boundary
+        # decides; both the search and the full scan then use it
+        real = diophantine.admissible_mask
+        primes = primes_up_to(PRIME_SEARCH_CAP)
+        if admitted == "fewer":
+            snr, gamma = db_to_linear(120), 0.37
+
+            def fake(ps, g, s):
+                return real(ps, g, s) & (np.asarray(ps) < 50)
+        else:
+            snr, gamma = db_to_linear(18.5), 0.37
+            k = int(np.count_nonzero(real(primes, gamma, snr)))
+
+            def fake(ps, g, s):
+                return real(ps, g, s) | (np.asarray(ps) <= primes[k])
+
+        monkeypatch.setattr(diophantine, "admissible_mask", fake)
+        monkeypatch.setattr(oracles, "admissible_mask", fake)
+        assert np.array_equal(admissible_prefix(primes, gamma, snr), primes[fake(primes, gamma, snr)])
+        got = theorem1_rate(gamma, snr, PRIME_SEARCH_CAP)
+        assert got == oracles.best_prime_oracle([gamma], snr, PRIME_SEARCH_CAP)
+        if admitted == "fewer":
+            assert 0 < got.p_star < 50
+
+    @pytest.mark.parametrize("p_max", [3, 101, None])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+    def test_zero_delta_at_overflowing_snr_scores_zero(self, p_max):
+        # past 3080 dB, 1.5 * SNR overflows and delta = 0 gives a NaN
+        # omega_a; those primes score 0 (omega_b = inf), as in exact arithmetic
+        snr = db_to_linear(3081)
+        got = theorem1_rate(0.25, snr, p_max)
+        assert got.p_star == 3
+        assert got.rate == rate_for_p(3, 0.25, snr) > 0.0
+        assert got.breakdown == omega_breakdown(3, 0.25, snr)
 
 
 class TestBaselines:
