@@ -5,8 +5,6 @@ from .codes import (
     Codebook,
     Codeword,
     LinearCode,
-    all_codewords,
-    check_linearity,
     code_from_text,
     code_to_text,
     encode,
@@ -17,7 +15,6 @@ from .codes import (
 )
 from .diophantine import (
     Gain,
-    admissible_primes,
     best_rational_oracle,
     delta,
     is_prime,
@@ -44,7 +41,6 @@ from .network import (
     NetworkSimResult,
     align_interference,
     bundled_channel_path,
-    example_channel,
     load_channel_file,
     parse_channel_text,
     simulate_network,

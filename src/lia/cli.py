@@ -21,7 +21,7 @@ from . import codes, macsim, network, powertime, rates
 from .diophantine import parse_gain
 from .network import ChannelFormatError
 from .powertime import GainOrderingError
-from .rates import db_to_linear
+from .rates import PRIME_SEARCH_CAP, db_to_linear
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -43,9 +43,11 @@ def _parse_p_max(text: str):
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("p-max must be 'auto' or an integer >= 2") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError("p-max must be 'auto' or an integer >= 2")
+        value = None
+    if value is None or not 2 <= value <= PRIME_SEARCH_CAP:
+        raise argparse.ArgumentTypeError(
+            f"p-max must be 'auto' or an integer in [2, {PRIME_SEARCH_CAP}]"
+        )
     return value
 
 
@@ -215,28 +217,14 @@ def _cmd_network(args) -> str:
             f" --seed {args.seed} --code-seed {args.code_seed}"
         )
         columns = ["receiver", "trials", "errors", "p_e", "ci_lo", "ci_hi"]
-        rows = []
-        for j in range(H.K):
-            rows.append(
-                [
-                    str(j + 1),
-                    str(result.trials),
-                    str(result.receiver_errors[j]),
-                    _fmt(result.receiver_p_e[j]),
-                    _fmt(result.receiver_ci95[j][0]),
-                    _fmt(result.receiver_ci95[j][1]),
-                ]
-            )
-        rows.append(
-            [
-                "net",
-                str(result.trials),
-                str(result.network_errors),
-                _fmt(result.network_p_e),
-                _fmt(result.network_ci95[0]),
-                _fmt(result.network_ci95[1]),
-            ]
-        )
+        names = [str(j + 1) for j in range(H.K)] + ["net"]
+        errors = [*result.receiver_errors, result.network_errors]
+        p_e = [*result.receiver_p_e, result.network_p_e]
+        ci = [*result.receiver_ci95, result.network_ci95]
+        rows = [
+            [name, str(result.trials), str(e), _fmt(pe), _fmt(lo), _fmt(hi)]
+            for name, e, pe, (lo, hi) in zip(names, errors, p_e, ci)
+        ]
         return _document(line, columns, rows)
 
     snrs = _parse_value_grid(args.snr_db)

@@ -15,11 +15,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diophantine import is_prime
-from .modarith import grid_real, mod_interval
+# codes.mod_interval stays importable: bench/test_bench.py checks the tracer patches it here
+from .modarith import grid_real, mod_interval  # noqa: F401
 
 ENUMERATION_CAP = 3000  # bound on p**k for exhaustive operations
+ENTRIES_CAP = 2**22  # bound on a generator's k x n and a Codebook's p**k x n entries
 
-MessageVector = np.ndarray  # length-k int vector with entries in {0, ..., p-1}
+
+def check_code_size(p: int, n: int, k: int, enumerated: bool = False) -> None:
+    """Refuse, before any primality test or allocation, k outside [1, n], a
+    p with k (p-1)**2 >= 2**63 (encoding must be exact in int64), and more
+    than ENTRIES_CAP entries in the k x n generator or, for an ``enumerated``
+    code (Codebook), more than ENUMERATION_CAP messages or p**k x n entries."""
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if k * (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"p = {p} is too large: encoding would overflow int64")
+    count = p ** min(k, 64) if enumerated else k  # p >= 2: any k >= 64 is far above the cap
+    if enumerated and count > ENUMERATION_CAP:
+        raise ValueError(f"p**k = {p}**{k} exceeds enumeration cap {ENUMERATION_CAP}")
+    if count * n > ENTRIES_CAP:
+        raise ValueError(f"{count} x {n} code entries exceed the cap of {ENTRIES_CAP}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,12 +47,9 @@ class LinearCode:
     seed: int | None = None
 
     def __post_init__(self):
+        check_code_size(self.p, self.n, self.k)
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
-        if self.k < 1 or self.n < 1:
-            raise ValueError("k and n must be positive")
-        if self.k > self.n:
-            raise ValueError(f"k={self.k} exceeds n={self.n}; rate above log2(p) is meaningless")
         g = np.asarray(self.generator, dtype=np.int64)
         if g.shape != (self.k, self.n):
             raise ValueError(f"generator shape {g.shape} != ({self.k}, {self.n})")
@@ -86,6 +99,7 @@ class Codeword:
 
 def sample_code(p: int, n: int, k: int, seed: int) -> LinearCode:
     """Draw a generator with i.i.d. uniform entries; deterministic in seed."""
+    check_code_size(p, n, k)
     rng = np.random.default_rng(seed)
     g = rng.integers(0, p, size=(k, n), dtype=np.int64)
     return LinearCode(p=p, n=n, k=k, generator=g, seed=seed)
@@ -106,14 +120,13 @@ class Codebook:
 
     Row i holds the message whose base-p digits, most significant first,
     spell i, so rows() is the base-p value of a message.  ``residues`` and
-    ``reals`` hold row i's codeword on Z_p and on the grid.  Codes with more
-    than ENUMERATION_CAP messages are refused.
+    ``reals`` hold row i's codeword on Z_p and on the grid.  Codes that
+    ``check_code_size`` refuses to enumerate are refused.
     """
 
     def __init__(self, code: LinearCode):
+        check_code_size(code.p, code.n, code.k, enumerated=True)
         count = code.p**code.k
-        if count > ENUMERATION_CAP:
-            raise ValueError(f"p**k = {count} exceeds enumeration cap {ENUMERATION_CAP}")
         self._weights = code.p ** np.arange(code.k - 1, -1, -1)
         self.messages = np.arange(count)[:, None] // self._weights % code.p
         self.residues = (self.messages @ code.generator) % code.p
@@ -127,12 +140,6 @@ class Codebook:
         return np.asarray(messages, dtype=np.int64) @ self._weights
 
 
-def all_codewords(code: LinearCode):
-    """All p**k (message, codeword) pairs in lexicographic message order."""
-    book = Codebook(code)
-    return [(w, Codeword(r, code.p)) for w, r in zip(book.messages, book.residues)]
-
-
 def messages_dependent(w1, w2, p: int) -> bool:
     """True iff the two message vectors are linearly dependent over Z_p."""
     a = np.asarray(w1, dtype=np.int64) % p
@@ -143,38 +150,6 @@ def messages_dependent(w1, w2, p: int) -> bool:
     i = int(nz[0])
     c = int(b[i]) * pow(int(a[i]), p - 2, p) % p
     return bool(np.all((c * a - b) % p == 0))
-
-
-@dataclass(frozen=True)
-class LinearityReport:
-    passed: bool
-    trials: int
-    failures: int
-
-
-def check_linearity(code: LinearCode, trials: int, seed: int, table=None) -> LinearityReport:
-    """Verify [f(w1) + f(w2)]* = f((w1 + w2) mod p) on random message pairs.
-
-    The identity is checked exactly in the residue domain and to 1e-12 in
-    the real domain.  ``table`` optionally supplies the codewords for the
-    left-hand side (a mapping from message tuples); a corrupted table makes
-    the check fail, which gives the negative control.
-    """
-    rng = np.random.default_rng(seed)
-    lookup = (lambda w: table[tuple(int(v) for v in w)]) if table is not None else (
-        lambda w: encode(code, w)
-    )
-    failures = 0
-    for _ in range(trials):
-        w1 = rng.integers(0, code.p, size=code.k)
-        w2 = rng.integers(0, code.p, size=code.k)
-        c1, c2 = lookup(w1), lookup(w2)
-        c3 = encode(code, (w1 + w2) % code.p)
-        residues_ok = np.array_equal((c1.residues + c2.residues) % code.p, c3.residues)
-        reals_ok = np.max(np.abs(mod_interval(c1.reals + c2.reals) - c3.reals)) < 1e-12
-        if not (residues_ok and reals_ok):
-            failures += 1
-    return LinearityReport(failures == 0, trials, failures)
 
 
 def code_to_text(code: LinearCode) -> str:

@@ -53,11 +53,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=64)
-def _primes_cached(limit: int) -> np.ndarray:
-    sieve = np.ones(limit + 1, dtype=bool)
+# Hard cap on the prime search; the optimizing prime sits near SNR**(1/4),
+# so searching up to sqrt(SNR) already leaves ample slack.
+PRIME_SEARCH_CAP = 100_000
+
+
+@lru_cache(maxsize=1)
+def _all_primes() -> np.ndarray:
+    """Every prime <= PRIME_SEARCH_CAP, sieved once."""
+    sieve = np.ones(PRIME_SEARCH_CAP + 1, dtype=bool)
     sieve[:2] = False
-    for q in range(2, math.isqrt(limit) + 1):
+    for q in range(2, math.isqrt(PRIME_SEARCH_CAP) + 1):
         if sieve[q]:
             sieve[q * q :: q] = False
     primes = np.flatnonzero(sieve).astype(np.int64)
@@ -66,10 +72,11 @@ def _primes_cached(limit: int) -> np.ndarray:
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending; empty for limit < 2."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    return _primes_cached(int(limit))
+    """All primes <= limit <= PRIME_SEARCH_CAP, ascending, as a read-only view."""
+    if limit > PRIME_SEARCH_CAP:
+        raise ValueError(f"prime limit {limit} exceeds the search cap {PRIME_SEARCH_CAP}")
+    primes = _all_primes()
+    return primes[: primes.searchsorted(limit, side="right")]
 
 
 def _round_half_away(x: Fraction) -> int:
@@ -203,7 +210,8 @@ def admissible_mask(primes: np.ndarray, gamma: Gain, snr: float) -> np.ndarray:
     """
     off = float(mod_quarter_interval(gamma))
     pf = np.asarray(primes, dtype=float)
-    lhs = np.exp(-(1.5 * snr / pf**2) * off * off)
+    with np.errstate(invalid="ignore"):  # inf * 0 once 1.5 * SNR overflows: NaN, inadmissible
+        lhs = np.exp(-(1.5 * snr / pf**2) * off * off)
     rhs = 1.0 - 2.0 * pf * math.exp(-0.375 * snr)
     return lhs < rhs
 
@@ -234,9 +242,3 @@ def delta_step_starts(gamma: Gain, primes: np.ndarray) -> np.ndarray:
     (repeated, or len(primes), for steps that hold no prime)."""
     return np.searchsorted(primes, _approx_staircase(gamma)[0] + 1)
 
-
-def admissible_primes(gamma: Gain, snr: float, p_max: int) -> list[int]:
-    """All admissible primes <= p_max (possibly empty)."""
-    if not (snr > 0 and math.isfinite(snr)):
-        raise ValueError("snr must be positive and finite (linear scale)")
-    return [int(p) for p in admissible_prefix(primes_up_to(p_max), gamma, snr)]

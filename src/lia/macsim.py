@@ -31,7 +31,6 @@ from .codes import encode  # noqa: F401
 from .diophantine import Gain
 from .modarith import grid_real, mod_interval
 
-_Z95 = 1.959963984540054  # standard normal 97.5% quantile
 DECODER_TABLE_BYTES_CAP = 2**28  # bound on PairDecoder's arrays plus one block decode's temporaries
 _RESCORE_ROWS = 4096  # near-tie candidates re-scored per chunk
 _BATCH_BYTES = 2**20  # temporaries of one block decode, when one decode's are smaller
@@ -84,8 +83,9 @@ class SimResult:
     ambiguous: int
 
 
-def wilson_interval(errors: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (robust at small counts)."""
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion (robust at small counts)."""
+    z = 1.959963984540054  # standard normal 97.5% quantile
     if trials < 1:
         raise ValueError("trials must be at least 1")
     phat = errors / trials

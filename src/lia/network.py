@@ -22,8 +22,8 @@ rescaling would change per-receiver SNR in an unspecified way).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -41,7 +41,8 @@ class ChannelFormatError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ChannelMatrix:
-    """K-user gain matrix: real diagonal, exact-integer off-diagonal."""
+    """K-user gain matrix: real diagonal, int64 integers off the diagonal
+    (integer-valued floats accepted, anything else refused)."""
 
     K: int
     direct: tuple[Gain, ...]  # diagonal gains h_jj
@@ -52,45 +53,17 @@ class ChannelMatrix:
             raise ValueError("K must be at least 2")
         if len(self.direct) != self.K:
             raise ValueError("need one direct gain per user")
-        c = np.asarray(self.cross, dtype=np.int64)
-        if c.shape != (self.K, self.K):
-            raise ValueError(f"cross shape {c.shape} != ({self.K}, {self.K})")
+        grid = np.asarray(self.cross, dtype=object)
+        if grid.shape != (self.K, self.K):
+            raise ValueError(f"cross shape {grid.shape} != ({self.K}, {self.K})")
+        for (j, k), v in np.ndenumerate(grid):
+            if not (isinstance(v, numbers.Real) and -(2**63) <= v < 2**63 and v == int(v)):
+                raise ValueError(f"cross gain h[{j}][{k}]={v!r} is not an int64 integer")
+        c = grid.astype(np.int64)
         if np.any(np.diagonal(c) != 0):
             raise ValueError("cross matrix must have a zero diagonal")
         c.setflags(write=False)
         object.__setattr__(self, "cross", c)
-
-    @classmethod
-    def from_rows(cls, rows) -> "ChannelMatrix":
-        """Build from a square array-like; off-diagonals must be integers."""
-        grid = [list(r) for r in rows]
-        K = len(grid)
-        if any(len(r) != K for r in grid):
-            raise ValueError("channel matrix must be square")
-        direct = []
-        cross = np.zeros((K, K), dtype=np.int64)
-        for j in range(K):
-            for k in range(K):
-                v = grid[j][k]
-                if j == k:
-                    direct.append(v if isinstance(v, Fraction) else float(v))
-                    continue
-                iv = v if isinstance(v, int) else (
-                    int(v) if float(v) == int(v) else None
-                )
-                if iv is None:
-                    raise ValueError(
-                        f"off-diagonal gain h[{j}][{k}]={v!r} is not an integer"
-                    )
-                cross[j, k] = iv
-        return cls(K=K, direct=tuple(direct), cross=cross)
-
-    def as_float(self) -> np.ndarray:
-        """Dense float matrix (diagonal floated)."""
-        m = self.cross.astype(float)
-        for j, g in enumerate(self.direct):
-            m[j, j] = float(g)
-        return m
 
 
 def _parse_matrix_rows(text: str, entry) -> list[list]:
@@ -136,7 +109,12 @@ def _real_entry(j: int, k: int, tok: str) -> float:
 
 def parse_channel_text(text: str) -> ChannelMatrix:
     """Parse the channel file format (integer off-diagonals enforced)."""
-    return ChannelMatrix.from_rows(_parse_matrix_rows(text, _channel_entry))
+    rows = _parse_matrix_rows(text, _channel_entry)
+    cross = [[0 if j == k else v for k, v in enumerate(row)] for j, row in enumerate(rows)]
+    try:
+        return ChannelMatrix(len(rows), tuple(row[j] for j, row in enumerate(rows)), cross)
+    except ValueError as exc:
+        raise ChannelFormatError(str(exc)) from None
 
 
 def load_channel_file(path) -> ChannelMatrix:
@@ -150,23 +128,6 @@ def parse_real_matrix_text(text: str, K_expected: int | None = None) -> np.ndarr
     if K_expected is not None and len(m) != K_expected:
         raise ChannelFormatError(f"expected K={K_expected}, file has K={len(m)}")
     return m
-
-
-_EXAMPLE_CROSS = np.asarray(
-    [
-        [0, 1, 2, 3, 4],
-        [5, 0, 3, 6, 7],
-        [2, 11, 0, 1, 3],
-        [3, 7, 6, 0, 9],
-        [11, 2, 6, 4, 0],
-    ],
-    dtype=np.int64,
-)
-
-
-def example_channel(h: Gain) -> ChannelMatrix:
-    """The bundled 5-user example matrix with diagonal h."""
-    return ChannelMatrix(K=5, direct=(h,) * 5, cross=_EXAMPLE_CROSS.copy())
 
 
 def bundled_channel_path(name: str = "channel5_h0707.txt"):

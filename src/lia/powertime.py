@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .rates import default_p_max, theorem1_rate
+from .rates import theorem1_rate
 
 SYMBOL_RATE = 0.75  # three data frames per four channel uses
 
@@ -166,13 +166,9 @@ def build_schedule(H) -> Schedule:
 def schedule_rate(H, snr: float, p_max: Optional[int] = None) -> float:
     """Symmetric rate of the power-time code: 3/4 of the worst step rate."""
     sched = H if isinstance(H, Schedule) else build_schedule(H)
-    if not (snr > 0 and math.isfinite(snr)):
-        raise ValueError("snr must be positive and finite")
     worst = math.inf
     for step in sched.steps:
-        snr_eff = snr * step.snr_mult
-        bound = p_max if p_max is not None else default_p_max(snr_eff)
-        worst = min(worst, theorem1_rate(step.gamma_eff, snr_eff, bound).rate)
+        worst = min(worst, theorem1_rate(step.gamma_eff, snr * step.snr_mult, p_max).rate)
         if worst == 0.0:
             break
     return SYMBOL_RATE * worst

@@ -49,6 +49,7 @@ from typing import Optional
 import numpy as np
 
 from .diophantine import (
+    PRIME_SEARCH_CAP,
     Gain,
     admissible_mask,
     admissible_prefix,
@@ -59,10 +60,6 @@ from .diophantine import (
     mod_quarter_interval,
     primes_up_to,
 )
-
-# Hard cap on the prime search; the optimizing prime sits near SNR**(1/4),
-# so searching up to sqrt(SNR) already leaves ample slack.
-PRIME_SEARCH_CAP = 100_000
 
 
 def db_to_linear(snr_db: float) -> float:
@@ -79,12 +76,10 @@ def _require_positive_snr(snr: float) -> None:
         raise ValueError(f"snr must be positive and finite, got {snr!r}")
 
 
-def default_p_max(snr: float, cap: int = PRIME_SEARCH_CAP) -> int:
-    """Default prime search bound: max(101, ceil(sqrt(snr))), hard-capped."""
+def default_p_max(snr: float) -> int:
+    """Default prime search bound: max(101, ceil(sqrt(snr))), capped at PRIME_SEARCH_CAP."""
     _require_positive_snr(snr)
-    if snr >= float(cap) ** 2:
-        return cap
-    return min(cap, max(101, math.ceil(math.sqrt(snr))))
+    return min(PRIME_SEARCH_CAP, max(101, math.ceil(math.sqrt(snr))))
 
 
 @dataclass(frozen=True)
@@ -111,7 +106,8 @@ class RatePoint:
 
 
 def _f_term(pf, dlt, snr: float):
-    """(1/p) exp(-(3*SNR/(2 p^2)) delta^2), the delta-dependent part of omega_a."""
+    """(1/p) exp(-(3*SNR/(2 p^2)) delta^2), the delta-dependent part of omega_a;
+    NaN at delta = 0 once 1.5 * SNR overflows (callers silence numpy's warning)."""
     return np.exp(-(1.5 * snr / pf**2) * dlt * dlt) / pf
 
 
@@ -119,8 +115,8 @@ def _omega_arrays(pf, dlt, snr: float):
     """Vectorized (omega_a, omega_b) over a prime array (pf float, dlt = delta)."""
     tail = 2.0 * math.exp(-0.375 * snr)
     sq = math.sqrt(2.0 * math.pi / (3.0 * snr))
-    oa = pf**-2 + sq + _f_term(pf, dlt, snr) + tail
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # delta = 0
+        oa = pf**-2 + sq + _f_term(pf, dlt, snr) + tail
         ob = np.where(dlt > 0.0, 1.0 / pf + sq / np.where(dlt > 0.0, dlt, 1.0) + tail, np.inf)
     return oa, ob
 
@@ -142,7 +138,8 @@ def omega_breakdown(p: int, gamma: Gain, snr: float) -> OmegaBreakdown:
     _require_positive_snr(snr)
     pf = np.asarray([float(p)])
     oa, ob = _omega_arrays(pf, np.asarray([float(delta(p, gamma))]), snr)
-    od = _omega_d(pf, ob, float(mod_quarter_interval(gamma)), snr)
+    with np.errstate(invalid="ignore"):  # a zero offset; _best_prime never passes one
+        od = _omega_d(pf, ob, float(mod_quarter_interval(gamma)), snr)
     return OmegaBreakdown(p, gamma, snr, float(oa[0]), float(ob[0]), float(od[0]))
 
 
@@ -278,14 +275,10 @@ def theorem2_sym_rate(channel, snr: float, p_max: Optional[int] = None) -> RateP
     """Achievable symmetric rate on a K-user integer-interference channel.
 
     Maximizes, over primes admissible for every direct gain simultaneously,
-    the smallest per-receiver rate bound.  ``channel`` is a ChannelMatrix or
-    anything accepted by its constructor (off-diagonal entries must be
-    integers).  The returned breakdown belongs to the binding receiver.
+    the smallest per-receiver rate bound.  ``channel`` is a
+    ``network.ChannelMatrix``.  The returned breakdown belongs to the
+    binding receiver.
     """
-    from .network import ChannelMatrix
-
-    if not isinstance(channel, ChannelMatrix):
-        channel = ChannelMatrix.from_rows(channel)
     # first-occurrence order, so a tie for the binding receiver goes to the
     # lowest index
     return _best_prime(list(dict.fromkeys(channel.direct)), snr, p_max)

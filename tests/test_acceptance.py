@@ -154,7 +154,7 @@ def test_criterion_07_alignment_exactness():
     """100 random message draws on the bundled 5-user example: the aligned
     message/codeword agrees residue-exactly with the mod-interval sum of
     gain-scaled codewords (zero tolerance)."""
-    H = lia.example_channel(SQRT2_OVER_2)
+    H = lia.load_channel_file(lia.bundled_channel_path())
     code = lia.sample_code(5, 8, 2, seed=23)
     rng = np.random.default_rng(31)
     checked = 0

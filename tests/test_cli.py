@@ -20,6 +20,7 @@ from lia.cli import (
     main,
 )
 from lia.network import bundled_channel_path
+from lia.rates import PRIME_SEARCH_CAP
 
 ROOT = Path(__file__).resolve().parents[1]
 CHANNEL5 = str(bundled_channel_path())
@@ -100,6 +101,28 @@ class TestRate:
         assert out.splitlines()[2].split(",")[2:4] == ["", "0"]
         code, out, _ = run_cli(capsys, "sweep", f"--gamma={gamma},0.3", "--snr-db", "30,300")
         assert code == EXIT_OK and len(out.splitlines()) == 6
+
+    @pytest.mark.parametrize(
+        "argv, row",
+        [
+            (["--gamma", "1e308", "--snr-db", "3081"], "1e308,3081,,0,511.743023,0"),
+            (
+                ["--gamma", "0.25", "--snr-db", "3081", "--p-max", "101"],
+                "0.25,3081,3,1.5849625,255.893377,0.00619383947",
+            ),
+        ],
+    )
+    def test_no_warning_once_the_snr_overflows(self, argv, row):
+        # 1.5 * SNR is inf above about 3080.8 dB, and inf * 0 must stay quiet
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lia", "rate", *argv],
+            env=child_env(), capture_output=True, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout.decode("ascii").splitlines()[1:] == [
+            "gamma,snr_db,p_star,rate_lin,rate_rand,r_norm",
+            row,
+        ]
 
 
 class TestSweep:
@@ -232,6 +255,18 @@ class TestMacSim:
         code, out, err = run_cli(capsys, *bad)
         assert code == EXIT_PRECONDITION and not out and err
 
+    @pytest.mark.parametrize(
+        "p, n, k, reason",
+        [("1000000000000000003", "4", "2", "int64"), ("3", "1000000000", "1", "entries")],
+    )
+    def test_oversized_code_precondition(self, capsys, p, n, k, reason):
+        # refused before the primality test and before the generator is drawn
+        bad = list(self.ARGS)
+        for flag, value in (("--p", p), ("--n", n), ("--k", k), ("--trials", "1")):
+            bad[bad.index(flag) + 1] = value
+        code, out, err = run_cli(capsys, *bad)
+        assert code == EXIT_PRECONDITION and not out and reason in err
+
 
 class TestNetwork:
     def test_rate_curves(self, capsys):
@@ -317,6 +352,28 @@ class TestNetwork:
         bad.write_text("2\n0.7 1.5\n2 0.7\n")  # rational off-diagonal
         code, _, err = run_cli(capsys, "network", "--channel", str(bad), "--snr-db", "20")
         assert code == EXIT_INPUT and "off-diagonal" in err
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [("2\n0.7 100000000000000000000000\n1 0.7\n", "int64"), ("1\n0.7\n", "K must be")],
+        ids=["overflowing-cross-gain", "one-user"],
+    )
+    def test_matrix_refused_by_channel_matrix_exit_3(self, capsys, tmp_path, text, reason):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, "network", "--channel", str(bad), "--snr-db", "20")
+        assert code == EXIT_INPUT and not out and reason in err
+
+    def test_oversized_single_user_codebook_precondition(self, capsys, tmp_path):
+        # nobody hears an interferer, so no pair decoder bounds the codebook:
+        # 53**2 messages x 2000 components is above the codebook entry cap
+        quiet = tmp_path / "quiet.txt"
+        quiet.write_text("2\n0.7 0\n0 0.7\n")
+        code, out, err = run_cli(
+            capsys, "network", "--channel", str(quiet), "--snr-db", "20", "--simulate",
+            "--p", "53", "--n", "2000", "--k", "2", "--trials", "1",
+        )
+        assert code == EXIT_PRECONDITION and not out and "entries" in err
 
 
 class TestPowerTime:
@@ -429,6 +486,24 @@ class TestGlobalBehavior:
     def test_unknown_subcommand_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv, p_max",
+        [
+            (("rate", "--gamma", "0.4"), "100000000000"),
+            (("rate", "--gamma", "0.4"), str(PRIME_SEARCH_CAP + 1)),
+            (("sweep", "--gamma", "0.4"), str(PRIME_SEARCH_CAP + 1)),
+            (("network", "--channel", CHANNEL5), str(PRIME_SEARCH_CAP + 1)),
+            (("power-time", "--channel", CHANNEL3), str(PRIME_SEARCH_CAP + 1)),
+            (("dof-scan", "--gamma", "0.4"), str(PRIME_SEARCH_CAP + 1)),
+        ],
+        ids=["rate-1e11", "rate", "sweep", "network", "power-time", "dof-scan"],
+    )
+    def test_p_max_above_the_search_cap_usage_error(self, capsys, argv, p_max):
+        code, out, err = run_cli(capsys, *argv, "--snr-db", "20", "--p-max", p_max)
+        assert code == EXIT_USAGE and not out and "argument --p-max:" in err
+        code, _, _ = run_cli(capsys, *argv, "--snr-db", "20", "--p-max", str(PRIME_SEARCH_CAP))
+        assert code == EXIT_OK
 
     def test_identical_invocations_byte_identical(self, capsys):
         args = ("sweep", "--gamma", "0.05:0.25:0.05", "--snr-db", "30")

@@ -1,15 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from lia import codes
 from lia.codes import (
+    ENTRIES_CAP,
     Codebook,
     Codeword,
     LinearCode,
-    all_codewords,
-    check_linearity,
     code_from_text,
     code_to_text,
     encode,
@@ -93,19 +94,22 @@ class TestEncode:
 
 
 class TestAllCodewords:
+    """Codebook enumerates every codeword of a code."""
+
     def test_counts(self):
-        assert len(all_codewords(sample_code(3, 4, 2, seed=0))) == 9
-        assert len(all_codewords(sample_code(5, 4, 2, seed=0))) == 25
+        assert len(Codebook(sample_code(3, 4, 2, seed=0))) == 9
+        assert len(Codebook(sample_code(5, 4, 2, seed=0))) == 25
 
     def test_first_entry_zero_lexicographic(self):
-        pairs = all_codewords(sample_code(3, 4, 2, seed=0))
-        assert pairs[0][0].tolist() == [0, 0]
-        assert pairs[1][0].tolist() == [0, 1]
+        book = Codebook(sample_code(3, 4, 2, seed=0))
+        assert book.messages[0].tolist() == [0, 0]
+        assert book.messages[1].tolist() == [0, 1]
+        assert not book.residues[0].any()
 
     def test_cap_enforced(self):
         code = sample_code(5, 8, 5, seed=0)  # 5**5 = 3125 > 3000
-        with pytest.raises(ValueError):
-            all_codewords(code)
+        with pytest.raises(ValueError, match="enumeration cap"):
+            Codebook(code)
 
 
 def _linearity_failures(book, residues, p):
@@ -113,6 +117,14 @@ def _linearity_failures(book, residues, p):
     sums = (book.messages[:, None, :] + book.messages[None, :, :]) % p
     lhs = (residues[:, None, :] + residues[None, :, :]) % p
     return int(np.count_nonzero(np.any(lhs != residues[book.rows(sums)], axis=-1)))
+
+
+def _real_linearity_failures(book, reals, p):
+    """Message pairs (a, b) whose real forms in ``reals``, added and reduced
+    into the interval, miss the codebook's real form of a + b by 1e-12 or more."""
+    sums = (book.messages[:, None, :] + book.messages[None, :, :]) % p
+    lhs = mod_interval(reals[:, None, :] + reals[None, :, :])
+    return int(np.count_nonzero(np.abs(lhs - book.reals[book.rows(sums)]).max(axis=-1) >= 1e-12))
 
 
 class TestCodebook:
@@ -142,6 +154,54 @@ class TestCodebook:
         corrupted[1, 0] = (corrupted[1, 0] + 1) % p
         assert _linearity_failures(book, corrupted, p) > 0
 
+    def test_entries_capped_before_build(self):
+        # 2**11 messages x 2049 components: more than 2**22 entries, although
+        # the generator is small and the message count is under the cap
+        code = sample_code(2, 2049, 11, seed=0)
+        assert 2**11 * 2049 > ENTRIES_CAP
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="entries"):
+                Codebook(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+class TestCodeSize:
+    def test_huge_p_refused_before_the_primality_test(self, monkeypatch):
+        def no_primality_test(p):
+            raise AssertionError(f"is_prime({p}) called")
+
+        monkeypatch.setattr(codes, "is_prime", no_primality_test)
+        p = 1_000_000_000_000_000_003
+        with pytest.raises(ValueError, match="int64"):
+            sample_code(p, 4, 2, seed=0)
+        with pytest.raises(ValueError, match="int64"):
+            LinearCode(p=p, n=4, k=2, generator=np.zeros((2, 4), dtype=np.int64))
+
+    def test_long_code_refused_before_drawing(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="entries"):
+                sample_code(5, 10**9, 1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_p_bound_is_exact_int64_encoding(self):
+        # k (p-1)**2 < 2**63 keeps w^T G exact in int64: for k = 2 the
+        # largest prime allowed is 2**31 - 1, and the next prime is refused
+        with pytest.raises(ValueError, match="int64"):
+            sample_code(2147483659, 3, 2, seed=0)
+        p = 2147483647
+        code = sample_code(p, 3, 2, seed=0)
+        w = np.array([p - 1, p - 1])
+        want = [(int(w[0]) * int(a) + int(w[1]) * int(b)) % p for a, b in code.generator.T]
+        assert encode(code, w).residues.tolist() == want
+
 
 class TestMessagesDependent:
     def test_cases(self):
@@ -164,31 +224,26 @@ class TestMessagesDependent:
 
 
 class TestCheckLinearity:
+    """[f(w1) + f(w2)]* = f((w1 + w2) mod p) over every message pair, exactly
+    on residues and to 1e-12 on real forms."""
+
     def test_passes_by_construction(self):
-        code = sample_code(5, 10, 2, seed=8)
-        report = check_linearity(code, trials=1000, seed=3)
-        assert report.passed and report.failures == 0
+        book = Codebook(sample_code(5, 10, 2, seed=8))
+        assert _linearity_failures(book, book.residues, 5) == 0
+        assert _real_linearity_failures(book, book.reals, 5) == 0
 
     def test_holds_across_the_ensemble(self):
-        # 1e3 random pairs on each of 20 independently sampled codes
+        # every message pair on each of 20 independently sampled codes
         for seed in range(20):
-            code = sample_code(3, 12, 2, seed=seed)
-            assert check_linearity(code, trials=1000, seed=seed + 100).passed
-
-    def test_zero_pair_passes(self):
-        code = sample_code(3, 4, 2, seed=8)
-        table = {tuple(int(v) for v in w): cw for w, cw in all_codewords(code)}
-        assert check_linearity(code, trials=50, seed=0, table=table).passed
+            book = Codebook(sample_code(3, 12, 2, seed=seed))
+            assert _linearity_failures(book, book.residues, 3) == 0
+            assert _real_linearity_failures(book, book.reals, 3) == 0
 
     def test_corrupted_table_fails(self):
-        code = sample_code(3, 6, 2, seed=8)
-        corrupted = sample_code(3, 6, 2, seed=9)  # encode table of a different G
-        table = {
-            tuple(int(v) for v in w): encode(corrupted, w)
-            for w, _ in all_codewords(code)
-        }
-        report = check_linearity(code, trials=200, seed=1, table=table)
-        assert not report.passed and report.failures > 0
+        # real forms of a different generator on the left-hand side
+        book = Codebook(sample_code(3, 6, 2, seed=8))
+        corrupted = Codebook(sample_code(3, 6, 2, seed=9))
+        assert _real_linearity_failures(book, corrupted.reals, 3) > 0
 
 
 class TestEnsembleStatistics:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lia.diophantine import (
+    PRIME_SEARCH_CAP,
     admissible_mask,
-    admissible_primes,
+    admissible_prefix,
     best_rational_oracle,
     delta,
     delta_for_primes,
@@ -66,6 +67,19 @@ class TestPrimes:
         marked = set(primes_up_to(500).tolist())
         for n in range(500 + 1):
             assert is_prime(n) == (n in marked)
+
+    def test_every_limit_slices_one_sieve(self):
+        full = primes_up_to(PRIME_SEARCH_CAP)
+        assert full[-1] == 99991 and full.size == 9592
+        for limit in (2, 101, 1000, 99990):
+            part = primes_up_to(limit)
+            assert np.shares_memory(part, full) and not part.flags.writeable
+            assert part.tolist() == full[full <= limit].tolist()
+
+    @pytest.mark.parametrize("limit", [PRIME_SEARCH_CAP + 1, 10**11])
+    def test_limit_above_the_cap_refused(self, limit):
+        with pytest.raises(ValueError, match="cap"):
+            primes_up_to(limit)
 
 
 class TestDelta:
@@ -174,18 +188,14 @@ def test_staircase_matches_enumeration_random(g):
 class TestAdmissibility:
     def test_half_gain_never_admissible(self):
         for snr in (1.0, 1e2, 1e6, 1e12):
-            assert admissible_primes(0.5, snr, 101) == []
-            assert admissible_primes(Fraction(1, 2), snr, 101) == []
+            assert admissible_prefix(primes_up_to(101), 0.5, snr).tolist() == []
+            assert admissible_prefix(primes_up_to(101), Fraction(1, 2), snr).tolist() == []
 
     def test_hand_case(self):
-        assert admissible_primes(0.4, 100.0, 3) == [2, 3]
+        assert admissible_prefix(primes_up_to(3), 0.4, 100.0).tolist() == [2, 3]
 
     def test_vanishing_snr_empty(self):
-        assert admissible_primes(0.4, 1e-9, 101) == []
-
-    def test_requires_positive_snr(self):
-        with pytest.raises(ValueError):
-            admissible_primes(0.4, 0.0, 101)
+        assert admissible_prefix(primes_up_to(101), 0.4, 1e-9).tolist() == []
 
     def test_mask_matches_scalar_condition(self):
         primes = primes_up_to(50)

@@ -11,7 +11,6 @@ from lia.network import (
     ChannelMatrix,
     align_interference,
     bundled_channel_path,
-    example_channel,
     load_channel_file,
     parse_channel_text,
     parse_real_matrix_text,
@@ -22,8 +21,22 @@ from lia.rates import db_to_linear
 from oracles import ENGINE_SHAPES, engine_trial_counts, network_result, network_trial_outcomes
 
 SQRT2_OVER_2 = math.sqrt(2) / 2
+# the cross gains of both bundled 5-user channel files
+BUNDLED_CROSS = [
+    [0, 1, 2, 3, 4],
+    [5, 0, 3, 6, 7],
+    [2, 11, 0, 1, 3],
+    [3, 7, 6, 0, 9],
+    [11, 2, 6, 4, 0],
+]
 # receiver 2 hears nobody and decodes its message alone
 ZERO_ROW_CROSS = np.array([[0, 1, 2], [0, 0, 0], [3, 1, 0]], dtype=np.int64)
+
+
+def bundled_channel(h):
+    """The bundled 5-user channel with every direct gain set to h."""
+    cross = load_channel_file(bundled_channel_path()).cross
+    return ChannelMatrix(K=5, direct=(h,) * 5, cross=cross)
 
 
 def fold_codewords_on_grid(codewords, gains, p):
@@ -36,25 +49,32 @@ def fold_codewords_on_grid(codewords, gains, p):
 
 class TestChannelMatrix:
     def test_rejects_non_integer_cross(self):
-        with pytest.raises(ValueError):
-            ChannelMatrix.from_rows([[0.7, 1.5], [2, 0.7]])
+        with pytest.raises(ValueError, match="not an int64 integer"):
+            ChannelMatrix(K=2, direct=(0.7, 0.7), cross=[[0, 1.5], [2.9, 0]])
+        with pytest.raises(ValueError, match="not an int64 integer"):
+            ChannelMatrix(K=2, direct=(0.7, 0.7), cross=np.array([[0, 2.5], [3.0, 0]]))
+
+    def test_rejects_non_int64_cross(self):
+        for bad in (10**23, 2**63, -(2**63) - 1, math.inf, "1", math.nan):
+            with pytest.raises(ValueError, match="not an int64 integer"):
+                ChannelMatrix(K=2, direct=(0.7, 0.7), cross=[[0, bad], [1, 0]])
 
     def test_accepts_integer_valued_floats(self):
-        H = ChannelMatrix.from_rows([[0.7, 2.0], [3, 0.7]])
-        assert H.cross[0, 1] == 2 and H.cross[1, 0] == 3
+        H = ChannelMatrix(K=2, direct=(0.7, 0.7), cross=[[0, 2.0], [3, 0]])
+        assert H.cross.dtype == np.int64 and H.cross.tolist() == [[0, 2], [3, 0]]
+        edges = [[0, 2**63 - 1], [Fraction(-(2**63)), 0]]
+        assert ChannelMatrix(K=2, direct=(0.7, 0.7), cross=edges).cross.tolist() == [
+            [0, 2**63 - 1],
+            [-(2**63), 0],
+        ]
 
     def test_requires_square(self):
         with pytest.raises(ValueError):
-            ChannelMatrix.from_rows([[0.7, 1], [2, 0.7], [1, 2]])
+            ChannelMatrix(K=2, direct=(0.7, 0.7), cross=[[0, 1], [2, 0], [1, 2]])
 
     def test_requires_k_at_least_two(self):
         with pytest.raises(ValueError):
             ChannelMatrix(K=1, direct=(0.7,), cross=np.zeros((1, 1), dtype=np.int64))
-
-    def test_as_float(self):
-        H = ChannelMatrix.from_rows([[Fraction(1, 2), 3], [4, 0.25]])
-        m = H.as_float()
-        assert m[0, 0] == 0.5 and m[0, 1] == 3.0 and m[1, 1] == 0.25
 
 
 class TestChannelParsing:
@@ -62,7 +82,9 @@ class TestChannelParsing:
         H = load_channel_file(bundled_channel_path())
         assert H.K == 5
         assert all(g == Fraction(707, 1000) for g in H.direct)
-        assert np.array_equal(H.cross, example_channel(0.707).cross)
+        assert H.cross.tolist() == BUNDLED_CROSS
+        other = load_channel_file(bundled_channel_path("channel5_h024.txt"))
+        assert other.direct == (Fraction(6, 25),) * 5 and other.cross.tolist() == BUNDLED_CROSS
 
     def test_decimal_diagonal_is_float(self):
         H = parse_channel_text("2\n0.707 1\n2 0.707\n")
@@ -73,6 +95,12 @@ class TestChannelParsing:
             parse_channel_text("2\n0.707 1/2\n2 0.707\n")
         with pytest.raises(ChannelFormatError):
             parse_channel_text("2\n0.707 1.5\n2 0.707\n")
+
+    def test_overflowing_cross_gain_rejected(self):
+        with pytest.raises(ChannelFormatError, match=r"h\[0\]\[1\]"):
+            parse_channel_text("2\n0.7 100000000000000000000000\n1 0.7\n")
+        H = parse_channel_text(f"2\n0.7 {2**63 - 1}\n{-(2**63)} 0.7\n")
+        assert H.cross.tolist() == [[0, 2**63 - 1], [-(2**63), 0]]
 
     def test_structure_errors(self):
         with pytest.raises(ChannelFormatError):
@@ -124,7 +152,7 @@ class TestAlignInterference:
     def test_matches_grid_fold_exactly(self):
         # codeword-domain route (grid ops) against the message-domain route
         code = sample_code(5, 8, 2, seed=3)
-        H = example_channel(SQRT2_OVER_2)
+        H = bundled_channel(SQRT2_OVER_2)
         rng = np.random.default_rng(17)
         for _ in range(20):
             W = rng.integers(0, 5, size=(5, 2))
@@ -157,7 +185,7 @@ class TestSimulateNetwork:
     def test_noiseless_errors_are_dependent_pairs_only(self):
         # at 200 dB every decodable (independent) pair is recovered; the only
         # per-receiver errors come from dependent (w_IF, w_j) draws
-        H = example_channel(SQRT2_OVER_2)
+        H = bundled_channel(SQRT2_OVER_2)
         code = sample_code(5, 8, 2, seed=1)
         trials, seed = 150, 9
         res = simulate_network(H, code, db_to_linear(200), trials, seed)
@@ -171,13 +199,13 @@ class TestSimulateNetwork:
         assert list(res.receiver_errors) == dep.tolist()
 
     def test_network_pe_bounds_receiver_pe(self):
-        H = example_channel(SQRT2_OVER_2)
+        H = bundled_channel(SQRT2_OVER_2)
         code = sample_code(5, 8, 2, seed=1)
         res = simulate_network(H, code, db_to_linear(18), trials=60, seed=4)
         assert res.network_p_e >= max(res.receiver_p_e)
 
     def test_deterministic_across_workers(self):
-        H = example_channel(SQRT2_OVER_2)
+        H = bundled_channel(SQRT2_OVER_2)
         code = sample_code(5, 8, 2, seed=1)
         a = simulate_network(H, code, db_to_linear(20), trials=40, seed=8)
         b = simulate_network(H, code, db_to_linear(20), trials=40, seed=8)
@@ -228,7 +256,7 @@ class TestSimulateNetwork:
 
     def test_negative_seed_rejected_before_decoding(self):
         with pytest.raises(ValueError, match="seed"):
-            simulate_network(example_channel(0.3), sample_code(5, 8, 2, seed=1), 10.0, 5, -1)
+            simulate_network(bundled_channel(0.3), sample_code(5, 8, 2, seed=1), 10.0, 5, -1)
 
 
 class TestSumRateCurves:
@@ -250,13 +278,13 @@ class TestSumRateCurves:
         assert small < big
 
     def test_alignment_beats_time_sharing_at_high_snr(self):
-        H = example_channel(SQRT2_OVER_2)
+        H = bundled_channel(SQRT2_OVER_2)
         rows = sum_rate_curves(H, [10.0, 60.0])
         low, high = rows[0], rows[1]
         assert low[1] == 0.0 and low[2] > 0.0  # below threshold: ts wins
         assert high[1] > high[2]  # beyond it: alignment wins
 
     def test_benchmark_column(self):
-        H = example_channel(0.3)
+        H = bundled_channel(0.3)
         (row,) = sum_rate_curves(H, [30.0])
         assert row[3] == pytest.approx(2.5 * 0.5 * math.log2(1 + 1.09 * 1e3))

@@ -176,8 +176,9 @@ class TestTheorem2:
         assert theorem2_sym_rate(H, 1e10).rate == 0.0
 
     def test_rejects_non_integer_cross(self):
+        # a channel with a non-integer cross gain never reaches the rate
         with pytest.raises(ValueError):
-            theorem2_sym_rate([[0.7, 1.5], [2, 0.7]], 1e4)
+            theorem2_sym_rate(ChannelMatrix(K=2, direct=(0.7, 0.7), cross=[[0, 1.5], [2, 0]]), 1e4)
 
     def test_min_over_receivers(self):
         cross = np.array([[0, 1], [1, 0]], dtype=np.int64)
