@@ -107,6 +107,8 @@ def delta(p: int, gamma: Gain):
     g = float(gamma)
     if not math.isfinite(g):
         raise ValueError("gamma must be finite")
+    # delta is 1-periodic in gamma and fmod is exact, so l * g cannot overflow
+    g = math.fmod(g, 1.0)
     l = np.arange(1, p, dtype=float)
     v = l * g
     return float(np.abs(v - np.rint(v)).min())

@@ -211,7 +211,7 @@ def simulate_network(
         if not has_interference[j]
     }
     diag = np.asarray([float(g) for g in H.direct])
-    cross = H.cross.astype(float)
+    cross = H.cross % p  # integer gains act on the grid only mod p
 
     errors, ambiguous = [0] * K, [0] * K
     network_errors = 0
@@ -227,11 +227,10 @@ def simulate_network(
                 rng_j = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, 1 + j)))
                 z[b, j] = rng_j.normal(0.0, sigma, size=n)
         sent = book.rows(W)
-        x = book.reals[sent]
-        # one vector-matrix product per (trial, receiver), a_jj = 0 keeping the
-        # desired term out: stacked products would round differently
-        interference = np.array([[cross[j] @ x[b] for j in range(K)] for b in range(len(block))])
-        y = mod_interval(diag[:, None] * x + interference + z)
+        # each receiver's interference folded on residues (a_jj = 0 keeps the
+        # desired message out): the codeword of sum_k a_jk w_k mod p
+        aligned = book.rows(cross @ W % p)
+        y = mod_interval(book.reals[aligned] + diag[:, None] * book.reals[sent] + z)
         failed = np.zeros(len(block), dtype=bool)
         for j in range(K):
             if has_interference[j]:

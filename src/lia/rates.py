@@ -31,9 +31,10 @@ and falls after it.  So on the primes in [p_s, p_e] of one step, W >= L with
     L = max(sqrt(1/p_e^2 + sq + min(f(p_s), f(p_e)) + tail), 1/p_e + sq/delta + tail)
 
 (for several gains, the max of their L on segments split at every gain's
-steps).  With U the smallest W seen at an interval's last prime, intervals
-with L > U (1 + 1e-12) are dropped, long ones split and bounded again, and
-the primes of short ones evaluated in one batch.  The slack, thousands of
+steps).  Each step is bounded once: with U the smallest W at any step's
+last prime, steps with L > U (1 + 1e-12) are dropped and the primes of the
+rest evaluated in one batch.  L bounds every prime of its step, so the
+winner's step is always kept; at worst every step is.  The slack, thousands of
 ulps, covers the rounding of L, U (math.exp and np.exp may differ in the
 last place) and log2, so every prime whose float rate ties the maximum is
 evaluated: ties still go to the smallest prime.  delta = 0 steps score 0.
@@ -115,7 +116,8 @@ def _omega_arrays(pf, dlt, snr: float):
     """Vectorized (omega_a, omega_b) over a prime array (pf float, dlt = delta)."""
     tail = 2.0 * math.exp(-0.375 * snr)
     sq = math.sqrt(2.0 * math.pi / (3.0 * snr))
-    with np.errstate(divide="ignore", invalid="ignore"):  # delta = 0
+    # delta = 0, or so small (subnormal) that sq / delta overflows: omega_b = inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         oa = pf**-2 + sq + _f_term(pf, dlt, snr) + tail
         ob = np.where(dlt > 0.0, 1.0 / pf + sq / np.where(dlt > 0.0, dlt, 1.0) + tail, np.inf)
     return oa, ob
@@ -156,58 +158,37 @@ def rate_for_p(p: int, gamma: Gain, snr: float) -> float:
 
 # Relative slack on the pruning bound: thousands of ulps (module docstring).
 _PRUNE_SLACK = 1e-12
-# A surviving interval of fewer than _LEAF primes is evaluated prime by prime;
-# a longer one is split into _SPLIT pieces.  On small arrays a numpy call
-# costs as much as the omega terms of tens of primes, so both constants
-# trade extra evaluations for fewer calls (chosen by timing the sweep and
-# power-time grids).
+# At most _LEAF admissible primes are all evaluated: on small arrays a numpy
+# call costs as much as the omega terms of tens of primes, so bounding them
+# costs more than it saves (chosen by timing the sweep and power-time grids).
 _LEAF = 128
-_SPLIT = 32
-
-
-def _interval_bounds(primes, s, e, dl, snr: float):
-    """Per interval primes[s..e], L and W at its last prime; dl is each
-    gain's delta on each interval (gains x intervals)."""
-    ps = primes[s].astype(float)
-    pe = primes[e].astype(float)
-    tail = 2.0 * math.exp(-0.375 * snr)
-    sq = math.sqrt(2.0 * math.pi / (3.0 * snr))
-    fe = _f_term(pe, dl, snr)
-    head = pe**-2 + sq
-    wb = 1.0 / pe + sq / dl + tail
-    bound = np.maximum(np.sqrt(head + np.minimum(_f_term(ps, dl, snr), fe) + tail), wb)
-    at_end = np.maximum(np.sqrt(head + fe + tail), wb)
-    return bound.max(axis=0), at_end.max(axis=0)
 
 
 def _candidates(primes, gains, snr: float) -> np.ndarray:
-    """The primes (ascending, admissible for every gain) that L keeps."""
+    """The primes (ascending, admissible for every gain) of the steps that L keeps."""
     if primes.size <= _LEAF:
         return primes
-    # segments on which every gain's delta is constant (steps that hold no
-    # prime leave empty ones); delta = 0 scores 0
+    # segments on which every gain's delta is constant, covering primes in
+    # order (steps that hold no prime leave empty ones); delta = 0 scores 0
     s = np.sort(np.concatenate([delta_step_starts(g, primes) for g in gains]))
     s = s[s < primes.size]
     e = np.concatenate((s[1:], [primes.size])) - 1
     dl = np.array([delta_for_primes(g, primes[s]) for g in gains])
     live = (e >= s) & (dl > 0.0).all(axis=0)
-    s, e, dl = s[live], e[live], dl[:, live]
-    best = math.inf  # the smallest W seen at an interval's last prime
-    leaves = [s[:0]]  # empty, so the concatenation below works with no live segment
-    while s.size:
-        bound, at_end = _interval_bounds(primes, s, e, dl, snr)
-        best = min(best, at_end.min())
-        keep = bound <= best * (1.0 + _PRUNE_SLACK)
-        long = keep & (e - s >= _LEAF)
-        short = keep & ~long
-        offsets = s[short, None] + np.arange(_LEAF)
-        leaves.append(offsets[offsets <= e[short, None]])
-        if not long.any():
-            break
-        s, e, dl = s[long], e[long], dl[:, long]
-        cuts = s[:, None] + ((e - s + 1)[:, None] * np.arange(_SPLIT + 1)) // _SPLIT
-        s, e, dl = cuts[:, :-1].ravel(), cuts[:, 1:].ravel() - 1, np.repeat(dl, _SPLIT, axis=1)
-    return primes[np.sort(np.concatenate(leaves))]
+    dl = dl[:, live]
+    ps = primes[s[live]].astype(float)
+    pe = primes[e[live]].astype(float)
+    tail = 2.0 * math.exp(-0.375 * snr)
+    sq = math.sqrt(2.0 * math.pi / (3.0 * snr))
+    fe = _f_term(pe, dl, snr)
+    head = pe**-2 + sq
+    with np.errstate(over="ignore"):  # a subnormal delta bounds W by inf
+        wb = 1.0 / pe + sq / dl + tail
+    bound = np.maximum(np.sqrt(head + np.minimum(_f_term(ps, dl, snr), fe) + tail), wb).max(axis=0)
+    at_end = np.maximum(np.sqrt(head + fe + tail), wb).max(axis=0)
+    keep = np.zeros(s.size, dtype=bool)
+    keep[live] = bound <= at_end.min(initial=math.inf) * (1.0 + _PRUNE_SLACK)
+    return primes[np.repeat(keep, e - s + 1)]
 
 
 def _best_prime(gains, snr: float, p_max: Optional[int]) -> RatePoint:

@@ -123,6 +123,15 @@ class TestDelta:
         values = [delta(p, g) for p in SMALL_PRIMES]
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("g", [1e308, -3.0 * 2.0**1000, 2.0**40 + 0.1, 1.7])
+    def test_huge_float_gain_reduces_exactly(self, g):
+        # l * g would overflow or drop the fractional part; delta is 1-periodic
+        for p in (3, 5, 11):
+            assert delta(p, g) == pytest.approx(float(delta(p, Fraction(g))), abs=1e-15)
+        # not 1/2-periodic: only the reduction mod 1 is exact
+        assert delta(3, 0.1) == pytest.approx(0.1) and delta(3, 0.6) == pytest.approx(0.2)
+
     def test_rational_annihilation_exact(self):
         # exact-path iff statement: delta(p, r/q) == 0 exactly when p > q
         rng = np.random.default_rng(5)

@@ -254,6 +254,20 @@ class TestSimulateNetwork:
         noisy = simulate_network(H, sample_code(3, 4, 2, seed=1), db_to_linear(10), 50, 2)
         assert all(0 <= a <= e for a, e in zip(noisy.receiver_ambiguous, noisy.receiver_errors))
 
+    def test_huge_cross_gain_aligns_like_its_residue(self):
+        # a cross gain acts on the grid only mod p: 2**60 + 3 = 3 (mod 5), and
+        # at 200 dB receiver 1's errors are exactly its dependent draws
+        code = sample_code(5, 8, 2, seed=1)
+        results = [
+            simulate_network(
+                ChannelMatrix(K=2, direct=(SQRT2_OVER_2,) * 2, cross=[[0, g], [1, 0]]),
+                code, db_to_linear(200), 200, 9,
+            )
+            for g in (3, 2**60 + 3)
+        ]
+        assert results[0] == results[1]
+        assert results[0].receiver_errors[1] == 38
+
     def test_negative_seed_rejected_before_decoding(self):
         with pytest.raises(ValueError, match="seed"):
             simulate_network(bundled_channel(0.3), sample_code(5, 8, 2, seed=1), 10.0, 5, -1)

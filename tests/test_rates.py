@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from lia import diophantine
@@ -62,6 +63,13 @@ class TestOmegaBreakdown:
         bd = omega_breakdown(5, Fraction(1, 3), 100.0)
         assert math.isinf(bd.omega_b)
         assert bd.omega_d >= bd.omega_b or math.isinf(bd.omega_d)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_float_gain_is_an_integer(self):
+        # 1e308 is an integer: delta = 0, so omega_a = 1/p^2 + sq + 1/p + tail
+        bd = omega_breakdown(5, 1e308, 1e4)
+        assert bd.omega_a == pytest.approx(1 / 25 + math.sqrt(2 * math.pi / 3e4) + 1 / 5)
+        assert math.isinf(bd.omega_b)
 
     def test_all_terms_positive(self):
         bd = omega_breakdown(11, 0.37, 50.0)
@@ -334,6 +342,33 @@ class TestPrunedSearch:
         assert got.p_star == 3
         assert got.rate == rate_for_p(3, 0.25, snr) > 0.0
         assert got.breakdown == omega_breakdown(3, 0.25, snr)
+
+
+# plain floats, and gains whose delta steps are long: floats near 0 and 1/2,
+# and fractions (delta is 0 past the denominator)
+SEARCH_GAINS = st.one_of(
+    st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    st.builds(lambda c, d: c + d, st.sampled_from([0.0, 0.5, -0.5]), st.floats(-1e-6, 1e-6)),
+    st.fractions(min_value=-1, max_value=1, max_denominator=10**5),
+)
+SEARCH_SNRS = st.floats(0.0, 250.0).map(db_to_linear)
+SEARCH_P_MAX = st.sampled_from([None, PRIME_SEARCH_CAP])
+
+
+class TestSinglePassSearch:
+    """Random gains, SNRs and bounds: the search against the full scan of
+    ``oracles.best_prime_oracle``, whole RatePoints."""
+
+    @given(SEARCH_GAINS, SEARCH_SNRS, SEARCH_P_MAX)
+    def test_theorem1_matches_full_scan(self, gamma, snr, p_max):
+        assert theorem1_rate(gamma, snr, p_max) == oracles.best_prime_oracle([gamma], snr, p_max)
+
+    @given(st.lists(SEARCH_GAINS, min_size=2, max_size=4), SEARCH_SNRS, SEARCH_P_MAX)
+    def test_theorem2_matches_full_scan(self, direct, snr, p_max):
+        K = len(direct)
+        H = ChannelMatrix(K=K, direct=tuple(direct), cross=1 - np.eye(K, dtype=np.int64))
+        want = oracles.best_prime_oracle(list(dict.fromkeys(direct)), snr, p_max)
+        assert theorem2_sym_rate(H, snr, p_max) == want
 
 
 class TestBaselines:
