@@ -5,13 +5,9 @@ from .codes import (
     Codebook,
     Codeword,
     LinearCode,
-    code_from_text,
-    code_to_text,
     encode,
-    load_code,
     messages_dependent,
     sample_code,
-    save_code,
 )
 from .diophantine import (
     Gain,
@@ -23,7 +19,6 @@ from .diophantine import (
 )
 from .macsim import (
     AMBIGUOUS,
-    MacConfig,
     PairDecoder,
     SimResult,
     estimate_error_prob,

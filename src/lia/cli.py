@@ -172,10 +172,8 @@ def _cmd_sweep(args) -> str:
 def _cmd_mac_sim(args) -> str:
     gamma = parse_gain(args.gamma)
     code = codes.sample_code(args.p, args.n, args.k, args.code_seed)
-    cfg = macsim.MacConfig(
-        gamma=gamma, snr=db_to_linear(args.snr_db), trials=args.trials, seed=args.seed
-    )
-    result = macsim.estimate_error_prob(code, cfg)
+    snr = db_to_linear(args.snr_db)
+    result = macsim.estimate_error_prob(code, gamma, snr, args.trials, args.seed)
     line = (
         f"mac-sim --gamma {args.gamma} --snr-db {_fmt(args.snr_db)} --p {args.p}"
         f" --n {args.n} --k {args.k} --trials {args.trials} --seed {args.seed}"

@@ -151,36 +151,3 @@ def messages_dependent(w1, w2, p: int) -> bool:
     c = int(b[i]) * pow(int(a[i]), p - 2, p) % p
     return bool(np.all((c * a - b) % p == 0))
 
-
-def code_to_text(code: LinearCode) -> str:
-    """Serialize: header "p n k seed", then k rows of n residues."""
-    seed = "-" if code.seed is None else str(code.seed)
-    lines = [f"{code.p} {code.n} {code.k} {seed}"]
-    for row in code.generator:
-        lines.append(" ".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def code_from_text(text: str) -> LinearCode:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty code text")
-    head = lines[0].split()
-    if len(head) != 4:
-        raise ValueError(f"bad code header: {lines[0]!r}")
-    p, n, k = int(head[0]), int(head[1]), int(head[2])
-    seed = None if head[3] == "-" else int(head[3])
-    if len(lines) != 1 + k:
-        raise ValueError(f"expected {k} generator rows, got {len(lines) - 1}")
-    g = np.asarray([[int(v) for v in ln.split()] for ln in lines[1:]], dtype=np.int64)
-    return LinearCode(p=p, n=n, k=k, generator=g, seed=seed)
-
-
-def save_code(code: LinearCode, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(code_to_text(code))
-
-
-def load_code(path) -> LinearCode:
-    with open(path, "r", encoding="ascii") as fh:
-        return code_from_text(fh.read())

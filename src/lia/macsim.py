@@ -30,6 +30,7 @@ from .codes import Codebook, Codeword, LinearCode
 from .codes import encode  # noqa: F401
 from .diophantine import Gain
 from .modarith import grid_real, mod_interval
+from .rates import _require_positive_snr
 
 DECODER_TABLE_BYTES_CAP = 2**28  # bound on PairDecoder's arrays plus one block decode's temporaries
 _RESCORE_ROWS = 4096  # near-tie candidates re-scored per chunk
@@ -48,20 +49,14 @@ class _Ambiguous:
 AMBIGUOUS = _Ambiguous()
 
 
-@dataclass(frozen=True)
-class MacConfig:
-    gamma: Gain
-    snr: float  # linear
-    trials: int
-    seed: int
-
-    def __post_init__(self):
-        if not (self.snr > 0 and math.isfinite(self.snr)):
-            raise ValueError("snr must be positive and finite (linear scale)")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+def check_run(snr: float, trials: int, seed: int) -> None:
+    """The run check of both simulators, estimate_error_prob and
+    network.simulate_network: each calls it before it builds anything."""
+    _require_positive_snr(snr)
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -297,21 +292,24 @@ class PairDecoder:
         return self.psi[self.book.residues[rows], self.book.residues[cols]]
 
 
-def estimate_error_prob(code: LinearCode, cfg: MacConfig) -> SimResult:
-    """Monte Carlo estimate of the ordered-pair error probability.
+def estimate_error_prob(
+    code: LinearCode, gamma: Gain, snr: float, trials: int, seed: int
+) -> SimResult:
+    """Monte Carlo estimate of the ordered-pair error probability at linear SNR.
 
     A trial errs when the drawn messages are linearly dependent, when the
     decoder is ambiguous, or when the decoded ordered pair differs from the
-    transmitted one.  Deterministic in cfg.seed.
+    transmitted one.  Deterministic in seed.
     """
-    decoder = PairDecoder(code, cfg.gamma)
+    check_run(snr, trials, seed)
+    decoder = PairDecoder(code, gamma)
     book = decoder.book
-    gamma_f = float(cfg.gamma)
-    sigma = math.sqrt(1.0 / cfg.snr)
+    gamma_f = float(gamma)
+    sigma = math.sqrt(1.0 / snr)
     dependent = errors_independent = ambiguous = 0
-    for block in _blocks(cfg.trials, decoder.block_rows):
+    for block in _blocks(trials, decoder.block_rows):
         rngs = [
-            np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(t,)))
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
             for t in block
         ]
         # w1 then w2 from each trial's substream, as in a per-trial loop
@@ -329,10 +327,10 @@ def estimate_error_prob(code: LinearCode, cfg: MacConfig) -> SimResult:
         errors_independent += int(np.count_nonzero(decided != sent[:, 0] * len(book) + sent[:, 1]))
     errors = dependent + errors_independent
     return SimResult(
-        trials=cfg.trials,
+        trials=trials,
         errors=errors,
-        p_e=errors / cfg.trials,
-        ci95=wilson_interval(errors, cfg.trials),
+        p_e=errors / trials,
+        ci95=wilson_interval(errors, trials),
         dependent=dependent,
         errors_independent=errors_independent,
         ambiguous=ambiguous,

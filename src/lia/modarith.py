@@ -18,23 +18,13 @@ HALF_L = L / 2.0
 
 
 def mod_interval(x):
-    """Reduce a finite scalar or array into [-L/2, L/2).
+    """Reduce a finite scalar or array into [-L/2, L/2), elementwise.
 
-    Returns x - m*L with m the unique integer placing the result in the
-    half-open interval.  Idempotent: values already inside come back
-    unchanged bit for bit.
+    Returns x - m*L with m the unique integer placing each value in the
+    half-open interval, as an array (0-d for a scalar).  Idempotent: values
+    already inside come back unchanged bit for bit.  Refuses non-finite
+    values.
     """
-    if np.ndim(x) == 0:
-        xf = float(x)
-        if not math.isfinite(xf):
-            raise ValueError(f"mod_interval requires a finite value, got {x!r}")
-        r = xf - L * math.floor(xf / L + 0.5)
-        # guard the half-open boundary against rounding in the fold above
-        if r >= HALF_L:
-            r -= L
-        elif r < -HALF_L:
-            r += L
-        return r
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("mod_interval requires finite values")

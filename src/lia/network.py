@@ -11,7 +11,8 @@ interference-sum estimate alone does not count against the scheme.
 The simulation runs on macsim's block trial engine: every trial draws from
 its own seed substreams, and each receiver decodes a whole block of trials
 with one PairDecoder.decode_many call (or, when it hears no interferer, one
-nearest-codeword pass over the block).
+nearest-codeword pass over the block), after macsim.check_run has accepted
+its linear SNR, trial count and seed.
 
 Channel files: first line K, then K whitespace-separated rows.  Diagonal
 entries may be "a/b" fractions or decimals; off-diagonal entries must parse
@@ -30,7 +31,7 @@ import numpy as np
 
 from .codes import Codebook, Codeword, LinearCode, encode
 from .diophantine import Gain, parse_gain
-from .macsim import PairDecoder, _block_rows, _blocks, _nearest_rows, wilson_interval
+from .macsim import PairDecoder, _block_rows, _blocks, _nearest_rows, check_run, wilson_interval
 from .modarith import mod_interval
 from .rates import db_to_linear, dof_benchmark, theorem2_sym_rate, time_sharing_sum_rate
 
@@ -188,12 +189,7 @@ def simulate_network(
     its decoded desired message differs from w_j (ambiguity included).
     Trials are decoded in blocks, with the decisions of decoding each alone.
     """
-    if not (snr > 0 and math.isfinite(snr)):
-        raise ValueError("snr must be positive and finite")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    check_run(snr, trials, seed)
     K, p, n = H.K, code.p, code.n
     sigma = math.sqrt(1.0 / snr)
     # A receiver with no interferers faces a point-to-point channel: there is

@@ -96,9 +96,6 @@ class Schedule:
     steps: tuple[DecodeStep, ...]
 
 
-ALIGNMENT_TOL = 1e-12
-
-
 def build_schedule(H) -> Schedule:
     """Construct the canonical schedule; rejects a violated gain ordering."""
     H = np.asarray(H, dtype=float)
@@ -110,47 +107,47 @@ def build_schedule(H) -> Schedule:
         if not H[r1, c1] >= H[r2, c2]:
             raise GainOrderingError(name, H[r1, c1], H[r2, c2])
 
-    scalings = (1.0 / H[0, 1], 1.0 / H[1, 2], 1.0 / H[2, 0])
-    ht = np.vstack([H[0] / H[0, 1], H[1] / H[1, 2], H[2] / H[2, 0]])
-    # x/x == 1.0 exactly in IEEE arithmetic, but assert the alignment anyway
-    for j, k in ((0, 1), (1, 2), (2, 0)):
-        if abs(ht[j, k] - 1.0) > ALIGNMENT_TOL:
-            raise AssertionError("receiver scaling failed to produce a unit gain")
+    # scaled gains can overflow (or 0 * inf give NaN); refused below, not warned
+    with np.errstate(all="ignore"):
+        scalings = (1.0 / H[0, 1], 1.0 / H[1, 2], 1.0 / H[2, 0])
+        ht = np.vstack([H[0] / H[0, 1], H[1] / H[1, 2], H[2] / H[2, 0]])
 
-    alpha3 = 1.0 / ht[0, 2]
-    alpha1 = 1.0 / ht[1, 0]
-    alpha2 = 1.0 / ht[2, 1]
+        alpha3 = 1.0 / ht[0, 2]
+        alpha1 = 1.0 / ht[1, 0]
+        alpha2 = 1.0 / ht[2, 1]
 
-    def scaled(col: int, alpha: float, aligned_row: int) -> np.ndarray:
-        m = ht.copy()
-        m[:, col] *= alpha
-        if abs(m[aligned_row, col] - 1.0) > ALIGNMENT_TOL:
-            raise AssertionError("power back-off failed to align the interferer")
-        m[aligned_row, col] = 1.0  # exact by construction, pin the float
-        return m
+        def scaled(col: int, alpha: float, aligned_row: int) -> np.ndarray:
+            m = ht.copy()
+            m[:, col] *= alpha
+            m[aligned_row, col] = 1.0  # x * (1/x) is one to a few ulps; pin the float
+            return m
 
-    ht1 = scaled(2, alpha3, 0)
-    ht2 = scaled(0, alpha1, 1)
-    ht3 = scaled(1, alpha2, 2)
-    ht4 = ht.copy()
+        ht1 = scaled(2, alpha3, 0)
+        ht2 = scaled(0, alpha1, 1)
+        ht3 = scaled(1, alpha2, 2)
+        ht4 = ht.copy()
 
-    steps = (
-        # data frames: receiver t sees its interferers perfectly aligned
-        _make_step(1, 1, "frame1 aligned decode at rx1", ht1[0, 0], 1.0),
-        _make_step(2, 2, "frame2 aligned decode at rx2", ht2[1, 1], 1.0),
-        _make_step(3, 3, "frame3 aligned decode at rx3", ht3[2, 2], 1.0),
-        # repeat frame: subtract the own known codeword, decode the other two
-        _make_step(4, 1, "frame4 MAC at rx1 (users 2,3)", ht4[0, 1], ht4[0, 2]),
-        _make_step(4, 2, "frame4 MAC at rx2 (users 1,3)", ht4[1, 0], ht4[1, 2]),
-        _make_step(4, 3, "frame4 MAC at rx3 (users 1,2)", ht4[2, 0], ht4[2, 1]),
-        # residual frames: strip the interferer learned in frame 4
-        _make_step(2, 1, "frame2 residual at rx1", ht2[0, 0], ht2[0, 2]),
-        _make_step(3, 1, "frame3 residual at rx1", ht3[0, 0], ht3[0, 1]),
-        _make_step(1, 2, "frame1 residual at rx2", ht1[1, 1], ht1[1, 2]),
-        _make_step(3, 2, "frame3 residual at rx2", ht3[1, 0], ht3[1, 1]),
-        _make_step(1, 3, "frame1 residual at rx3", ht1[2, 1], ht1[2, 2]),
-        _make_step(2, 3, "frame2 residual at rx3", ht2[2, 0], ht2[2, 2]),
-    )
+        steps = (
+            # data frames: receiver t sees its interferers perfectly aligned
+            _make_step(1, 1, "frame1 aligned decode at rx1", ht1[0, 0], 1.0),
+            _make_step(2, 2, "frame2 aligned decode at rx2", ht2[1, 1], 1.0),
+            _make_step(3, 3, "frame3 aligned decode at rx3", ht3[2, 2], 1.0),
+            # repeat frame: subtract the own known codeword, decode the other two
+            _make_step(4, 1, "frame4 MAC at rx1 (users 2,3)", ht4[0, 1], ht4[0, 2]),
+            _make_step(4, 2, "frame4 MAC at rx2 (users 1,3)", ht4[1, 0], ht4[1, 2]),
+            _make_step(4, 3, "frame4 MAC at rx3 (users 1,2)", ht4[2, 0], ht4[2, 1]),
+            # residual frames: strip the interferer learned in frame 4
+            _make_step(2, 1, "frame2 residual at rx1", ht2[0, 0], ht2[0, 2]),
+            _make_step(3, 1, "frame3 residual at rx1", ht3[0, 0], ht3[0, 1]),
+            _make_step(1, 2, "frame1 residual at rx2", ht1[1, 1], ht1[1, 2]),
+            _make_step(3, 2, "frame3 residual at rx2", ht3[1, 0], ht3[1, 1]),
+            _make_step(1, 3, "frame1 residual at rx3", ht1[2, 1], ht1[2, 2]),
+            _make_step(2, 3, "frame2 residual at rx3", ht2[2, 0], ht2[2, 2]),
+        )
+    for step in steps:
+        if not (math.isfinite(step.gamma_eff) and 0.0 < step.snr_mult < math.inf):
+            gains = f"gamma_eff={step.gamma_eff:.6g}, snr_mult={step.snr_mult:.6g}"
+            raise ValueError(f"power-time schedule is not finite at '{step.label}' ({gains})")
     for m in (ht, ht1, ht2, ht3, ht4):
         m.setflags(write=False)
     return Schedule(

@@ -280,7 +280,10 @@ def dof_benchmark(K: int, h: Gain, snr: float) -> float:
     if K < 1:
         raise ValueError("K must be at least 1")
     hf = float(h)
-    return (K / 2.0) * 0.5 * math.log2(1.0 + (1.0 + hf * hf) * snr)
+    power = (1.0 + hf * hf) * snr
+    if math.isinf(power):  # 1 + power rounds to power long before this overflows
+        return (K / 2.0) * 0.5 * (math.log2(snr) + 2.0 * math.log2(math.hypot(1.0, hf)))
+    return (K / 2.0) * 0.5 * math.log2(1.0 + power)
 
 
 def dof_ratio(gamma: Gain, snr: float, p_max: Optional[int] = None) -> tuple[float, float]:

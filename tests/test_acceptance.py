@@ -115,8 +115,7 @@ def test_criterion_05_noiseless_simulator_floor():
     the Wilson 95% interval of 5000 trials contains 11/27."""
     start = time.monotonic()
     code = lia.sample_code(3, 8, 2, seed=7)
-    cfg = lia.MacConfig(gamma=SQRT2_OVER_2, snr=db_to_linear(200), trials=5000, seed=11)
-    res = lia.estimate_error_prob(code, cfg)
+    res = lia.estimate_error_prob(code, SQRT2_OVER_2, db_to_linear(200), 5000, 11)
     floor = float(lia.dependent_message_prob(3, 2))
     assert res.ci95[0] <= floor <= res.ci95[1]
     elapsed = time.monotonic() - start
@@ -139,8 +138,7 @@ def test_criterion_06_error_probability_trend():
     cond = []
     for n in (32, 64, 128):
         code = lia.sample_code(5, n, 2, seed=3)
-        cfg = lia.MacConfig(gamma=SQRT2_OVER_2, snr=snr, trials=2000, seed=5)
-        res = lia.estimate_error_prob(code, cfg)
+        res = lia.estimate_error_prob(code, SQRT2_OVER_2, snr, 2000, 5)
         independent = res.trials - res.dependent
         assert independent > 0
         cond.append(res.errors_independent / independent)

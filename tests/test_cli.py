@@ -285,6 +285,13 @@ class TestNetwork:
         assert lines[1] == "snr_db,sum_rate_ia,sum_rate_ts,sum_rate_bench"
         assert len(lines) == 4
 
+    def test_benchmark_finite_for_a_huge_direct_gain(self, capsys, tmp_path):
+        path = tmp_path / "huge2.txt"
+        path.write_text("2\n1e200 1\n1 0.5\n")
+        code, out, _ = run_cli(capsys, "network", "--channel", str(path), "--snr-db", "20")
+        assert code == EXIT_OK
+        assert out.splitlines()[2].split(",")[3] == "667.707547"
+
     def test_simulation_rows(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -406,6 +413,14 @@ class TestPowerTime:
         code, _, err = run_cli(capsys, "power-time", "--channel", str(path), "--snr-db", "100")
         assert code == EXIT_PRECONDITION and "h13 >= h12" in err
 
+    def test_overflowing_schedule_exit_4(self, capsys, tmp_path):
+        # meets the gain ordering, but 1e200 / 1e-200 overflows the scaled gains
+        path = tmp_path / "huge3.txt"
+        path.write_text("3\n1 1e-200 1e200\n1 1 1\n1 1 1\n")
+        code, out, err = run_cli(capsys, "power-time", "--channel", str(path), "--snr-db", "40")
+        assert code == EXIT_PRECONDITION and not out
+        assert "schedule is not finite" in err
+
     def test_wrong_k_exit_3(self, capsys, tmp_path):
         path = tmp_path / "k5.txt"
         path.write_text("2\n1 2\n3 4\n")
@@ -479,6 +494,21 @@ class TestValueGrid:
 
 
 class TestGlobalBehavior:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mac-sim", "--gamma", "0.3"),
+            ("network", "--channel", CHANNEL5, "--simulate"),
+        ],
+        ids=["mac-sim", "network"],
+    )
+    def test_underflowing_snr_refused_by_the_run_check(self, capsys, argv):
+        code, out, err = run_cli(
+            capsys, *argv, "--snr-db=-4000", "--p", "3", "--n", "4", "--k", "2", "--trials", "2"
+        )
+        assert code == EXIT_PRECONDITION and not out
+        assert err == "lia: snr must be positive and finite, got 0.0\n"
+
     def test_unknown_flag_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "rate", "--gamma", "0.4", "--snr-db", "20", "--bogus")
         assert code == EXIT_USAGE

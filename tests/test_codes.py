@@ -11,13 +11,9 @@ from lia.codes import (
     Codebook,
     Codeword,
     LinearCode,
-    code_from_text,
-    code_to_text,
     encode,
-    load_code,
     messages_dependent,
     sample_code,
-    save_code,
 )
 from lia.modarith import L, mod_interval
 
@@ -276,37 +272,6 @@ class TestEnsembleStatistics:
         expected = total / p
         stat = float(((counts - expected) ** 2 / expected).sum())
         assert stat < chi2.ppf(0.99, df=p - 1)
-
-
-class TestSerialization:
-    def test_round_trip_exact(self):
-        code = sample_code(5, 7, 3, seed=99)
-        back = code_from_text(code_to_text(code))
-        assert (back.p, back.n, back.k, back.seed) == (5, 7, 3, 99)
-        assert np.array_equal(back.generator, code.generator)
-
-    def test_header_format(self):
-        code = sample_code(3, 4, 2, seed=17)
-        first = code_to_text(code).splitlines()[0]
-        assert first == "3 4 2 17"
-
-    def test_none_seed_round_trips(self):
-        code = LinearCode(p=3, n=2, k=1, generator=np.array([[1, 2]]))
-        back = code_from_text(code_to_text(code))
-        assert back.seed is None and np.array_equal(back.generator, code.generator)
-
-    def test_file_round_trip(self, tmp_path):
-        code = sample_code(7, 5, 2, seed=3)
-        path = tmp_path / "code.txt"
-        save_code(code, path)
-        back = load_code(path)
-        assert np.array_equal(back.generator, code.generator)
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
-            code_from_text("3 4\n0 1 2 0\n")
-        with pytest.raises(ValueError):
-            code_from_text("")
 
 
 def test_codeword_grid_point_access():

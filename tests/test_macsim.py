@@ -10,15 +10,16 @@ from lia.codes import LinearCode, encode, messages_dependent, sample_code
 from lia.macsim import (
     AMBIGUOUS,
     DECODER_TABLE_BYTES_CAP,
-    MacConfig,
     PairDecoder,
     _block_rows,
     _decoder_bytes,
+    check_run,
     estimate_error_prob,
     mod_mac_channel,
     wilson_interval,
 )
 from lia.modarith import L, mod_interval
+from lia.network import ChannelMatrix, simulate_network
 from lia.rates import db_to_linear, dependent_message_prob
 from oracles import (
     ENGINE_SHAPES,
@@ -271,27 +272,26 @@ class TestPairDecoder:
 class TestEstimateErrorProb:
     def test_deterministic_across_workers(self):
         code = sample_code(3, 8, 2, seed=7)
-        cfg = MacConfig(gamma=SQRT2_OVER_2, snr=db_to_linear(14), trials=300, seed=21)
-        r1 = estimate_error_prob(code, cfg)
-        r2 = estimate_error_prob(code, cfg)
+        r1 = estimate_error_prob(code, SQRT2_OVER_2, db_to_linear(14), 300, 21)
+        r2 = estimate_error_prob(code, SQRT2_OVER_2, db_to_linear(14), 300, 21)
         assert r1 == r2
 
     def test_single_trial_reproducible(self):
         code = sample_code(3, 8, 2, seed=7)
-        cfg = MacConfig(gamma=SQRT2_OVER_2, snr=100.0, trials=1, seed=0)
-        assert estimate_error_prob(code, cfg) == estimate_error_prob(code, cfg)
+        run = (code, SQRT2_OVER_2, 100.0, 1, 0)
+        assert estimate_error_prob(*run) == estimate_error_prob(*run)
 
     def test_noiseless_errors_are_exactly_dependent_draws(self):
         code = sample_code(3, 8, 2, seed=7)
-        cfg = MacConfig(gamma=SQRT2_OVER_2, snr=db_to_linear(200), trials=1000, seed=13)
-        res = estimate_error_prob(code, cfg)
+        trials = 1000
+        res = estimate_error_prob(code, SQRT2_OVER_2, db_to_linear(200), trials, 13)
         assert res.errors_independent == 0
         assert res.errors == res.dependent
         floor = float(dependent_message_prob(3, 2))
         assert res.ci95[0] <= floor <= res.ci95[1]
         # oracle: replay the message substreams and count dependent draws
         dep = 0
-        for t in range(cfg.trials):
+        for t in range(trials):
             rng = np.random.default_rng(np.random.SeedSequence(13, spawn_key=(t,)))
             w1 = rng.integers(0, 3, size=2)
             w2 = rng.integers(0, 3, size=2)
@@ -300,8 +300,7 @@ class TestEstimateErrorProb:
 
     def test_fraction_gamma_accepted(self):
         code = sample_code(3, 8, 2, seed=7)
-        cfg = MacConfig(gamma=Fraction(7, 10), snr=1e4, trials=20, seed=2)
-        res = estimate_error_prob(code, cfg)
+        res = estimate_error_prob(code, Fraction(7, 10), 1e4, 20, 2)
         assert res.trials == 20
 
     def test_subthreshold_decay_trend(self):
@@ -310,19 +309,19 @@ class TestEstimateErrorProb:
         rates = []
         for n in (32, 64, 128):
             code = sample_code(5, n, 2, seed=3)
-            cfg = MacConfig(gamma=SQRT2_OVER_2, snr=db_to_linear(8.0), trials=400, seed=5)
-            r = estimate_error_prob(code, cfg)
+            r = estimate_error_prob(code, SQRT2_OVER_2, db_to_linear(8.0), 400, 5)
             rates.append(r.errors_independent / (r.trials - r.dependent))
         assert rates[0] > 0.0
         assert rates[0] >= rates[1] >= rates[2]
 
     def test_validation(self):
+        code = sample_code(3, 8, 2, seed=7)
         with pytest.raises(ValueError):
-            MacConfig(gamma=0.4, snr=0.0, trials=10, seed=0)
+            estimate_error_prob(code, 0.4, 0.0, 10, 0)
         with pytest.raises(ValueError):
-            MacConfig(gamma=0.4, snr=1.0, trials=0, seed=0)
+            estimate_error_prob(code, 0.4, 1.0, 0, 0)
         with pytest.raises(ValueError):
-            MacConfig(gamma=0.4, snr=1.0, trials=10, seed=-1)
+            estimate_error_prob(code, 0.4, 1.0, 10, -1)
 
     @pytest.mark.parametrize("p, n, k", ENGINE_SHAPES)
     @pytest.mark.parametrize("snr_db", [200.0, 10.0, 40.0])
@@ -331,17 +330,16 @@ class TestEstimateErrorProb:
         counts = engine_trial_counts(p, n, k)
         outcomes = mac_trial_outcomes(code, SQRT2_OVER_2, db_to_linear(snr_db), 17, counts[-1])
         for trials in counts:
-            cfg = MacConfig(gamma=SQRT2_OVER_2, snr=db_to_linear(snr_db), trials=trials, seed=17)
-            assert estimate_error_prob(code, cfg) == mac_result(outcomes[:trials])
+            res = estimate_error_prob(code, SQRT2_OVER_2, db_to_linear(snr_db), trials, 17)
+            assert res == mac_result(outcomes[:trials])
 
     def test_ties_and_wrong_decodes_split_the_decoding_errors(self):
         code = sample_code(5, 8, 2, seed=3)
         trials = 2 * _block_rows(25, 8, 5) + 3
         results = {}
         for gamma in (SQRT2_OVER_2, 1.0):
-            cfg = MacConfig(gamma=gamma, snr=db_to_linear(10), trials=trials, seed=4)
-            res = estimate_error_prob(code, cfg)
-            assert res == mac_result(mac_trial_outcomes(code, gamma, cfg.snr, 4, trials))
+            res = estimate_error_prob(code, gamma, db_to_linear(10), trials, 4)
+            assert res == mac_result(mac_trial_outcomes(code, gamma, db_to_linear(10), 4, trials))
             assert res.errors == res.dependent + res.errors_independent
             assert 0 <= res.ambiguous <= res.errors_independent
             results[gamma] = res
@@ -355,12 +353,45 @@ class TestEstimateErrorProb:
         # 3000 trials in blocks of block_rows: one block's temporaries, not
         # 3000 decodes' (about 79 MB), bound the run
         code = sample_code(5, 8, 2, seed=3)
-        cfg = MacConfig(gamma=SQRT2_OVER_2, snr=db_to_linear(10), trials=3000, seed=1)
         tracemalloc.start()
         try:
-            res = estimate_error_prob(code, cfg)
+            res = estimate_error_prob(code, SQRT2_OVER_2, db_to_linear(10), 3000, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert res.trials == 3000
         assert peak <= _decoder_bytes(25, 8, 5, 2)
+
+
+def _run_mac(code, snr, trials, seed):
+    return estimate_error_prob(code, SQRT2_OVER_2, snr, trials, seed)
+
+
+def _run_network(code, snr, trials, seed):
+    H = ChannelMatrix(K=2, direct=(SQRT2_OVER_2,) * 2, cross=[[0, 1], [1, 0]])
+    return simulate_network(H, code, snr, trials, seed)
+
+
+@pytest.mark.parametrize("simulate", [_run_mac, _run_network], ids=["mac", "network"])
+@pytest.mark.parametrize(
+    "snr, trials, seed, refused",
+    [
+        (0.0, 5, 0, "snr"),
+        (math.nan, 5, 0, "snr"),
+        (math.inf, 5, 0, "snr"),
+        (10.0, 0, 0, "trials"),
+        (10.0, 5, -1, "seed"),
+        (10.0, 5, 0, "decoder needs"),  # control: a valid run reaches the decoder cap
+    ],
+)
+def test_both_simulators_check_the_run_before_building_a_decoder(
+    simulate, snr, trials, seed, refused
+):
+    # the cap refuses this code's PairDecoder, so the run check must come first
+    code = sample_code(53, 256, 2, seed=0)
+    with pytest.raises(ValueError, match=f"^{refused}") as raised:
+        simulate(code, snr, trials, seed)
+    if refused != "decoder needs":
+        with pytest.raises(ValueError) as checked:
+            check_run(snr, trials, seed)
+        assert str(raised.value) == str(checked.value)

@@ -45,13 +45,6 @@ class TestModInterval:
         gap = mod_interval(mod_interval(x + m * L) - mod_interval(x))
         assert abs(gap) < 1e-9
 
-    def test_array_matches_scalar(self):
-        xs = np.linspace(-40.0, 40.0, 997)
-        arr = mod_interval(xs)
-        assert arr.shape == xs.shape
-        for x, r in zip(xs[::37], arr[::37]):
-            assert r == mod_interval(float(x))
-
 
 class TestGridOps:
     def test_real_form_on_constellation(self):

@@ -385,6 +385,12 @@ class TestBaselines:
             2.5 * 0.5 * math.log2(1 + 1.5 * 1e4)
         )
 
+    @pytest.mark.parametrize("h", [1.3e153, 1.4e153, 1e200, -1e200])
+    def test_dof_benchmark_finite_when_the_power_overflows(self, h):
+        # (1 + h^2) * 100 overflows from |h| of about 1.34e153 on
+        expected = 0.5 * (math.log2(100.0) + 2.0 * math.log2(abs(h)))
+        assert dof_benchmark(2, h, 100.0) == pytest.approx(expected, rel=1e-12)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             time_sharing_sum_rate(0, 1.0)
