@@ -62,7 +62,9 @@ from .rates import (
     random_sym_capacity,
     rate_for_p,
     theorem1_rate,
+    theorem1_rates,
     theorem2_sym_rate,
+    theorem2_sym_rates,
     time_sharing_sum_rate,
 )
 

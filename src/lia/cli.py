@@ -137,10 +137,8 @@ def _document(args_line: str, columns: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rate_row(gamma_text: str, gamma, snr_db: float, p_max) -> list[str]:
-    snr = db_to_linear(snr_db)
-    point = rates.theorem1_rate(gamma, snr, p_max)
-    rand = rates.random_sym_capacity(gamma, snr)
+def _rate_row(gamma_text: str, gamma, snr_db: float, point) -> list[str]:
+    rand = rates.random_sym_capacity(gamma, point.snr)
     r_norm = point.rate / rand if rand > 0.0 else 0.0
     p_star = "" if point.p_star is None else str(point.p_star)
     return [gamma_text, _fmt(snr_db), p_star, _fmt(point.rate), _fmt(rand), _fmt(r_norm)]
@@ -152,7 +150,8 @@ _RATE_COLUMNS = ["gamma", "snr_db", "p_star", "rate_lin", "rate_rand", "r_norm"]
 def _cmd_rate(args) -> str:
     gamma = parse_gain(args.gamma)
     line = f"rate --gamma {args.gamma} --snr-db {_fmt(args.snr_db)} --p-max {_p_max_text(args.p_max)}"
-    rows = [_rate_row(args.gamma, gamma, args.snr_db, args.p_max)]
+    point = rates.theorem1_rate(gamma, db_to_linear(args.snr_db), args.p_max)
+    rows = [_rate_row(args.gamma, gamma, args.snr_db, point)]
     return _document(line, _RATE_COLUMNS, rows)
 
 
@@ -164,8 +163,9 @@ def _cmd_sweep(args) -> str:
     line = f"sweep --gamma {args.gamma} --snr-db {args.snr_db} --p-max {_p_max_text(args.p_max)}"
     rows = []
     for g_text, g in gammas:
-        for _, snr_db in snrs:
-            rows.append(_rate_row(g_text, g, snr_db, args.p_max))
+        # converted as the search draws them, so the first SNR that fails is the error
+        points = rates.theorem1_rates(g, (db_to_linear(v) for _, v in snrs), args.p_max)
+        rows.extend(_rate_row(g_text, g, v, point) for (_, v), point in zip(snrs, points))
     return _document(line, _RATE_COLUMNS, rows)
 
 
@@ -231,11 +231,8 @@ def _cmd_network(args) -> str:
         f" --p-max {_p_max_text(args.p_max)}"
     )
     columns = ["snr_db", "sum_rate_ia", "sum_rate_ts", "sum_rate_bench"]
-    rows = []
-    for _, snr_db in snrs:
-        (row,) = network.sum_rate_curves(H, [snr_db], args.p_max)
-        rows.append([_fmt(row[0]), _fmt(row[1]), _fmt(row[2]), _fmt(row[3])])
-    return _document(line, columns, rows)
+    curves = network.sum_rate_curves(H, [v for _, v in snrs], args.p_max)
+    return _document(line, columns, [[_fmt(x) for x in row] for row in curves])
 
 
 def _cmd_power_time(args) -> str:

@@ -44,7 +44,6 @@ class LinearCode:
     n: int
     k: int
     generator: np.ndarray  # k x n residues mod p
-    seed: int | None = None
 
     def __post_init__(self):
         check_code_size(self.p, self.n, self.k)
@@ -102,7 +101,7 @@ def sample_code(p: int, n: int, k: int, seed: int) -> LinearCode:
     check_code_size(p, n, k)
     rng = np.random.default_rng(seed)
     g = rng.integers(0, p, size=(k, n), dtype=np.int64)
-    return LinearCode(p=p, n=n, k=k, generator=g, seed=seed)
+    return LinearCode(p=p, n=n, k=k, generator=g)
 
 
 def encode(code: LinearCode, w) -> Codeword:

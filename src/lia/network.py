@@ -33,7 +33,7 @@ from .codes import Codebook, Codeword, LinearCode, encode
 from .diophantine import Gain, parse_gain
 from .macsim import PairDecoder, _block_rows, _blocks, _nearest_rows, check_run, wilson_interval
 from .modarith import mod_interval
-from .rates import db_to_linear, dof_benchmark, theorem2_sym_rate, time_sharing_sum_rate
+from .rates import db_to_linear, dof_benchmark, theorem2_sym_rates, time_sharing_sum_rate
 
 
 class ChannelFormatError(ValueError):
@@ -263,16 +263,9 @@ def sum_rate_curves(H: ChannelMatrix, snr_db_grid, p_max: int | None = None):
     if not grid:
         raise ValueError("snr_db_grid must be nonempty")
     h_bench = max(float(g) for g in H.direct)
-    rows = []
-    for snr_db in grid:
-        snr = db_to_linear(float(snr_db))
-        sym = theorem2_sym_rate(H, snr, p_max).rate
-        rows.append(
-            (
-                float(snr_db),
-                H.K * sym,
-                time_sharing_sum_rate(H.K, snr),
-                dof_benchmark(H.K, h_bench, snr),
-            )
-        )
-    return rows
+    # converted as the search draws them, so the first SNR that fails is the error
+    points = theorem2_sym_rates(H, (db_to_linear(float(v)) for v in grid), p_max)
+    return [
+        (float(v), H.K * p.rate, time_sharing_sum_rate(H.K, p.snr), dof_benchmark(H.K, h_bench, p.snr))
+        for v, p in zip(grid, points)
+    ]

@@ -165,7 +165,10 @@ def schedule_rate(H, snr: float, p_max: Optional[int] = None) -> float:
     sched = H if isinstance(H, Schedule) else build_schedule(H)
     worst = math.inf
     for step in sched.steps:
-        worst = min(worst, theorem1_rate(step.gamma_eff, snr * step.snr_mult, p_max).rate)
+        step_snr = float(snr) * float(step.snr_mult)  # Python floats overflow to inf quietly
+        if math.isinf(step_snr) and math.isfinite(snr):
+            raise ValueError(f"power-time step SNR overflows at '{step.label}'")
+        worst = min(worst, theorem1_rate(step.gamma_eff, step_snr, p_max).rate)
         if worst == 0.0:
             break
     return SYMBOL_RATE * worst

@@ -25,6 +25,7 @@ from lia.rates import (
     _omega_arrays,
     _omega_d,
     _rate_from_omegas,
+    _snr_terms,
     default_p_max,
 )
 
@@ -175,16 +176,19 @@ def _scan_primes(gamma, snr, p_max):
     pf = primes.astype(float)
     dlt = delta_for_primes(gamma, primes)
     off = float(mod_quarter_interval(gamma))
-    oa, ob = _omega_arrays(pf, dlt, snr)
-    od = _omega_d(pf, ob, off, snr)
+    c, tail, sq = _snr_terms(snr)
+    oa, ob = _omega_arrays(pf, dlt, c, tail, sq)
+    with np.errstate(invalid="ignore"):  # a zero offset once c overflows; never admissible
+        od = _omega_d(pf, ob, off, c, tail)
     rates = _rate_from_omegas(oa, ob)
     mask = admissible_mask(primes, gamma, snr)
-    rates = np.where(mask, np.maximum(rates, 0.0), 0.0)
+    # fmax: a NaN rate (delta = 0 once 1.5 * SNR overflows) scores 0, as omega_b = inf does
+    rates = np.where(mask, np.fmax(rates, 0.0), 0.0)
     return primes, rates, oa, ob, od
 
 
 def best_prime_oracle(gains, snr, p_max=None):
-    """``rates._best_prime`` by evaluating every prime <= p_max: the max over
+    """``rates._best_primes`` at one SNR by evaluating every prime <= p_max: the max over
     primes of the smallest rate over ``gains``, ties to the smallest prime
     and then to the first gain."""
     if p_max is None:

@@ -421,6 +421,17 @@ class TestPowerTime:
         assert code == EXIT_PRECONDITION and not out
         assert "schedule is not finite" in err
 
+    def test_overflowing_step_snr_exit_4(self, capsys, tmp_path):
+        # snr_mult = 1e300: at 200 dB the first step's SNR overflows; at 40 dB
+        # it is finite and a zero step rate ends the schedule early
+        path = tmp_path / "big3.txt"
+        path.write_text("3\n1e150 1 1\n1 1 1\n1 1 1\n")
+        code, out, err = run_cli(capsys, "power-time", "--channel", str(path), "--snr-db", "40,200")
+        assert code == EXIT_PRECONDITION and not out
+        assert err == "lia: power-time step SNR overflows at 'frame1 aligned decode at rx1'\n"
+        code, out, _ = run_cli(capsys, "power-time", "--channel", str(path), "--snr-db", "40")
+        assert code == EXIT_OK and out.splitlines()[2] == "40,0,0,0"
+
     def test_wrong_k_exit_3(self, capsys, tmp_path):
         path = tmp_path / "k5.txt"
         path.write_text("2\n1 2\n3 4\n")
@@ -508,6 +519,21 @@ class TestGlobalBehavior:
         )
         assert code == EXIT_PRECONDITION and not out
         assert err == "lia: snr must be positive and finite, got 0.0\n"
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("-4000,20", "snr must be positive and finite, got 0.0"),
+            # the points are checked in order: the first one that fails is the error
+            ("-4000,4000", "snr must be positive and finite, got 0.0"),
+            ("20,4000,-4000", "snr_db = 4000.0 overflows the linear scale"),
+        ],
+    )
+    @pytest.mark.parametrize("argv", [("sweep", "--gamma", "0.3,0.4"), ("network", "--channel", CHANNEL5)])
+    def test_refused_point_refuses_the_grid(self, capsys, argv, grid, message):
+        code, out, err = run_cli(capsys, *argv, f"--snr-db={grid}")
+        assert code == EXIT_PRECONDITION and not out
+        assert err == f"lia: {message}\n"
 
     def test_unknown_flag_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "rate", "--gamma", "0.4", "--snr-db", "20", "--bogus")

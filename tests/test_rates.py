@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,10 +10,11 @@ from hypothesis import given, strategies as st
 import oracles
 from lia import diophantine
 from lia.diophantine import admissible_prefix, primes_up_to
-from lia.network import ChannelMatrix, parse_real_matrix_text
+from lia.network import ChannelMatrix, bundled_channel_path, load_channel_file, parse_real_matrix_text
 from lia.powertime import build_schedule
 from lia.rates import (
     PRIME_SEARCH_CAP,
+    _best_primes,
     db_to_linear,
     default_p_max,
     dependent_message_prob,
@@ -306,7 +308,7 @@ class TestPrunedSearch:
                 interior += 0 < got.size < primes.size
         assert interior > 10
 
-    @pytest.mark.parametrize("admitted", ["fewer", "more"])
+    @pytest.mark.parametrize("admitted", ["fewer", "more", "gap"])
     def test_mask_overrides_bisection(self, monkeypatch, admitted):
         # a mask that disagrees with the scalar bisection at the boundary
         # decides; both the search and the full scan then use it
@@ -317,6 +319,16 @@ class TestPrunedSearch:
 
             def fake(ps, g, s):
                 return real(ps, g, s) & (np.asarray(ps) < 50)
+        elif admitted == "gap":
+            # one more prime at the boundary and none at the winner: the
+            # admissible primes are no prefix, so that SNR searches them alone
+            snr, gamma = db_to_linear(18.5), 0.37
+            k = int(np.count_nonzero(real(primes, gamma, snr)))
+            winner = theorem1_rate(gamma, snr, PRIME_SEARCH_CAP).p_star
+
+            def fake(ps, g, s):
+                ps = np.asarray(ps)
+                return (real(ps, g, s) & (ps != winner)) | (ps == primes[k])
         else:
             snr, gamma = db_to_linear(18.5), 0.37
             k = int(np.count_nonzero(real(primes, gamma, snr)))
@@ -331,6 +343,12 @@ class TestPrunedSearch:
         assert got == oracles.best_prime_oracle([gamma], snr, PRIME_SEARCH_CAP)
         if admitted == "fewer":
             assert 0 < got.p_star < 50
+        if admitted == "gap":
+            assert got.p_star not in (None, winner)
+            # a gap row between prefix rows of one grid
+            grid = [db_to_linear(40), snr, db_to_linear(60)]
+            want = [oracles.best_prime_oracle([gamma], x, PRIME_SEARCH_CAP) for x in grid]
+            assert _best_primes([gamma], grid, PRIME_SEARCH_CAP) == want
 
     @pytest.mark.parametrize("p_max", [3, 101, None])
     @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
@@ -369,6 +387,46 @@ class TestSinglePassSearch:
         H = ChannelMatrix(K=K, direct=tuple(direct), cross=1 - np.eye(K, dtype=np.int64))
         want = oracles.best_prime_oracle(list(dict.fromkeys(direct)), snr, p_max)
         assert theorem2_sym_rate(H, snr, p_max) == want
+
+
+# 0 dB (no admissible prime), 18.5 dB (few), and SNRs past which 1.5 * SNR
+# and then 3 * SNR overflow
+GRID_SNRS = st.one_of(st.sampled_from([1.0, db_to_linear(18.5), 1.2e308, 1.7e308]), SEARCH_SNRS)
+
+
+class TestGridSearch:
+    """One search over a whole SNR grid against the one-SNR full scan of
+    ``oracles.best_prime_oracle`` at each point, whole RatePoints."""
+
+    @given(
+        st.lists(SEARCH_GAINS, min_size=1, max_size=3),
+        # mirrored: every grid has duplicate and descending SNRs
+        st.lists(GRID_SNRS, min_size=1, max_size=4).map(lambda xs: xs + xs[::-1]),
+        st.sampled_from([None, 101, PRIME_SEARCH_CAP]),
+    )
+    def test_matches_full_scan_at_every_snr(self, gains, snrs, p_max):
+        want = [oracles.best_prime_oracle(gains, snr, p_max) for snr in snrs]
+        assert _best_primes(gains, snrs, p_max) == want
+
+    def test_memory_flat_in_grid_length(self):
+        # the omega terms run in chunks of a fixed number of primes, so a
+        # grid 100 times longer adds only its own points (about 7 MB) and
+        # one chunk's arrays; in one batch it would take about 120 MB more
+        gains = list(dict.fromkeys(load_channel_file(bundled_channel_path()).direct))
+
+        def peak(count):
+            snrs = [db_to_linear(x) for x in np.linspace(0.0, 200.0, count)]
+            tracemalloc.start()
+            try:
+                points = _best_primes(gains, snrs, None)
+                return tracemalloc.get_traced_memory()[1], points
+            finally:
+                tracemalloc.stop()
+
+        small, _ = peak(201)
+        big, points = peak(20_001)
+        assert len(points) == 20_001 and points[-1].p_star is not None
+        assert big - small < 20e6
 
 
 class TestBaselines:
