@@ -10,12 +10,12 @@ without decoding.
 
 Determinism contract: trial t draws its messages and noise from the
 substream SeedSequence(seed, spawn_key=(t,)), so aggregate counts depend on
-the seed alone.  Trials run in blocks: each trial of a block draws from its
-own substream, then the block's codewords come from a codebook lookup, its
-dependent draws from the decoder's mask, its received vectors from one
-elementwise channel evaluation, and its decisions from one
-PairDecoder.decode_many call, which decides every row exactly as decoding
-it alone would.
+the seed alone.  trial_blocks, the trial engine of both simulators, cuts the
+trials into blocks and gives each trial its own substreams; a block's
+codewords come from a codebook lookup, its dependent draws from the
+decoder's mask, its received vectors from one channel evaluation, and its
+decisions from one PairDecoder.decode_many call, which decides every row
+exactly as decoding it alone would.
 """
 
 from __future__ import annotations
@@ -49,14 +49,21 @@ class _Ambiguous:
 AMBIGUOUS = _Ambiguous()
 
 
-def check_run(snr: float, trials: int, seed: int) -> None:
-    """The run check of both simulators, estimate_error_prob and
-    network.simulate_network: each calls it before it builds anything."""
+def check_run(snr: float, trials: int, seed: int, gains, p: int) -> None:
+    """The run check of both simulators, made before either builds anything."""
     _require_positive_snr(snr)
+    if not math.isfinite(1.0 / snr):
+        raise ValueError(f"snr {snr!r} is too small: the noise variance 1/snr overflows")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    # each gain scales the points of the prime-p grid, whose largest |point|
+    # sits at the residues next to p/2; no O(p) array before the size caps
+    top = float(np.abs(grid_real(np.array([p // 2, (p + 1) // 2]), p)).max())
+    for g in gains:
+        if not math.isfinite(float(g) * top):
+            raise ValueError(f"gain {g} times the p={p} grid overflows a float")
 
 
 @dataclass(frozen=True)
@@ -109,7 +116,7 @@ def _blocks(total: int, size: int):
     return (range(start, min(start + size, total)) for start in range(0, total, size))
 
 
-def _nearest_rows(Y: np.ndarray, tables) -> np.ndarray:
+def nearest_rows(Y: np.ndarray, tables) -> np.ndarray:
     """Index of the row closest to each row y of Y in sum_t ([y_t - row_t]*)^2.
 
     ``tables`` is an iterable of 2-D arrays whose rows, taken in order, are
@@ -186,7 +193,7 @@ class PairDecoder:
     whose metrics tie exactly under one order can differ in the last bits.
     Every pair within a relative 16*n*eps of its row's minimum, which covers
     the rounding gap between any two summation orders of n nonnegative
-    terms, is therefore re-scored on its psi row by ``_nearest_rows``
+    terms, is therefore re-scored on its psi row by ``nearest_rows``
     (mod_interval, einsum, a minimum attained more than once is ambiguous),
     in chunks of _RESCORE_ROWS: every decision, ties included, is the one
     the exhaustive pairs x n table gives, bit for bit, however many vectors
@@ -282,7 +289,7 @@ class PairDecoder:
                 self._psi_rows(hits[c.start : c.stop] - r * square)
                 for c in _blocks(hits.size, _RESCORE_ROWS)
             )
-            h = _nearest_rows(Y[r : r + 1], chunks)[0]
+            h = nearest_rows(Y[r : r + 1], chunks)[0]
             out[r] = -1 if h < 0 else hits[h] - r * square
         return out
 
@@ -290,6 +297,17 @@ class PairDecoder:
         """psi(i, j) rows, n components each, of the pairs at flat = i*M + j."""
         rows, cols = np.divmod(flat, len(self.book))
         return self.psi[self.book.residues[rows], self.book.residues[cols]]
+
+
+def trial_blocks(code: LinearCode, trials: int, seed: int, keys):
+    """The trial engine: yields range(trials) in the blocks a PairDecoder of ``code``
+    decodes together, each with an iterator that makes trial t's generators only when it
+    reaches t, one per key, drawing from SeedSequence(seed, spawn_key=(t, *key))."""
+    for block in _blocks(trials, _block_rows(code.p**code.k, code.n, code.p)):
+        yield block, (
+            [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, *k))) for k in keys]
+            for t in block
+        )
 
 
 def estimate_error_prob(
@@ -301,17 +319,13 @@ def estimate_error_prob(
     decoder is ambiguous, or when the decoded ordered pair differs from the
     transmitted one.  Deterministic in seed.
     """
-    check_run(snr, trials, seed)
+    check_run(snr, trials, seed, [gamma], code.p)
     decoder = PairDecoder(code, gamma)
     book = decoder.book
-    gamma_f = float(gamma)
     sigma = math.sqrt(1.0 / snr)
     dependent = errors_independent = ambiguous = 0
-    for block in _blocks(trials, decoder.block_rows):
-        rngs = [
-            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
-            for t in block
-        ]
+    for block, generators in trial_blocks(code, trials, seed, [()]):
+        rngs = [g for (g,) in generators]  # kept: independent draws draw their noise below
         # w1 then w2 from each trial's substream, as in a per-trial loop
         sent = book.rows([[g.integers(0, code.p, size=code.k) for _ in range(2)] for g in rngs])
         independent = np.flatnonzero(decoder.mask[sent[:, 0], sent[:, 1]] == 0.0)
@@ -320,7 +334,7 @@ def estimate_error_prob(
         # only independent draws go on to draw their noise
         z = np.array([rngs[b].normal(0.0, sigma, size=code.n) for b in independent])
         y = mod_interval(
-            book.reals[sent[:, 0]] + gamma_f * book.reals[sent[:, 1]] + z.reshape(-1, code.n)
+            book.reals[sent[:, 0]] + float(gamma) * book.reals[sent[:, 1]] + z.reshape(-1, code.n)
         )
         decided = decoder.decode_many(y)
         ambiguous += int(np.count_nonzero(decided < 0))

@@ -8,11 +8,11 @@ takes the unit-gain role and the desired candidate the gain-h_jj role in
 the joint decoder.  Only the desired message is scored; a wrong
 interference-sum estimate alone does not count against the scheme.
 
-The simulation runs on macsim's block trial engine: every trial draws from
-its own seed substreams, and each receiver decodes a whole block of trials
-with one PairDecoder.decode_many call (or, when it hears no interferer, one
-nearest-codeword pass over the block), after macsim.check_run has accepted
-its linear SNR, trial count and seed.
+The simulation runs on macsim.trial_blocks, the trial engine of both
+simulators: every trial draws from its own seed substreams, and each
+receiver decodes a whole block with one PairDecoder.decode_many call (or,
+when it hears no interferer, one macsim.nearest_rows pass), after
+macsim.check_run has accepted the SNR, trial count, seed and direct gains.
 
 Channel files: first line K, then K whitespace-separated rows.  Diagonal
 entries may be "a/b" fractions or decimals; off-diagonal entries must parse
@@ -31,7 +31,7 @@ import numpy as np
 
 from .codes import Codebook, Codeword, LinearCode, encode
 from .diophantine import Gain, parse_gain
-from .macsim import PairDecoder, _block_rows, _blocks, _nearest_rows, check_run, wilson_interval
+from .macsim import PairDecoder, check_run, nearest_rows, trial_blocks, wilson_interval
 from .modarith import mod_interval
 from .rates import db_to_linear, dof_benchmark, theorem2_sym_rates, time_sharing_sum_rate
 
@@ -189,39 +189,29 @@ def simulate_network(
     its decoded desired message differs from w_j (ambiguity included).
     Trials are decoded in blocks, with the decisions of decoding each alone.
     """
-    check_run(snr, trials, seed)
+    check_run(snr, trials, seed, H.direct, code.p)
     K, p, n = H.K, code.p, code.n
     sigma = math.sqrt(1.0 / snr)
     # A receiver with no interferers faces a point-to-point channel: there is
     # no aligned codeword to decode jointly, so it searches messages alone,
     # scoring [h x_i]* for every message i.
     has_interference = H.cross.any(axis=1)
-    pair_decoders: dict[float, PairDecoder] = {}
-    for j, g in enumerate(H.direct):
-        if has_interference[j] and float(g) not in pair_decoders:
-            pair_decoders[float(g)] = PairDecoder(code, g)
-    book = Codebook(code)
-    single_tables = {
-        float(g): mod_interval(float(g) * book.reals)
-        for j, g in enumerate(H.direct)
-        if not has_interference[j]
-    }
     diag = np.asarray([float(g) for g in H.direct])
+    pair_decoders = {h: PairDecoder(code, h) for h in set(diag[has_interference])}
+    book = Codebook(code)
+    single_tables = {h: mod_interval(h * book.reals) for h in set(diag[~has_interference])}
     cross = H.cross % p  # integer gains act on the grid only mod p
 
     errors, ambiguous = [0] * K, [0] * K
     network_errors = 0
-    # the pair decoders' block size; a single-user pass over a block holds
+    # blocks of the pair decoders' size; a single-user pass over a block holds
     # block x p**k x n floats, 1/p of a pair decode's gathered distances
-    for block in _blocks(trials, _block_rows(len(book), n, p)):
+    for block, generators in trial_blocks(code, trials, seed, [(j,) for j in range(K + 1)]):
         W = np.empty((len(block), K, code.k), dtype=np.int64)
         z = np.empty((len(block), K, n))
-        for b, t in enumerate(block):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, 0)))
-            W[b] = rng.integers(0, p, size=(K, code.k))
-            for j in range(K):
-                rng_j = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, 1 + j)))
-                z[b, j] = rng_j.normal(0.0, sigma, size=n)
+        for b, (g, *noise) in enumerate(generators):  # a trial's generators go once it drew
+            W[b] = g.integers(0, p, size=(K, code.k))  # all K messages in one call
+            z[b] = [r.normal(0.0, sigma, size=n) for r in noise]
         sent = book.rows(W)
         # each receiver's interference folded on residues (a_jj = 0 keeps the
         # desired message out): the codeword of sum_k a_jk w_k mod p
@@ -234,7 +224,7 @@ def simulate_network(
                 # the desired message plays the gain-h_jj (second) role
                 decided = np.where(decided < 0, -1, decided % len(book))
             else:
-                decided = _nearest_rows(y[:, j], [single_tables[diag[j]]])
+                decided = nearest_rows(y[:, j], [single_tables[diag[j]]])
             erred = decided != sent[:, j]
             errors[j] += int(np.count_nonzero(erred))
             ambiguous[j] += int(np.count_nonzero(decided < 0))

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -521,6 +522,81 @@ class TestGlobalBehavior:
         assert err == "lia: snr must be positive and finite, got 0.0\n"
 
     @pytest.mark.parametrize(
+        "argv, channel, status, expected",
+        [
+            (("mac-sim", "--gamma", "0.7", "--snr-db=-3083"), None, 4,
+             "lia: snr 5.011872336272593e-309 is too small: the noise variance 1/snr overflows"),
+            (("network", "--channel", CHANNEL5, "--simulate", "--snr-db=-3083"), None, 4,
+             "lia: snr 5.011872336272593e-309 is too small: the noise variance 1/snr overflows"),
+            (("mac-sim", "--gamma", "1.5e308", "--snr-db", "20"), None, 4,
+             "lia: gain 1.5e+308 times the p=5 grid overflows a float"),
+            (("network", "--simulate", "--snr-db", "20"), "1.5e308 0", 4,
+             "lia: gain 1.5e+308 times the p=5 grid overflows a float"),
+            (("network", "--simulate", "--snr-db", "20"), "1.5e308 1", 4,
+             "lia: gain 1.5e+308 times the p=5 grid overflows a float"),
+            # controls, with the rows they printed before the refusals existed
+            (("mac-sim", "--gamma", "0.7", "--snr-db=-3082"), None, 0,
+             "0.7,-3082,5,8,2,10,10,1,0.7224672,1"),
+            (("network", "--channel", CHANNEL5, "--simulate", "--snr-db=-3082"), None, 0,
+             "5,10,9,0.9,0.595849973,0.982123787"),
+            (("mac-sim", "--gamma", "1e308", "--snr-db", "20"), None, 0,
+             "1e308,20,5,8,2,10,10,1,0.7224672,1"),
+            (("network", "--simulate", "--snr-db", "20"), "1.2e308 0", 0,
+             "2,10,6,0.6,0.31267377,0.83181967"),
+            (("network", "--simulate", "--snr-db", "20"), "1.2e308 1", 0,
+             "2,10,6,0.6,0.31267377,0.83181967"),
+        ],
+        ids=["mac-snr", "network-snr", "mac-gain", "single-user-gain", "pair-gain",
+             "mac-snr-control", "network-snr-control", "mac-gain-control",
+             "single-user-gain-control", "pair-gain-control"],
+    )
+    def test_overflowing_noise_or_gain_refused_without_warning(
+        self, tmp_path, argv, channel, status, expected
+    ):
+        # channel: the first row of a 2-user file whose second row is "1 0.5";
+        # expected: the whole of stderr on a refusal, else one row of stdout
+        if channel is not None:
+            (tmp_path / "h2.txt").write_text(f"2\n{channel}\n1 0.5\n")
+            argv = (*argv, "--channel", str(tmp_path / "h2.txt"))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lia", *argv,
+             "--p", "5", "--n", "8", "--k", "2", "--trials", "10"],
+            env=child_env(), capture_output=True, timeout=120,
+        )
+        assert done.returncode == status
+        if status == EXIT_PRECONDITION:
+            assert (done.stdout, done.stderr) == (b"", f"{expected}\n".encode("ascii"))
+        else:
+            assert done.stderr == b"" and expected in done.stdout.decode("ascii").splitlines()
+
+    @pytest.mark.parametrize(
+        "argv, channel, message",
+        [
+            (("mac-sim", "--gamma", "0.7"), None, b"lia: decoder needs "),
+            (("network", "--channel", CHANNEL5, "--simulate"), None, b"lia: decoder needs "),
+            # nobody hears an interferer: the codebook's enumeration cap refuses
+            (("network", "--simulate"), "2\n0.7 0\n0 0.7\n", b"enumeration cap"),
+        ],
+        ids=["mac-sim", "network", "single-user-network"],
+    )
+    def test_huge_prime_refused_by_the_size_caps(self, tmp_path, argv, channel, message):
+        # k = 1 passes the code-size check at p = 2**31 - 1, so the decoder or
+        # codebook cap must refuse it before anything of p entries is built;
+        # the child's address space is limited so that such an array fails fast
+        if channel is not None:
+            (tmp_path / "quiet.txt").write_text(channel)
+            argv = (*argv, "--channel", str(tmp_path / "quiet.txt"))
+        limit = 2**31
+        done = subprocess.run(
+            [sys.executable, "-m", "lia", *argv, "--snr-db", "20",
+             "--p", "2147483647", "--n", "1", "--k", "1", "--trials", "1"],
+            env=child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert (done.returncode, done.stdout) == (EXIT_PRECONDITION, b"")
+        assert message in done.stderr and b"cap" in done.stderr
+
+    @pytest.mark.parametrize(
         "grid, message",
         [
             ("-4000,20", "snr must be positive and finite, got 0.0"),
@@ -569,11 +645,13 @@ class TestGlobalBehavior:
 
 
 class TestBenchmarkReference:
-    def test_simulations_print_the_reference_bytes(self):
-        # the benchmark's stored stdout hashes for case 0, checked from tier 1:
-        # a count that drifts in the trial engine or the decoder fails here
+    @pytest.mark.parametrize("case", ["0", "9"])
+    def test_simulations_print_the_reference_bytes(self, case):
+        # the benchmark's stored stdout hashes of two cases (two sets of run and
+        # code seeds), checked from tier 1: a count that drifts in the trial
+        # engine, its seed substreams or the decoder fails here
         reference = json.loads((ROOT / "bench" / "reference.json").read_text())
-        case = reference["cases"]["0"]
+        case = reference["cases"][case]
         env = child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
         checked = 0
         for workload in ("trial-engine", "mac-decode"):

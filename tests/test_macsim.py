@@ -1,4 +1,7 @@
+import itertools
 import math
+import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -16,9 +19,10 @@ from lia.macsim import (
     check_run,
     estimate_error_prob,
     mod_mac_channel,
+    trial_blocks,
     wilson_interval,
 )
-from lia.modarith import L, mod_interval
+from lia.modarith import L, grid_real, mod_interval
 from lia.network import ChannelMatrix, simulate_network
 from lia.rates import db_to_linear, dependent_message_prob
 from oracles import (
@@ -27,6 +31,8 @@ from oracles import (
     engine_trial_counts,
     mac_result,
     mac_trial_outcomes,
+    network_result,
+    network_trial_outcomes,
 )
 
 SQRT2_OVER_2 = math.sqrt(2) / 2
@@ -381,6 +387,7 @@ def _run_network(code, snr, trials, seed):
         (math.inf, 5, 0, "snr"),
         (10.0, 0, 0, "trials"),
         (10.0, 5, -1, "seed"),
+        (db_to_linear(-3083), 5, 0, "snr"),  # positive, but 1/snr is inf
         (10.0, 5, 0, "decoder needs"),  # control: a valid run reaches the decoder cap
     ],
 )
@@ -393,5 +400,82 @@ def test_both_simulators_check_the_run_before_building_a_decoder(
         simulate(code, snr, trials, seed)
     if refused != "decoder needs":
         with pytest.raises(ValueError) as checked:
-            check_run(snr, trials, seed)
+            check_run(snr, trials, seed, [SQRT2_OVER_2], code.p)
         assert str(raised.value) == str(checked.value)
+
+
+def test_snr_one_db_above_the_noise_overflow_runs_like_the_per_trial_loops():
+    # the control of the -3083 dB refusal: one dB up 1/snr is finite
+    code, snr = sample_code(5, 8, 2, seed=0), db_to_linear(-3082)
+    H = ChannelMatrix(K=2, direct=(SQRT2_OVER_2,) * 2, cross=[[0, 1], [1, 0]])
+    mac_outcomes = mac_trial_outcomes(code, SQRT2_OVER_2, snr, 0, 40)
+    assert _run_mac(code, snr, 40, 0) == mac_result(mac_outcomes)
+    network_outcomes = network_trial_outcomes(H, code, snr, 0, 40)
+    assert _run_network(code, snr, 40, 0) == network_result(network_outcomes)
+
+
+class TestTrialBlocks:
+    @pytest.mark.parametrize("p, n, k", ENGINE_SHAPES)
+    @pytest.mark.parametrize("keys", [[()], [(j,) for j in range(4)]], ids=["mac", "network"])
+    def test_blocks_cover_the_trials_with_their_substreams(self, p, n, k, keys):
+        code = sample_code(p, n, k, seed=0)
+        rows = _block_rows(p**k, n, p)
+        for trials in engine_trial_counts(p, n, k):
+            blocks = [(block, list(gens)) for block, gens in trial_blocks(code, trials, 31, keys)]
+            assert [len(b) for b, _ in blocks] == [
+                min(rows, trials - start) for start in range(0, trials, rows)
+            ]
+            assert [t for b, _ in blocks for t in b] == list(range(trials))
+            # trial t of the concatenated blocks holds the generators of (t, *key)
+            flat = list(itertools.chain.from_iterable(gens for _, gens in blocks))
+            assert len(flat) == trials
+            for t, generators in enumerate(flat):
+                assert len(generators) == len(keys)
+                for key, g in zip(keys, generators):
+                    fresh = np.random.default_rng(np.random.SeedSequence(31, spawn_key=(t, *key)))
+                    draws = [(r.integers(0, 2**62, size=3), r.normal()) for r in (g, fresh)]
+                    assert np.array_equal(draws[0][0], draws[1][0])
+                    assert draws[0][1] == draws[1][1]
+
+
+def _largest_gain(p):
+    """The largest float gain whose product with every point of the p-grid is finite."""
+    grid = grid_real(np.arange(p), p)
+    g = sys.float_info.max / float(np.abs(grid).max())
+    with np.errstate(over="ignore"):
+        while not np.isfinite(g * grid).all():
+            g = math.nextafter(g, 0.0)
+        while np.isfinite(math.nextafter(g, math.inf) * grid).all():
+            g = math.nextafter(g, math.inf)
+    return g
+
+
+def _two_users(h, heard):
+    """Receiver 1 (gain h) hears user 2 when ``heard``, else decodes alone."""
+    return ChannelMatrix(K=2, direct=(h, 0.5), cross=[[0, int(heard)], [1, 0]])
+
+
+class TestHugeGains:
+    @pytest.mark.parametrize("gain", [1e308, 1.2e308, "largest"])
+    def test_gains_that_fit_the_grid_run_like_the_per_trial_loops(self, gain):
+        gain = _largest_gain(5) if gain == "largest" else gain
+        code, snr = sample_code(5, 8, 2, seed=3), db_to_linear(20)
+        res = estimate_error_prob(code, gain, snr, 60, 2)
+        assert res == mac_result(mac_trial_outcomes(code, gain, snr, 2, 60))
+        for heard in (False, True):
+            H = _two_users(gain, heard)
+            res = simulate_network(H, code, snr, 60, 2)
+            assert res == network_result(network_trial_outcomes(H, code, snr, 2, 60))
+
+    @pytest.mark.parametrize("p", [2, 5, 53])
+    @pytest.mark.parametrize("gain", ["next", 1.5e308, -1.5e308])
+    def test_overflowing_gain_refused_before_building(self, p, gain):
+        # the (53, 256, 2) decoder is above the cap, so the gain must be refused first
+        gain = math.nextafter(_largest_gain(p), math.inf) if gain == "next" else gain
+        code = sample_code(p, 256 if p == 53 else 8, 2, seed=0)
+        message = re.escape(f"gain {gain} times the p={p} grid overflows a float")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimate_error_prob(code, gain, 100.0, 5, 0)
+        for heard in (False, True):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                simulate_network(_two_users(gain, heard), code, 100.0, 5, 0)
