@@ -47,7 +47,9 @@ from .powertime import (
     Schedule,
     build_schedule,
     dof_factor,
+    dof_factors,
     schedule_rate,
+    schedule_rates,
 )
 from .rates import (
     OmegaBreakdown,
@@ -63,6 +65,7 @@ from .rates import (
     rate_for_p,
     theorem1_rate,
     theorem1_rates,
+    theorem1_rows,
     theorem2_sym_rate,
     theorem2_sym_rates,
     time_sharing_sum_rate,

@@ -14,6 +14,7 @@ precondition violation.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 
@@ -131,10 +132,11 @@ def _emit(text: str, out_path) -> None:
             fh.write(text)
 
 
-def _document(args_line: str, columns: list[str], rows: list[list[str]]) -> str:
+def _document(args_line: str, columns: list[str], rows) -> str:
     lines = [f"# args: {args_line}", ",".join(columns)]
     lines.extend(",".join(r) for r in rows)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def _rate_row(gamma_text: str, gamma, snr_db: float, point) -> list[str]:
@@ -161,11 +163,22 @@ def _cmd_sweep(args) -> str:
     if len(gammas) * len(snrs) > _GRID_POINTS_CAP:
         raise _UsageError(f"sweep has more than {_GRID_POINTS_CAP} points")
     line = f"sweep --gamma {args.gamma} --snr-db {args.snr_db} --p-max {_p_max_text(args.p_max)}"
-    rows = []
-    for g_text, g in gammas:
-        # converted as the search draws them, so the first SNR that fails is the error
-        points = rates.theorem1_rates(g, (db_to_linear(v) for _, v in snrs), args.p_max)
-        rows.extend(_rate_row(g_text, g, v, point) for (_, v), point in zip(snrs, points))
+
+    def grid():
+        # gamma-major; each SNR converted once, as the first gamma's rows draw
+        # it, so the first point that fails is the error
+        linear = []
+        for _, g in gammas:
+            for i, (_, v) in enumerate(snrs):
+                if i == len(linear):
+                    linear.append(db_to_linear(v))
+                yield g, linear[i]
+
+    points = rates.theorem1_rows(grid(), args.p_max)
+    rows = (
+        _rate_row(g_text, g, v, point)
+        for ((g_text, g), (_, v)), point in zip(itertools.product(gammas, snrs), points)
+    )
     return _document(line, _RATE_COLUMNS, rows)
 
 
@@ -245,10 +258,22 @@ def _cmd_power_time(args) -> str:
         f" --p-max {_p_max_text(args.p_max)}"
     )
     columns = ["snr_db", "sym_rate", "sum_rate", "dof_factor"]
-    rows = []
+    linear, refused = [], None
     for _, snr_db in snrs:
-        sym, factor = powertime.dof_factor(sched, db_to_linear(snr_db), args.p_max)
-        rows.append([_fmt(snr_db), _fmt(sym), _fmt(3.0 * sym), _fmt(factor)])
+        try:
+            linear.append(db_to_linear(snr_db))
+        except ValueError as exc:
+            refused = exc
+            break
+    # the points before a refused one are evaluated first, so the error is
+    # the one that taking the points one at a time meets first
+    factors = powertime.dof_factors(sched, linear, args.p_max)
+    if refused is not None:
+        raise refused
+    rows = [
+        [_fmt(snr_db), _fmt(sym), _fmt(3.0 * sym), _fmt(factor)]
+        for (_, snr_db), (sym, factor) in zip(snrs, factors)
+    ]
     return _document(line, columns, rows)
 
 

@@ -29,9 +29,14 @@ def parse_gain(text: str) -> Gain:
     if "/" in s:
         num, _, den = s.partition("/")
         try:
-            return Fraction(int(num), int(den))
+            value = Fraction(int(num), int(den))
         except ZeroDivisionError:
             raise ValueError(f"gain {text!r} has a zero denominator") from None
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"gain must be finite, got {text!r}") from None
+        return value
     value = float(s)
     if not math.isfinite(value):
         raise ValueError(f"gain must be finite, got {text!r}")
@@ -189,6 +194,7 @@ def delta_for_primes(gamma: Gain, primes: np.ndarray) -> np.ndarray:
     return errs[idx]
 
 
+@lru_cache(maxsize=1024, typed=True)
 def mod_quarter_interval(gamma: Gain):
     """Reduce gamma into [-1/4, 1/4) by integer multiples of 1/2."""
     if isinstance(gamma, Fraction):
@@ -203,40 +209,66 @@ def mod_quarter_interval(gamma: Gain):
     return r
 
 
-def admissible_mask(primes: np.ndarray, gamma: Gain, snr: float) -> np.ndarray:
+def _offsets(gamma):
+    """The float reduction of one gain into [-1/4, 1/4), or an array of them for a list."""
+    if isinstance(gamma, (list, tuple)):
+        return np.array([float(mod_quarter_interval(g)) for g in gamma])
+    return float(mod_quarter_interval(gamma))
+
+
+def _exp_tails(snr: np.ndarray) -> np.ndarray:
+    """exp(-3*SNR/8) for each SNR, by math.exp (np.exp may differ in the last place)."""
+    return np.array([math.exp(-0.375 * x) for x in snr.ravel().tolist()]).reshape(snr.shape)
+
+
+def admissible_mask(primes: np.ndarray, gamma, snr) -> np.ndarray:
     """Boolean mask of primes passing the non-degeneracy condition.
 
     A prime p qualifies when
         exp(-(3*SNR / (2 p^2)) * g^2) < 1 - 2 p exp(-3*SNR/8)
-    with g the centered reduction of gamma into [-1/4, 1/4).
+    with g the centered reduction of gamma into [-1/4, 1/4).  ``gamma`` is one
+    gain or a list of gains; the primes, the gains and ``snr`` broadcast.
     """
-    off = float(mod_quarter_interval(gamma))
+    off = _offsets(gamma)
     pf = np.asarray(primes, dtype=float)
-    with np.errstate(invalid="ignore"):  # inf * 0 once 1.5 * SNR overflows: NaN, inadmissible
+    snr = np.asarray(snr, dtype=float)
+    # 1.5 * SNR may overflow; inf * 0 is then NaN, inadmissible
+    with np.errstate(over="ignore", invalid="ignore"):
         lhs = np.exp(-(1.5 * snr / pf**2) * off * off)
-    rhs = 1.0 - 2.0 * pf * math.exp(-0.375 * snr)
-    return lhs < rhs
+        return lhs < 1.0 - 2.0 * pf * _exp_tails(snr)
 
 
-def admissible_prefix(primes: np.ndarray, gamma: Gain, snr: float) -> np.ndarray:
-    """The primes of an ascending array that ``admissible_mask`` admits, a
-    prefix (lhs rises with p, rhs falls) found by scalar bisection; if the
-    mask disagrees on either side of the boundary, the full mask decides."""
-    off = float(mod_quarter_interval(gamma))
-    tail = math.exp(-0.375 * snr)
-    lo, hi = 0, len(primes)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        p = float(primes[mid])
-        if math.exp(-(1.5 * snr / p**2) * off * off) < 1.0 - 2.0 * p * tail:
-            lo = mid + 1
-        else:
-            hi = mid
-    first = max(lo - 1, 0)
-    expected = [i < lo for i in range(first, min(len(primes), lo + 1))]
-    if admissible_mask(primes[first : lo + 1], gamma, snr).tolist() == expected:
-        return primes[:lo]
-    return primes[admissible_mask(primes, gamma, snr)]
+def admissible_prefix(primes: np.ndarray, gamma, snr, size=None):
+    """How many leading primes of ``primes[:size]`` (an ascending array; size defaults to
+    its length) ``admissible_mask`` admits, for each element of the broadcast gamma (one
+    gain or a list), snr and size.  The admissible primes are a prefix (lhs rises with p,
+    rhs falls), so one search narrows every element's count at once: each round probes
+    every open count's interval at k - 1 points, k as large as keeps a round within 2,048
+    probes, between 2 (bisection, which long batches use) and 128 (a few rounds of a few
+    numpy calls for a single element).
+
+    Returns (count, agrees): agrees is False where the mask disagrees with the count on
+    either side of the boundary, and the full mask must decide there.
+    """
+    off, snr, size = np.broadcast_arrays(
+        _offsets(gamma), np.asarray(snr, dtype=float), len(primes) if size is None else size
+    )
+    k = min(128, max(2, 2048 // max(1, size.size)))
+    parts, last = np.arange(1, k), len(primes) - 1
+    # the condition of admissible_mask, rounded the same way
+    with np.errstate(over="ignore", invalid="ignore"):
+        nc, off, t2 = -(1.5 * snr)[..., None], off[..., None], 2.0 * _exp_tails(snr)[..., None]
+        lo, hi = np.zeros(size.shape, dtype=np.int64), size.astype(np.int64)
+        while (lo < hi).any():
+            i = lo[..., None] + (hi - lo)[..., None] * parts // k
+            p = primes[np.minimum(i, last)] * 1.0
+            ok = np.exp(nc / p**2 * off * off) < 1.0 - p * t2
+            lo = np.maximum(lo, np.where(ok, i + 1, 0).max(-1))
+            hi = np.minimum(hi, np.where(ok, hi[..., None], i).min(-1))
+            lo = np.minimum(lo, hi)  # a closed count stays put
+    window = np.stack([np.maximum(lo - 1, 0), lo])
+    got = admissible_mask(primes[np.minimum(window, last)], gamma, snr) if last >= 0 else False
+    return lo, ((got == (window < lo)) | (window >= size)).all(axis=0)
 
 
 def delta_step_starts(gamma: Gain, primes: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .rates import theorem1_rate
+from .rates import theorem1_rate, theorem1_rows
 
 SYMBOL_RATE = 0.75  # three data frames per four channel uses
 
@@ -160,23 +160,68 @@ def build_schedule(H) -> Schedule:
     )
 
 
-def schedule_rate(H, snr: float, p_max: Optional[int] = None) -> float:
-    """Symmetric rate of the power-time code: 3/4 of the worst step rate."""
+# SNRs per prime search: each adds twelve step rows, whose RatePoints the
+# search returns together, so a block caps that list at a few MB however long
+# the grid (18,001 SNRs peaked at 163 MB RSS in one search, 48 MB in blocks)
+_SNRS_PER_SEARCH = 1024
+
+
+def schedule_rates(H, snrs, p_max: Optional[int] = None) -> list[float]:
+    """Symmetric rate of the power-time code at each SNR of an iterable: 3/4 of the worst
+    step rate.  The steps of up to _SNRS_PER_SEARCH SNRs go through one prime search; the
+    rates, and the first error, are those of taking the SNRs in order and each SNR's steps
+    in order up to the first step rate of 0, so a step never reached is never refused."""
     sched = H if isinstance(H, Schedule) else build_schedule(H)
-    worst = math.inf
-    for step in sched.steps:
-        step_snr = float(snr) * float(step.snr_mult)  # Python floats overflow to inf quietly
-        if math.isinf(step_snr) and math.isfinite(snr):
-            raise ValueError(f"power-time step SNR overflows at '{step.label}'")
-        worst = min(worst, theorem1_rate(step.gamma_eff, step_snr, p_max).rate)
-        if worst == 0.0:
-            break
-    return SYMBOL_RATE * worst
+    snrs = list(snrs)
+    out = []
+    for a in range(0, len(snrs), _SNRS_PER_SEARCH):
+        out += _walk_steps(sched, snrs[a : a + _SNRS_PER_SEARCH], p_max)
+    return out
+
+
+def _walk_steps(sched: Schedule, snrs: list, p_max: Optional[int]) -> list[float]:
+    """``schedule_rates`` of a block of SNRs, in one prime search."""
+    # Python floats overflow to inf quietly
+    step_snrs = [[float(snr) * float(step.snr_mult) for step in sched.steps] for snr in snrs]
+    rows = (
+        (step.gamma_eff, x)
+        for xs in step_snrs
+        for step, x in zip(sched.steps, xs)
+        if 0.0 < x < math.inf
+    )
+    found = iter(theorem1_rows(rows, p_max))
+    out = []
+    for snr, xs in zip(snrs, step_snrs):
+        rates = [next(found).rate if 0.0 < x < math.inf else None for x in xs]
+        worst = math.inf
+        for step, x, rate in zip(sched.steps, xs, rates):
+            if math.isinf(x) and math.isfinite(snr):
+                raise ValueError(f"power-time step SNR overflows at '{step.label}'")
+            if rate is None:  # left out of the search: refused alone, with its own message
+                rate = theorem1_rate(step.gamma_eff, x, p_max).rate
+            worst = min(worst, rate)
+            if worst == 0.0:
+                break
+        out.append(SYMBOL_RATE * worst)
+    return out
+
+
+def schedule_rate(H, snr: float, p_max: Optional[int] = None) -> float:
+    """``schedule_rates`` at one SNR."""
+    return schedule_rates(H, [snr], p_max)[0]
+
+
+def dof_factors(H, snrs, p_max: Optional[int] = None) -> list[tuple[float, float]]:
+    """(symmetric rate, sum_rate / ((1/2) log2 snr)) at each SNR of an iterable, in one
+    ``schedule_rates`` call; the sum rate is three times the symmetric rate."""
+    snrs = list(snrs)
+    out = []
+    for snr, sym in zip(snrs, schedule_rates(H, snrs, p_max)):
+        denom = 0.5 * math.log2(snr) if snr > 1.0 else 0.0
+        out.append((sym, 3.0 * sym / denom if sym > 0.0 and denom > 0.0 else 0.0))
+    return out
 
 
 def dof_factor(H, snr: float, p_max: Optional[int] = None) -> tuple[float, float]:
-    """(symmetric rate, sum_rate / ((1/2) log2 snr)) at one SNR; the sum rate
-    is three times the symmetric rate."""
-    sym = schedule_rate(H, snr, p_max)
-    denom = 0.5 * math.log2(snr) if snr > 1.0 else 0.0
-    return sym, 3.0 * sym / denom if sym > 0.0 and denom > 0.0 else 0.0
+    """``dof_factors`` at one SNR."""
+    return dof_factors(H, [snr], p_max)[0]

@@ -21,27 +21,30 @@ bounds clamp to zero.  SNR arguments here are linear; dB conversion happens
 at the CLI boundary.
 
 The prime search is exact but evaluates the omega terms only on primes that
-can win, for a whole SNR grid at once.  The rate is -log2 W, W =
-max(sqrt(omega_a), omega_b) (for several gains, their largest W).  delta is
-constant on a step of its staircase, so with sq = sqrt(2*pi/(3*SNR)) and tail
-= 2 exp(-3*SNR/8), omega_b = 1/p + sq/delta + tail falls as p grows there,
-and in omega_a = 1/p^2 + sq + f(p) + tail, f(p) = exp(-a/p^2)/p with a =
-1.5*SNR*delta^2 rises up to p = sqrt(2a) and falls after it.  So on the
-primes in [p_s, p_e] of one step, W >= L with
+can win, for a whole batch of rows at once; a row is a (gain list, SNR) pair.
+The rate is -log2 W, W = max(sqrt(omega_a), omega_b) (for several gains,
+their largest W).  delta is constant on a step of its staircase, so with sq =
+sqrt(2*pi/(3*SNR)) and tail = 2 exp(-3*SNR/8), omega_b = 1/p + sq/delta +
+tail falls as p grows there, and in omega_a = 1/p^2 + sq + f(p) + tail, f(p)
+= exp(-a/p^2)/p with a = 1.5*SNR*delta^2 rises up to p = sqrt(2a) and falls
+after it.  So on the primes in [p_s, p_e] of one step, W >= L with
 
     L = max(sqrt(1/p_e^2 + sq + min(f(p_s), f(p_e)) + tail), 1/p_e + sq/delta + tail)
 
 (for several gains, the max of their L on segments split at every gain's
-steps).  The sieve and steps are built once per gain list, each SNR keeps its
-admissible prefix, and all (SNR, step) pairs are bounded in one array: with U
-the smallest W at the last prime of a step wholly admissible at that SNR,
-steps with L > U (1 + 1e-12) are dropped.  L bounds every prime of its step,
-so the winner's step is always kept.  The kept primes of all SNRs are
-evaluated together, in batches of at most _CHUNK primes (memory stays flat in
-the grid length).  The slack, thousands of ulps, covers the rounding of L and
-U (reassociated; math.exp and np.exp may differ in the last place) and log2,
-so every prime whose float rate ties the maximum is evaluated: ties still go
-to the smallest prime.  delta = 0 steps score 0.
+steps).  The sieve and steps are built once per gain list (cached), into one
+table per batch.  Every (row, gain) pair's admissible prefix
+comes from one vectorized search (a row whose admissible primes have a gap is
+searched alone).  All (row, segment) pairs are bounded together: with U the
+smallest W at the last prime of a segment wholly admissible for that row,
+segments with L > U (1 + 1e-12) are dropped.  L bounds every prime of its
+segment, so the winner's segment is always kept.  The kept primes of all rows
+are then evaluated together.  Both the pairs in one bound array and the kept
+primes in one batch of omega terms are capped at _CHUNK, so memory stays flat
+in the number of rows.  The slack, thousands of ulps, covers the rounding of L
+and U (reassociated; math.exp and np.exp may differ in the last place) and
+log2, so every prime whose float rate ties the maximum is evaluated: ties
+still go to the smallest prime.  delta = 0 steps score 0.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ def default_p_max(snr: float) -> int:
     return min(PRIME_SEARCH_CAP, max(101, math.ceil(math.sqrt(snr))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OmegaBreakdown:
     """Per-case error-probability terms at one (p, gamma, SNR) point."""
 
@@ -100,7 +103,7 @@ class OmegaBreakdown:
     omega_d: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RatePoint:
     """An evaluated rate with the optimizing prime and its omega terms."""
 
@@ -111,9 +114,13 @@ class RatePoint:
     breakdown: Optional[OmegaBreakdown]
 
 
-def _snr_terms(snr: float) -> tuple[float, float, float]:
-    """(c, tail, sq) = (1.5*SNR, 2 exp(-3*SNR/8), sqrt(2*pi/(3*SNR))) by math; c may be inf."""
-    return 1.5 * snr, 2.0 * math.exp(-0.375 * snr), math.sqrt(2.0 * math.pi / (3.0 * snr))
+def _snr_terms(snr):
+    """(c, tail, sq) = (1.5*SNR, 2 exp(-3*SNR/8), sqrt(2*pi/(3*SNR))) for an SNR or an array
+    of them, the tail by math.exp as in admissible_mask; c may be inf."""
+    snr = np.asarray(snr, dtype=float)
+    tail = np.array([math.exp(-0.375 * x) for x in snr.ravel().tolist()]).reshape(snr.shape)
+    with np.errstate(over="ignore"):
+        return 1.5 * snr, 2.0 * tail, np.sqrt(2.0 * math.pi / (3.0 * snr))
 
 
 def _f_term(pf, dlt, c):
@@ -166,117 +173,212 @@ def rate_for_p(p: int, gamma: Gain, snr: float) -> float:
 
 # Relative slack on the pruning bound: thousands of ulps (module docstring).
 _PRUNE_SLACK = 1e-12
-# Most candidate primes in one batch of omega terms, and most (SNR, segment)
-# pairs in one bound array, so memory stays flat in the grid length.  One SNR's
-# primes (at most 9,592, every prime <= PRIME_SEARCH_CAP) always fit.
-_CHUNK = 1 << 15
+# Most (row, segment) pairs in one bound array, and most kept primes in one
+# batch of omega terms, so memory stays flat in the number of rows: a batch's
+# temporaries take about 1 MB (at 32,768 they took about 6 MB and raised the
+# peak RSS of a 10,479-row sweep by about 14%).  One row's primes (at most
+# 9,592, every prime <= PRIME_SEARCH_CAP) always fit.
+_CHUNK = 1 << 12
 
 
 def _segments(gains, primes):
     """Segments of an ascending prime array on which every gain's delta is constant and
-    positive: first index, length, deltas, the bound's constants; the gains' offsets."""
+    positive: first index and length; per segment 1/p_s, 1/p_e and p_e**-2; per gain and
+    segment delta, 1/delta, -(delta/p_s)**2 and -(delta/p_e)**2; the gains' offsets."""
     s = np.sort(np.concatenate([delta_step_starts(g, primes) for g in gains]))
     s = s[s < primes.size]
     e = np.concatenate((s[1:], [primes.size])) - 1
     dl = np.array([delta_for_primes(g, primes[s]) for g in gains])
     live = (e >= s) & (dl > 0.0).all(axis=0)
-    s, e, dl = s[live], e[live], dl[:, None, live]
+    s, e, dl = s[live], e[live], dl[:, live]
     ps, pe = primes[s].astype(float), primes[e].astype(float)
     with np.errstate(over="ignore"):  # a subnormal delta: W is bounded by inf
-        bound = (1.0 / ps, 1.0 / pe, pe**-2, 1.0 / dl, -((dl / ps) ** 2), -((dl / pe) ** 2))
-    return s, e - s + 1, dl, bound, [float(mod_quarter_interval(g)) for g in gains]
+        ends = np.array([1.0 / ps, 1.0 / pe, pe**-2])
+        per_gain = np.stack([dl, 1.0 / dl, -((dl / ps) ** 2), -((dl / pe) ** 2)], axis=1)
+    offs = np.array([float(mod_quarter_interval(g)) for g in gains])
+    return s, e - s + 1, ends, per_gain, offs
 
 
 @lru_cache(maxsize=64)
 def _gain_segments(gains: tuple):
     """``_segments`` of every prime up to PRIME_SEARCH_CAP, once per gain list, read-only."""
-    steps = _segments(gains, primes_up_to(PRIME_SEARCH_CAP))
-    for a in (*steps[:3], *steps[3]):
+    segments = _segments(gains, primes_up_to(PRIME_SEARCH_CAP))
+    for a in segments:
         a.setflags(write=False)
-    return steps
+    return segments
 
 
-def _search(gains, rows, primes, steps) -> list[RatePoint]:
-    """The RatePoint of each row (snr, n) whose admissible primes are primes[:n]."""
-    if not rows:
-        return []
-    s, w, dl, (ips, ipe, ipe2, idl, xs, xe), offs = steps
-    half = len(rows) // 2
-    if half and len(rows) * s.size > _CHUNK:
-        return _search(gains, rows[:half], primes, steps) + _search(gains, rows[half:], primes, steps)
-    snrs, n = zip(*rows)
-    terms = np.array([_snr_terms(snr) for snr in snrs]).T
-    width = np.minimum(np.maximum(np.array(n)[:, None] - s, 0), w)  # admissible primes
-    # L per (row, segment) and U from the wholly admissible segments, in
-    # reassociated float terms (the slack covers it)
-    c, tail, sq = terms[:, :, None]
+def _table(segments):
+    """Several gain lists' ``_segments`` as one table, plus each list's first segment.  The
+    gain axis is padded to the longest list by repeating a list's first gain, which changes
+    no max, no min and no first match."""
+    g = max(seg[4].size for seg in segments)
+
+    def pad(a):
+        return np.concatenate([a, a[:1].repeat(g - a.shape[0], axis=0)])
+
+    first = np.cumsum([0] + [seg[0].size for seg in segments])
+    s, w, ends = (np.concatenate([seg[i] for seg in segments], axis=-1) for i in range(3))
+    per_gain = np.concatenate([pad(seg[3]) for seg in segments], axis=2)
+    return s, w, ends, per_gain, np.array([pad(seg[4]) for seg in segments]), first
+
+
+def _ragged(counts: np.ndarray):
+    """For owners with counts c_0, c_1, ...: each of the sum(c) items' owner and index in it."""
+    owner = np.arange(counts.size).repeat(counts)
+    return owner, np.arange(owner.size) - (counts.cumsum() - counts)[owner]
+
+
+def _chunks(counts: np.ndarray):
+    """Consecutive owner ranges [a, b) holding at most _CHUNK items (one owner may exceed it)."""
+    ends, a = counts.cumsum(), 0
+    while a < counts.size:
+        b = int(ends.searchsorted((ends[a - 1] if a else 0) + _CHUNK, side="right"))
+        yield a, max(b, a + 1)
+        a = max(b, a + 1)
+
+
+def _prune(table, lid, n, terms, a, b):
+    """The (row, segment) pairs of rows [a, b) that can hold their row's winner: each one's
+    segment index in the table, row and number of admissible primes.  L per pair and U per
+    row, from the wholly admissible segments, in reassociated float terms (the slack covers
+    it)."""
+    S, W, ends, per_gain, _, first = table
+    nseg = (first[1:] - first[:-1])[lid[a:b]]
+    row, k = _ragged(nseg)
+    t = first[lid[a:b][row]] + k
+    ips, ipe, ipe2 = ends[:, t]
+    _, idl, xs, xe = per_gain[:, :, t].transpose(1, 0, 2)
+    c, tail, sq = terms[:, a:b][:, row]
+    width = np.minimum(np.maximum(n[a:b][row] - S[t], 0), W[t])  # admissible primes
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 once delta is subnormal
         fe = np.exp(c * xe) * ipe
         wb = ipe + sq * idl + tail
         head = ipe2 + (sq + tail)
         lower = np.maximum(np.sqrt(head + np.minimum(np.exp(c * xs) * ips, fe)), wb).max(axis=0)
         at_end = np.maximum(np.sqrt(head + fe), wb).max(axis=0)
-    u = np.where(width == w, at_end, np.inf).min(axis=1, initial=np.inf, keepdims=True)
-    width[lower > u * (1.0 + _PRUNE_SLACK)] = 0
-    if half and width.sum() > _CHUNK:
-        return _search(gains, rows[:half], primes, steps) + _search(gains, rows[half:], primes, steps)
-    # the kept primes of every row, in row order and ascending within a row
-    r, k = width.nonzero()
-    cnt = width[r, k]
-    row = r.repeat(cnt)
-    pf = primes[(s[k] - cnt.cumsum() + cnt).repeat(cnt) + np.arange(row.size)].astype(float)
+        u = np.full(b - a, np.inf)
+        np.minimum.at(u, row, np.where(width == W[t], at_end, np.inf))
+    width[lower > u[row] * (1.0 + _PRUNE_SLACK)] = 0
+    keep = width > 0
+    return t[keep], row[keep] + a, width[keep]
+
+
+def _winners(primes, table, lid, terms, t, row, width):
+    """Evaluate the kept primes of some rows (each kept pair's segment, row and width, in
+    row order) together: per row with a positive best rate, its row, p*, binding gain
+    index, rate and (omega_a, omega_b, omega_d) there, as lists."""
+    S, _, _, per_gain, offs, _ = table
+    own, i = _ragged(width)
+    t, row = t[own], row[own]
+    pf = primes[S[t] + i].astype(float)
     c, tail, sq = terms[:, row]
-    oa, ob = _omega_arrays(pf, dl[:, 0, k].repeat(cnt, axis=1), c, tail, sq)
+    oa, ob = _omega_arrays(pf, per_gain[:, 0, t], c, tail, sq)
     # fmax: a NaN rate (delta = 0 once 1.5 * SNR overflows) clamps to 0
     rates = np.fmax(_rate_from_omegas(oa, ob), 0.0)
     overall = rates.min(axis=0)
-    edges = np.concatenate(([0], width.sum(axis=1).cumsum())).tolist()
-    points = []
-    for snr, a, b in zip(snrs, edges, edges[1:]):
-        i = a + int(overall[a:b].argmax()) if a < b else a  # ties: the smallest prime
-        if a == b or not overall[i] > 0.0:
-            points.append(RatePoint(gains[0], snr, None, 0.0, None))
+    r = row - row[0]
+    best = np.zeros(r[-1] + 1)
+    np.maximum.at(best, r, overall)
+    # ties: the smallest prime, then the first gain whose rate is smallest there
+    win = np.flatnonzero((overall == best[r]) & (overall > 0.0))
+    win = win[np.unique(r[win], return_index=True)[1]]
+    j = (rates[:, win] == overall[win]).argmax(axis=0)
+    od = _omega_d(pf[win], ob[j, win], offs[lid[row[win]], j], c[win], tail[win])
+    return (row[win].tolist(), pf[win].astype(np.int64).tolist(), j.tolist(), overall[win].tolist(),
+            oa[j, win].tolist(), ob[j, win].tolist(), od.tolist())
+
+
+def _search(primes, table, gains, snrs, lid, n) -> list[RatePoint]:
+    """The RatePoint of each row of gains[r] and snrs[r], whose admissible primes are
+    primes[:n[r]] and whose segments are the table's list lid[r]."""
+    terms = np.array(_snr_terms(snrs))
+    first = table[5]
+    kept = [_prune(table, lid, n, terms, a, b) for a, b in _chunks((first[1:] - first[:-1])[lid])]
+    t, row, width = (np.concatenate(x) for x in zip(*kept))
+    points = [None] * len(snrs)
+    for a, b in _chunks(np.bincount(row, width, minlength=len(snrs)).astype(np.int64)):
+        lo, hi = row.searchsorted([a, b])
+        if lo == hi:
             continue
-        # the binding gain: the first whose rate is smallest at p*
-        j = next(j for j in range(len(gains)) if rates[j, i] == overall[i])
-        p, od = int(pf[i]), _omega_d(pf[i], ob[j, i], offs[j], *_snr_terms(snr)[:2])
-        bd = OmegaBreakdown(p, gains[j], snr, float(oa[j, i]), float(ob[j, i]), float(od))
-        points.append(RatePoint(gains[j], snr, p, float(overall[i]), bd))
+        found = _winners(primes, table, lid, terms, t[lo:hi], row[lo:hi], width[lo:hi])
+        for r, p, j, rate, oa, ob, od in zip(*found):
+            g = gains[r][j]
+            points[r] = RatePoint(g, snrs[r], p, rate, OmegaBreakdown(p, g, snrs[r], oa, ob, od))
+    return [
+        RatePoint(g[0], snr, None, 0.0, None) if point is None else point
+        for g, snr, point in zip(gains, snrs, points)
+    ]
+
+
+def _best_primes(rows, p_max: Optional[int]) -> list[RatePoint]:
+    """The rate of each row (gains, snr) of an iterable, drawn and checked in order: the max
+    over primes <= p_max (default ``default_p_max(snr)``) of the smallest bound over the
+    row's gains (0 where a gain's prime is inadmissible), ties to the smallest prime; the
+    binding gain, the first whose bound is smallest at p*, names the point."""
+    primes = primes_up_to(PRIME_SEARCH_CAP)
+    if p_max is not None:
+        primes_up_to(p_max)  # refuses a bound above the search cap
+    lists, gains, snrs, lid, limits = {}, [], [], [], []
+    for g, snr in rows:  # the first row that fails is the error
+        _require_positive_snr(snr)
+        limits.append(default_p_max(snr) if p_max is None else p_max)
+        gains.append(g)
+        snrs.append(snr)
+        lid.append(lists.setdefault(tuple(g), len(lists)))
+    if not snrs:
+        return []
+    # every (row, gain) pair's admissible prefix in one search; where the
+    # mask disagrees at a boundary, it decides the row's primes
+    sizes = primes.searchsorted(limits, side="right")
+    count = np.array([len(g) for g in gains])
+    row = np.arange(count.size).repeat(count)
+    flat = [x for g in gains for x in g]
+    n, agree = admissible_prefix(primes, flat, np.array(snrs)[row], sizes[row])
+    starts = count.cumsum() - count
+    n, agree = np.minimum.reduceat(n, starts), np.logical_and.reduceat(agree, starts)
+    alone = {}
+    for r in np.flatnonzero(~agree).tolist():
+        adm = primes[: sizes[r]]
+        for g in gains[r]:
+            adm = adm[admissible_mask(adm, g, snrs[r])]
+        if adm.size and adm[-1] != primes[adm.size - 1]:
+            alone[r] = adm  # the full mask left a gap: this row searches its own primes
+        n[r] = 0 if r in alone else adm.size
+    table = _table([_gain_segments(key) for key in lists])
+    points = _search(primes, table, gains, snrs, np.array(lid), n)
+    for r, adm in alone.items():
+        table, size = _table([_segments(gains[r], adm)]), np.array([adm.size])
+        points[r] = _search(adm, table, [gains[r]], [snrs[r]], np.array([0]), size)[0]
     return points
 
 
-def _best_primes(gains, snrs, p_max: Optional[int]) -> list[RatePoint]:
-    """Per SNR, the max over primes <= p_max (default ``default_p_max(snr)``) of the smallest
-    bound over ``gains`` (0 where a gain's prime is inadmissible), ties to the smallest prime;
-    the binding gain, the first whose bound is smallest at p*, names the point."""
-    primes = primes_up_to(PRIME_SEARCH_CAP)
-    steps = _gain_segments(tuple(gains))
-    points, rows = [], []
-    for snr in snrs:  # checked in order, so the first SNR that fails is the error
-        _require_positive_snr(snr)
-        adm = primes_up_to(default_p_max(snr) if p_max is None else p_max)
-        for g in gains:
-            adm = admissible_prefix(adm, g, snr)
-        if adm.size and adm[-1] != primes[adm.size - 1]:
-            # the full mask left a gap: this SNR searches its own primes
-            points += _search(gains, rows, primes, steps)
-            points += _search(gains, [(snr, adm.size)], adm, _segments(gains, adm))
-            rows = []
-        else:
-            rows.append((snr, adm.size))
-    return points + _search(gains, rows, primes, steps)
+def theorem1_rows(rows, p_max: Optional[int] = None) -> list[RatePoint]:
+    """Achievable symmetric rate of the two-user same-codebook modulo MAC at each (gamma, snr)
+    row of an iterable (drawn and checked in order), in one prime search: the max of
+    rate_for_p over admissible primes up to p_max, ties to the smallest prime; rate 0 and no
+    prime if none wins."""
+
+    def lists():
+        gains = ()
+        for gamma, snr in rows:
+            # a run of rows of one gain shares its list: a 499-gain sweep
+            # holds 499 lists, not one per row
+            if not gains or gains[0] is not gamma:
+                gains = (gamma,)
+            yield gains, snr
+
+    return _best_primes(lists(), p_max)
 
 
 def theorem1_rates(gamma: Gain, snrs, p_max: Optional[int] = None) -> list[RatePoint]:
-    """Achievable symmetric rate of the two-user same-codebook modulo MAC at each SNR of an
-    iterable (drawn and checked in order), in one prime search: the max of rate_for_p over
-    admissible primes up to p_max, ties to the smallest prime; rate 0 and no prime if none wins."""
-    return _best_primes([gamma], snrs, p_max)
+    """``theorem1_rows`` at one gain and each SNR of an iterable."""
+    return theorem1_rows(((gamma, snr) for snr in snrs), p_max)
 
 
 def theorem1_rate(gamma: Gain, snr: float, p_max: Optional[int] = None) -> RatePoint:
-    """``theorem1_rates`` at one SNR."""
-    return theorem1_rates(gamma, [snr], p_max)[0]
+    """``theorem1_rows`` at one gain and one SNR."""
+    return theorem1_rows([(gamma, snr)], p_max)[0]
 
 
 def random_sym_capacity(gamma: Gain, snr: float) -> float:
@@ -305,7 +407,8 @@ def theorem2_sym_rates(channel, snrs, p_max: Optional[int] = None) -> list[RateP
     gain, of the smallest per-receiver bound; the breakdown is the binding receiver's."""
     # first-occurrence order, so a tie for the binding receiver goes to the
     # lowest index
-    return _best_primes(list(dict.fromkeys(channel.direct)), snrs, p_max)
+    gains = tuple(dict.fromkeys(channel.direct))
+    return _best_primes(((gains, snr) for snr in snrs), p_max)
 
 
 def theorem2_sym_rate(channel, snr: float, p_max: Optional[int] = None) -> RatePoint:

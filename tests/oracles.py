@@ -8,6 +8,8 @@ decode per trial, with the substreams of ``lia.macsim`` and ``lia.network``.
 The block engine must reproduce their counts field for field.
 ``best_prime_oracle`` is the rate search that evaluates every prime up to
 p_max; the pruned search in ``lia.rates`` must return the same RatePoint.
+``schedule_rate_loop`` is the power-time rate one SNR and one step at a time;
+``lia.powertime.schedule_rates`` must return its rates and first error.
 """
 
 import math
@@ -19,6 +21,7 @@ from lia.diophantine import admissible_mask, delta_for_primes, mod_quarter_inter
 from lia.macsim import AMBIGUOUS, SimResult, _block_rows, mod_mac_channel, wilson_interval
 from lia.modarith import grid_real, mod_interval
 from lia.network import NetworkSimResult
+from lia.powertime import SYMBOL_RATE, Schedule, build_schedule
 from lia.rates import (
     OmegaBreakdown,
     RatePoint,
@@ -27,6 +30,7 @@ from lia.rates import (
     _rate_from_omegas,
     _snr_terms,
     default_p_max,
+    theorem1_rate,
 )
 
 # per-receiver network outcomes
@@ -188,9 +192,9 @@ def _scan_primes(gamma, snr, p_max):
 
 
 def best_prime_oracle(gains, snr, p_max=None):
-    """``rates._best_primes`` at one SNR by evaluating every prime <= p_max: the max over
-    primes of the smallest rate over ``gains``, ties to the smallest prime
-    and then to the first gain."""
+    """``rates._best_primes`` at one row (gains, snr) by evaluating every prime <=
+    p_max: the max over primes of the smallest rate over ``gains``, ties to the
+    smallest prime and then to the first gain."""
     if p_max is None:
         p_max = default_p_max(snr)
     scans = [_scan_primes(g, snr, p_max) for g in gains]
@@ -207,3 +211,18 @@ def best_prime_oracle(gains, snr, p_max=None):
     p_star = int(primes[i])
     bd = OmegaBreakdown(p_star, gains[j], snr, float(oa[i]), float(ob[i]), float(od[i]))
     return RatePoint(gains[j], snr, p_star, float(overall[i]), bd)
+
+
+def schedule_rate_loop(H, snr, p_max=None):
+    """3/4 of the worst step rate at one SNR, each step through ``theorem1_rate`` in
+    order until a step rate is 0; a reached step whose SNR overflows is refused."""
+    sched = H if isinstance(H, Schedule) else build_schedule(H)
+    worst = math.inf
+    for step in sched.steps:
+        step_snr = float(snr) * float(step.snr_mult)  # Python floats overflow to inf quietly
+        if math.isinf(step_snr) and math.isfinite(snr):
+            raise ValueError(f"power-time step SNR overflows at '{step.label}'")
+        worst = min(worst, theorem1_rate(step.gamma_eff, step_snr, p_max).rate)
+        if worst == 0.0:
+            break
+    return SYMBOL_RATE * worst

@@ -20,10 +20,12 @@ from lia.cli import (
     _UsageError,
     main,
 )
-from lia.network import bundled_channel_path
-from lia.rates import PRIME_SEARCH_CAP
+import oracles
+from lia.network import bundled_channel_path, parse_real_matrix_text
+from lia.rates import PRIME_SEARCH_CAP, db_to_linear
 
 ROOT = Path(__file__).resolve().parents[1]
+HUGE_FRACTION = "1" + "0" * 400 + "/1"
 CHANNEL5 = str(bundled_channel_path())
 CHANNEL3 = str(ROOT / "bench" / "data" / "h3.txt")
 
@@ -384,6 +386,14 @@ class TestNetwork:
         assert code == EXIT_PRECONDITION and not out and "entries" in err
 
 
+# snr_mult = 1e300 at the first step, whose SNR overflows from 200 dB on;
+# snr_mult of about 1e306 at the second step (overflowing from 40 dB on) and at
+# later ones (from 20 dB on), where at 20 dB the first step's rate of 0 ends
+# the schedule
+BIG3 = "3\n1e150 1 1\n1 1 1\n1 1 1\n"
+HIDDEN3 = "3\n1.4142135623730951 1.7 1e153\n2.2 1.3 1e-153\n1 1.7 1\n"
+
+
 class TestPowerTime:
     def test_rates_and_factor(self, capsys, channel3):
         code, out, _ = run_cli(
@@ -426,12 +436,45 @@ class TestPowerTime:
         # snr_mult = 1e300: at 200 dB the first step's SNR overflows; at 40 dB
         # it is finite and a zero step rate ends the schedule early
         path = tmp_path / "big3.txt"
-        path.write_text("3\n1e150 1 1\n1 1 1\n1 1 1\n")
+        path.write_text(BIG3)
         code, out, err = run_cli(capsys, "power-time", "--channel", str(path), "--snr-db", "40,200")
         assert code == EXIT_PRECONDITION and not out
         assert err == "lia: power-time step SNR overflows at 'frame1 aligned decode at rx1'\n"
         code, out, _ = run_cli(capsys, "power-time", "--channel", str(path), "--snr-db", "40")
         assert code == EXIT_OK and out.splitlines()[2] == "40,0,0,0"
+
+    @pytest.mark.parametrize(
+        "matrix, grid",
+        [
+            (None, "20,4000"),
+            (None, "-4000,20"),  # the step SNRs underflow to 0
+            (BIG3, "40,200"),
+            # the step refused at 200 dB comes before the point refused after it
+            (BIG3, "200,4000"),
+            (HIDDEN3, "20,40"),
+            (HIDDEN3, "40,20"),
+        ],
+    )
+    def test_refused_grid_gives_the_per_point_loops_first_error(
+        self, capsys, tmp_path, matrix, grid
+    ):
+        path = CHANNEL3 if matrix is None else tmp_path / "m3.txt"
+        if matrix is not None:
+            path.write_text(matrix)
+        H = parse_real_matrix_text(Path(path).read_text(), K_expected=3)
+        with pytest.raises(ValueError) as refused:
+            for snr_db in grid.split(","):
+                oracles.schedule_rate_loop(H, db_to_linear(float(snr_db)))
+        code, out, err = run_cli(capsys, "power-time", "--channel", str(path), f"--snr-db={grid}")
+        assert (code, out, err) == (EXIT_PRECONDITION, "", f"lia: {refused.value}\n")
+
+    @pytest.mark.parametrize("matrix, grid", [(BIG3, "40"), (HIDDEN3, "20")])
+    def test_an_overflowing_step_never_reached_is_not_refused(self, capsys, tmp_path, matrix, grid):
+        # a step rate of 0 ends the schedule before the step whose SNR overflows
+        path = tmp_path / "m3.txt"
+        path.write_text(matrix)
+        code, out, _ = run_cli(capsys, "power-time", "--channel", str(path), "--snr-db", grid)
+        assert code == EXIT_OK and out.splitlines()[2] == f"{grid},0,0,0"
 
     def test_wrong_k_exit_3(self, capsys, tmp_path):
         path = tmp_path / "k5.txt"
@@ -610,6 +653,28 @@ class TestGlobalBehavior:
         code, out, err = run_cli(capsys, *argv, f"--snr-db={grid}")
         assert code == EXIT_PRECONDITION and not out
         assert err == f"lia: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, channel, status",
+        [
+            (("rate", "--gamma", HUGE_FRACTION, "--snr-db", "20"), None, EXIT_USAGE),
+            (("sweep", "--gamma", f"0.3,{HUGE_FRACTION}", "--snr-db", "20"), None, EXIT_USAGE),
+            (("mac-sim", "--gamma", HUGE_FRACTION, "--snr-db", "20", "--p", "3", "--n", "4",
+              "--k", "1", "--trials", "2"), None, EXIT_USAGE),
+            (("network", "--snr-db", "20"), f"2\n{HUGE_FRACTION} 1\n1 1/2\n", EXIT_INPUT),
+            (("network", "--snr-db", "20", "--simulate", "--p", "3", "--n", "4", "--k", "1",
+              "--trials", "2"), f"2\n1/2 1\n1 {HUGE_FRACTION}\n", EXIT_INPUT),
+            (("power-time", "--snr-db", "20"), f"3\n{HUGE_FRACTION} 1 2\n3 1 1\n1 2 1\n", EXIT_INPUT),
+        ],
+        ids=["rate", "sweep", "mac-sim", "network-curves", "network-simulate", "power-time"],
+    )
+    def test_fraction_whose_float_overflows_refused(self, capsys, tmp_path, argv, channel, status):
+        # 10**400 / 1 parses exactly, but no float holds it
+        if channel is not None:
+            (tmp_path / "huge.txt").write_text(channel)
+            argv = (*argv, "--channel", str(tmp_path / "huge.txt"))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == status and not out and err
 
     def test_unknown_flag_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "rate", "--gamma", "0.4", "--snr-db", "20", "--bogus")

@@ -53,6 +53,11 @@ class TestParseGain:
         with pytest.raises(ValueError):
             parse_gain("inf")
 
+    @pytest.mark.parametrize("text", ["1" + "0" * 400 + "/1", "-1" + "0" * 400 + "/3"])
+    def test_rejects_a_fraction_whose_float_overflows(self, text):
+        with pytest.raises(ValueError, match="gain must be finite"):
+            parse_gain(text)
+
 
 class TestPrimes:
     def test_edges(self):
@@ -196,15 +201,40 @@ def test_staircase_matches_enumeration_random(g):
 
 class TestAdmissibility:
     def test_half_gain_never_admissible(self):
-        for snr in (1.0, 1e2, 1e6, 1e12):
-            assert admissible_prefix(primes_up_to(101), 0.5, snr).tolist() == []
-            assert admissible_prefix(primes_up_to(101), Fraction(1, 2), snr).tolist() == []
+        for gain in (0.5, Fraction(1, 2)):
+            count, agrees = admissible_prefix(primes_up_to(101), gain, [1.0, 1e2, 1e6, 1e12])
+            assert count.tolist() == [0, 0, 0, 0] and agrees.all()
 
     def test_hand_case(self):
-        assert admissible_prefix(primes_up_to(3), 0.4, 100.0).tolist() == [2, 3]
+        count, agrees = admissible_prefix(primes_up_to(3), 0.4, 100.0)
+        assert (int(count), bool(agrees)) == (2, True)
 
     def test_vanishing_snr_empty(self):
-        assert admissible_prefix(primes_up_to(101), 0.4, 1e-9).tolist() == []
+        count, agrees = admissible_prefix(primes_up_to(101), 0.4, 1e-9)
+        assert (int(count), bool(agrees)) == (0, True)
+
+    def test_prefix_broadcasts_like_one_element_at_a_time(self):
+        # gains, SNRs and prefix lengths mixed in one search, each element
+        # against a search of its own on primes[:size]
+        primes = primes_up_to(PRIME_SEARCH_CAP)
+        gains = [0.37, Fraction(707, 1000), 0.5, math.sqrt(2) / 2, 1.7, 0.37]
+        snrs = [30.0, 20.0, 1e6, 1e20, 1e3, 1e12]
+        sizes = [26, 9592, 9592, 1229, 3, 0]
+        count, agrees = admissible_prefix(primes, gains, snrs, sizes)
+        assert agrees.all()
+        for g, snr, size, n in zip(gains, snrs, sizes, count.tolist()):
+            one, _ = admissible_prefix(primes[:size], g, snr)
+            assert n == int(one)
+        assert 0 < count[0] < 26 and 0 < count[1] < 9592
+
+    def test_mask_broadcasts_like_one_snr_at_a_time(self):
+        # the tail is math.exp per SNR, so the broadcast mask has the same bits
+        primes = primes_up_to(2000)
+        snrs = np.array([1.0, 10.0, 250.0, 1e4, 1e8, 1.7e308])
+        gains = [0.37, Fraction(1, 3), 0.25, 0.1, 0.49, 0.3]
+        got = admissible_mask(primes[:, None], gains, snrs)
+        for k, (g, snr) in enumerate(zip(gains, snrs.tolist())):
+            assert np.array_equal(got[:, k], admissible_mask(primes, g, snr))
 
     def test_mask_matches_scalar_condition(self):
         primes = primes_up_to(50)

@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from lia import powertime
 from lia.powertime import (
     SYMBOL_RATE,
     GainOrderingError,
     build_schedule,
     dof_factor,
+    dof_factors,
     schedule_rate,
+    schedule_rates,
 )
 from lia.rates import db_to_linear, default_p_max, theorem1_rate
 
@@ -140,3 +144,50 @@ class TestDofFactor:
             assert f == 3.0 * sym / (0.5 * math.log2(snr))
         assert all(b >= a for a, b in zip(factors, factors[1:]))
         assert abs(factors[-1] - 1.125) < 0.2
+
+
+class TestScheduleRates:
+    """Every step of a whole SNR grid in one prime search, against the loop that
+    takes one SNR and one step at a time (``oracles.schedule_rate_loop``)."""
+
+    @pytest.mark.parametrize("block", [None, 3])
+    def test_grid_matches_the_loop_at_every_snr(self, monkeypatch, block):
+        # unsorted, with a duplicate, from below threshold to 200 dB; in one
+        # search, or in searches of three SNRs each
+        if block is not None:
+            monkeypatch.setattr(powertime, "_SNRS_PER_SEARCH", block)
+        grid = [db_to_linear(x) for x in (200, 0, 20, 80, 20, 47.5, 120, 160, 40, 100)]
+        rng = np.random.default_rng(5)
+        matrices = [GENERIC_H, HAND_H]
+        while len(matrices) < 6:
+            H = rng.uniform(0.2, 4.0, size=(3, 3))
+            try:
+                build_schedule(H)
+            except GainOrderingError:
+                continue
+            matrices.append(H)
+        for H in matrices:
+            for p_max in (None, 101):
+                want = [oracles.schedule_rate_loop(H, snr, p_max) for snr in grid]
+                assert schedule_rates(H, grid, p_max) == want
+                assert [sym for sym, _ in dof_factors(H, grid, p_max)] == want
+        assert schedule_rates(GENERIC_H, []) == []
+
+    @pytest.mark.parametrize(
+        "H, grid",
+        [
+            (np.array([[1e150, 1, 1], [1, 1, 1], [1, 1, 1]]), (40, 200, 40)),
+            (np.array([[2**0.5, 1.7, 1e153], [2.2, 1.3, 1e-153], [1, 1.7, 1]]), (20, 40)),
+            (GENERIC_H, (60, 0.0)),  # 0.0 linear: the first step's SNR is refused
+        ],
+    )
+    @pytest.mark.parametrize("block", [None, 1])
+    def test_refused_grid_gives_the_loops_first_error(self, monkeypatch, H, grid, block):
+        if block is not None:
+            monkeypatch.setattr(powertime, "_SNRS_PER_SEARCH", block)
+        grid = [db_to_linear(x) if x else 0.0 for x in grid]
+        with pytest.raises(ValueError) as want:
+            [oracles.schedule_rate_loop(H, snr) for snr in grid]
+        with pytest.raises(ValueError) as got:
+            schedule_rates(H, grid)
+        assert str(got.value) == str(want.value)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from lia import diophantine
+from lia import diophantine, rates
 from lia.diophantine import admissible_prefix, primes_up_to
 from lia.network import ChannelMatrix, bundled_channel_path, load_channel_file, parse_real_matrix_text
 from lia.powertime import build_schedule
@@ -25,6 +25,7 @@ from lia.rates import (
     random_sym_capacity,
     rate_for_p,
     theorem1_rate,
+    theorem1_rates,
     theorem2_sym_rate,
     time_sharing_sum_rate,
 )
@@ -297,58 +298,74 @@ class TestPrunedSearch:
 
     @pytest.mark.parametrize("gamma", [0.37, -SQRT2_OVER_2, Fraction(707, 1000), 1.7])
     def test_admissible_prefix_matches_full_mask(self, gamma):
+        # every SNR in one search, each count against the full mask at its SNR;
+        # a prefix of the whole sieve gives the counts of a shorter prime array
+        snrs = [db_to_linear(x) for x in [*np.arange(0.0, 30.0, 0.5), *PRUNE_SNRS_DB]]
         interior = 0
         for p_max in (1, 2, 3, 101, PRIME_SEARCH_CAP):
             primes = primes_up_to(p_max)
-            for snr_db in [*np.arange(0.0, 30.0, 0.5), *PRUNE_SNRS_DB]:
-                snr = db_to_linear(snr_db)
+            count, agrees = admissible_prefix(primes, gamma, snrs)
+            assert agrees.all()
+            whole = admissible_prefix(primes_up_to(PRIME_SEARCH_CAP), gamma, snrs, primes.size)
+            assert np.array_equal(whole[0], count) and whole[1].all()
+            for snr, n in zip(snrs, count.tolist()):
                 mask = diophantine.admissible_mask(primes, gamma, snr)
-                got = admissible_prefix(primes, gamma, snr)
-                assert np.array_equal(got, primes[mask]) and mask[: got.size].all()
-                interior += 0 < got.size < primes.size
+                assert mask[:n].all() and not mask[n:].any()
+                interior += 0 < n < primes.size
         assert interior > 10
 
     @pytest.mark.parametrize("admitted", ["fewer", "more", "gap"])
     def test_mask_overrides_bisection(self, monkeypatch, admitted):
-        # a mask that disagrees with the scalar bisection at the boundary
-        # decides; both the search and the full scan then use it
+        # a mask that disagrees with the search at the boundary of one (gain,
+        # SNR) decides there; the search, its fallback and the full scan all use it
         real = diophantine.admissible_mask
         primes = primes_up_to(PRIME_SEARCH_CAP)
+        gamma = 0.37
         if admitted == "fewer":
-            snr, gamma = db_to_linear(120), 0.37
+            snr = db_to_linear(120)
 
-            def fake(ps, g, s):
-                return real(ps, g, s) & (np.asarray(ps) < 50)
+            def change(ps, admits):
+                return admits & (ps < 50)
         elif admitted == "gap":
             # one more prime at the boundary and none at the winner: the
-            # admissible primes are no prefix, so that SNR searches them alone
-            snr, gamma = db_to_linear(18.5), 0.37
+            # admissible primes are no prefix, so that row searches them alone
+            snr = db_to_linear(18.5)
             k = int(np.count_nonzero(real(primes, gamma, snr)))
             winner = theorem1_rate(gamma, snr, PRIME_SEARCH_CAP).p_star
 
-            def fake(ps, g, s):
-                ps = np.asarray(ps)
-                return (real(ps, g, s) & (ps != winner)) | (ps == primes[k])
+            def change(ps, admits):
+                return (admits & (ps != winner)) | (ps == primes[k])
         else:
-            snr, gamma = db_to_linear(18.5), 0.37
+            snr = db_to_linear(18.5)
             k = int(np.count_nonzero(real(primes, gamma, snr)))
 
-            def fake(ps, g, s):
-                return real(ps, g, s) | (np.asarray(ps) <= primes[k])
+            def change(ps, admits):
+                return admits | (ps <= primes[k])
 
-        monkeypatch.setattr(diophantine, "admissible_mask", fake)
-        monkeypatch.setattr(oracles, "admissible_mask", fake)
-        assert np.array_equal(admissible_prefix(primes, gamma, snr), primes[fake(primes, gamma, snr)])
+        def fake(ps, g, s):
+            ps, admits = np.asarray(ps), real(ps, g, s)
+            at = np.array([x == gamma for x in g] if isinstance(g, list) else g == gamma)
+            return np.where(at & (np.asarray(s) == snr), change(ps, admits), admits)
+
+        for module in (diophantine, rates, oracles):
+            monkeypatch.setattr(module, "admissible_mask", fake)
+        assert not admissible_prefix(primes, gamma, snr)[1]
         got = theorem1_rate(gamma, snr, PRIME_SEARCH_CAP)
         assert got == oracles.best_prime_oracle([gamma], snr, PRIME_SEARCH_CAP)
         if admitted == "fewer":
             assert 0 < got.p_star < 50
         if admitted == "gap":
             assert got.p_star not in (None, winner)
-            # a gap row between prefix rows of one grid
-            grid = [db_to_linear(40), snr, db_to_linear(60)]
-            want = [oracles.best_prime_oracle([gamma], x, PRIME_SEARCH_CAP) for x in grid]
-            assert _best_primes([gamma], grid, PRIME_SEARCH_CAP) == want
+            # the gap row between rows of other gains and SNRs, in one batch
+            rows = [
+                ((SQRT2_OVER_2,), db_to_linear(40)),
+                ((gamma,), snr),
+                ((Fraction(707, 1000), 0.41, Fraction(707, 1000)), snr),
+                ((gamma,), db_to_linear(60)),
+            ]
+            want = [oracles.best_prime_oracle(list(g), x, PRIME_SEARCH_CAP) for g, x in rows]
+            assert _best_primes(rows, PRIME_SEARCH_CAP) == want
+            assert want[1] == got
 
     @pytest.mark.parametrize("p_max", [3, 101, None])
     @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
@@ -394,9 +411,27 @@ class TestSinglePassSearch:
 GRID_SNRS = st.one_of(st.sampled_from([1.0, db_to_linear(18.5), 1.2e308, 1.7e308]), SEARCH_SNRS)
 
 
+# one gain (a float or a Fraction), a list with a repeated gain, and the
+# distinct direct gains of a multi-gain ChannelMatrix
+MULTI_GAINS = tuple(dict.fromkeys(ChannelMatrix(
+    K=4,
+    direct=(SQRT2_OVER_2, 0.37, Fraction(-707, 1000), 0.37),
+    cross=1 - np.eye(4, dtype=np.int64),
+).direct))
+GAIN_LISTS = st.one_of(
+    SEARCH_GAINS.map(lambda g: (g,)),
+    st.lists(SEARCH_GAINS, min_size=1, max_size=2).map(lambda gs: (*gs, gs[0])),
+    st.just(MULTI_GAINS),
+)
+# 0 dB, 18.5 dB, 3081 dB (1.5 * SNR overflows) and 1.2e308 among random SNRs
+BATCH_SNRS = st.one_of(
+    st.sampled_from([1.0, db_to_linear(18.5), db_to_linear(3081), 1.2e308]), SEARCH_SNRS
+)
+
+
 class TestGridSearch:
-    """One search over a whole SNR grid against the one-SNR full scan of
-    ``oracles.best_prime_oracle`` at each point, whole RatePoints."""
+    """One search over a whole batch of rows against the one-row full scan of
+    ``oracles.best_prime_oracle`` at each row, whole RatePoints."""
 
     @given(
         st.lists(SEARCH_GAINS, min_size=1, max_size=3),
@@ -406,7 +441,41 @@ class TestGridSearch:
     )
     def test_matches_full_scan_at_every_snr(self, gains, snrs, p_max):
         want = [oracles.best_prime_oracle(gains, snr, p_max) for snr in snrs]
-        assert _best_primes(gains, snrs, p_max) == want
+        assert _best_primes([(gains, snr) for snr in snrs], p_max) == want
+        if len(gains) == 1:
+            assert theorem1_rates(gains[0], iter(snrs), p_max) == want
+
+    @given(
+        # mirrored: every batch has duplicate and descending rows
+        st.lists(st.tuples(GAIN_LISTS, BATCH_SNRS), min_size=1, max_size=5).map(
+            lambda rows: rows + rows[::-1]
+        ),
+        st.sampled_from([None, 101, PRIME_SEARCH_CAP]),
+    )
+    def test_rows_of_several_gain_lists_match_full_scan(self, rows, p_max):
+        want = [oracles.best_prime_oracle(list(gains), snr, p_max) for gains, snr in rows]
+        assert _best_primes(rows, p_max) == want
+
+    def test_memory_flat_for_a_sweep_shaped_batch(self):
+        # 499 gains x 21 SNRs, as `lia sweep` asks, in one search: the kept
+        # primes (about 300,000) are evaluated in chunks of a fixed size, so the
+        # peak stays within the margin below of one gain's (about 5 MB more);
+        # in one batch they took about 37 MB more
+        snrs = [db_to_linear(x) for x in range(0, 201, 10)]
+
+        def peak(gains):
+            rows = [((g,), snr) for g in gains for snr in snrs]
+            tracemalloc.start()
+            try:
+                points = _best_primes(rows, None)
+                return tracemalloc.get_traced_memory()[1], points
+            finally:
+                tracemalloc.stop()
+
+        small, _ = peak([0.3])
+        big, points = peak((np.arange(499) + 1) / 1000)
+        assert len(points) == 499 * 21 and points[-1].p_star is not None
+        assert big - small < 20e6
 
     def test_memory_flat_in_grid_length(self):
         # the omega terms run in chunks of a fixed number of primes, so a
@@ -418,7 +487,7 @@ class TestGridSearch:
             snrs = [db_to_linear(x) for x in np.linspace(0.0, 200.0, count)]
             tracemalloc.start()
             try:
-                points = _best_primes(gains, snrs, None)
+                points = _best_primes([(gains, snr) for snr in snrs], None)
                 return tracemalloc.get_traced_memory()[1], points
             finally:
                 tracemalloc.stop()
