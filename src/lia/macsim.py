@@ -15,11 +15,15 @@ trials into blocks and gives each trial its own substreams; a block's
 codewords come from a codebook lookup, its dependent draws from the
 decoder's mask, its received vectors from one channel evaluation, and its
 decisions from one PairDecoder.decode_many call, which decides every row
-exactly as decoding it alone would.
+exactly as decoding it alone would.  The substreams' generators are built
+from seed words that substream_words hashes for a whole span of trials at
+once, the words SeedSequence itself would generate, so every draw is the one
+SeedSequence's own generator makes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +39,13 @@ from .rates import _require_positive_snr
 DECODER_TABLE_BYTES_CAP = 2**28  # bound on PairDecoder's arrays plus one block decode's temporaries
 _RESCORE_ROWS = 4096  # near-tie candidates re-scored per chunk
 _BATCH_BYTES = 2**20  # temporaries of one block decode, when one decode's are smaller
+_SPAN_TRIALS = 1024  # trials whose substream words are hashed together, rounded to whole blocks
+_MASK32 = 2**32 - 1
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 class _Ambiguous:
@@ -56,6 +67,9 @@ def check_run(snr: float, trials: int, seed: int, gains, p: int) -> None:
         raise ValueError(f"snr {snr!r} is too small: the noise variance 1/snr overflows")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if trials > 2**32:
+        # trial t is one 32-bit word of its substream's spawn key
+        raise ValueError(f"trials must be at most 2**32, got {trials}")
     if seed < 0:
         raise ValueError("seed must be non-negative")
     # each gain scales the points of the prime-p grid, whose largest |point|
@@ -299,15 +313,120 @@ class PairDecoder:
         return self.psi[self.book.residues[rows], self.book.residues[cols]]
 
 
+def _words32(x: int) -> list[int]:
+    """x >= 0 as little-endian 32-bit words, as SeedSequence reads an int (0 is one word)."""
+    x = int(x)
+    if x < 0:
+        raise ValueError(f"seed entropy must be non-negative, got {x}")
+    words = [x & _MASK32]
+    while x > _MASK32:
+        x >>= 32
+        words.append(x & _MASK32)
+    return words
+
+
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """SeedSequence's hashmix of a word (an int or a uint32 array): (hashed, next constant)."""
+    const_next = const * mult & _MASK32
+    value = (value ^ const) * const_next & _MASK32
+    return value ^ value >> 16, const_next
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two words, each an int or a uint32 array."""
+    r = (_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32) & _MASK32
+    return r ^ r >> 16
+
+
+def _mix_in(pool: list, words, const: int):
+    """Mix each of ``words`` into every pool word in turn: (pool, next hash constant)."""
+    pool = list(pool)
+    for w in words:
+        for dst in range(_POOL_WORDS):
+            h, const = _hashmix(w, const)
+            pool[dst] = _mix(pool[dst], h)
+    return pool, const
+
+
+def substream_words(seed: int, ts, keys) -> np.ndarray:
+    """SeedSequence(seed, spawn_key=(t, *key)).generate_state(4, np.uint64) for every t
+    in ``ts`` and key in ``keys``, as a C-contiguous len(ts) x len(keys) x 4 array.
+
+    SeedSequence's hash of the entropy words: the seed's 32-bit words, zero-padded to
+    the 4-word pool, then t's one word, then the key's words.  The pool that the seed
+    makes is the same for every t, so it is hashed once on ints; t's word and
+    everything after it are hashed on uint32 arrays over all of ``ts`` at once.  A t
+    that does not fit one word is refused, not wrapped.
+    """
+    t = np.asarray(ts)
+    if t.size and (t.min() < 0 or t.max() > _MASK32):
+        raise ValueError("every trial index must fit one 32-bit word")
+    t = t.astype(np.uint32).reshape(-1)
+    entropy = _words32(seed)
+    entropy += [0] * (_POOL_WORDS - len(entropy))
+    const = _INIT_A
+    pool = []
+    for w in entropy[:_POOL_WORDS]:
+        h, const = _hashmix(w, const)
+        pool.append(h)
+    # mix every pool word into every other, so late words affect early ones
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                h, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], h)
+    pool, const = _mix_in(pool, entropy[_POOL_WORDS:] + [t], const)
+    state = np.empty((t.size, len(keys), 2 * 4), dtype=np.uint32)
+    for j, key in enumerate(keys):
+        key_pool, _ = _mix_in(pool, [w for k in key for w in _words32(k)], const)
+        gen = _INIT_B
+        for i in range(2 * 4):
+            state[:, j, i], gen = _hashmix(key_pool[i % _POOL_WORDS], gen, _MULT_B)
+    # pairs of 32-bit words, viewed as 64-bit words as SeedSequence views its state
+    return state.view(np.uint64)
+
+
+@functools.cache
+def _generator_from_words():
+    """The function that makes a substream's Generator from its substream_words entry.
+
+    numpy seeds PCG64 from the words as from SeedSequence(seed, spawn_key=(t, *key)).
+    Built on first use, so that importing lia does not import numpy.random.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        """A seed sequence whose generate_state(4, np.uint64) is given."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("only the 4 uint64 words PCG64 seeds from are held")
+            return self.words
+
+    return lambda words: Generator(PCG64(Words(words)))
+
+
 def trial_blocks(code: LinearCode, trials: int, seed: int, keys):
     """The trial engine: yields range(trials) in the blocks a PairDecoder of ``code``
     decodes together, each with an iterator that makes trial t's generators only when it
-    reaches t, one per key, drawing from SeedSequence(seed, spawn_key=(t, *key))."""
-    for block in _blocks(trials, _block_rows(code.p**code.k, code.n, code.p)):
-        yield block, (
-            [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, *k))) for k in keys]
-            for t in block
-        )
+    reaches t, one per key, drawing from SeedSequence(seed, spawn_key=(t, *key)).
+
+    The generators' seed words come from one substream_words pass per span of whole
+    blocks (about _SPAN_TRIALS trials), so the blocks are those of the trials alone.
+    """
+    size = _block_rows(code.p**code.k, code.n, code.p)
+    span = max(size, _SPAN_TRIALS // size * size)
+    generator = _generator_from_words()
+    for start in range(0, trials, span):
+        words = substream_words(seed, range(start, min(start + span, trials)), keys)
+        for block in _blocks(words.shape[0], size):
+            yield range(start + block.start, start + block.stop), (
+                [generator(w) for w in trial] for trial in words[block.start : block.stop]
+            )
 
 
 def estimate_error_prob(
@@ -326,8 +445,8 @@ def estimate_error_prob(
     dependent = errors_independent = ambiguous = 0
     for block, generators in trial_blocks(code, trials, seed, [()]):
         rngs = [g for (g,) in generators]  # kept: independent draws draw their noise below
-        # w1 then w2 from each trial's substream, as in a per-trial loop
-        sent = book.rows([[g.integers(0, code.p, size=code.k) for _ in range(2)] for g in rngs])
+        # w1 then w2 from each trial's substream: one (2, k) call draws what two k calls would
+        sent = book.rows([g.integers(0, code.p, size=(2, code.k)) for g in rngs])
         independent = np.flatnonzero(decoder.mask[sent[:, 0], sent[:, 1]] == 0.0)
         dependent += len(block) - independent.size
         sent = sent[independent]

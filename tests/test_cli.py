@@ -565,6 +565,31 @@ class TestGlobalBehavior:
         assert err == "lia: snr must be positive and finite, got 0.0\n"
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mac-sim", "--gamma", "0.3"),
+            ("network", "--channel", CHANNEL5, "--simulate"),
+        ],
+        ids=["mac-sim", "network"],
+    )
+    def test_trial_count_past_one_seed_word_refused(self, capsys, argv):
+        # trial t is one 32-bit word of its substream's key
+        code, out, err = run_cli(
+            capsys, *argv, "--snr-db", "20", "--p", "3", "--n", "4", "--k", "2",
+            "--trials", "4294967297",
+        )
+        assert code == EXIT_PRECONDITION and not out
+        assert err == "lia: trials must be at most 2**32, got 4294967297\n"
+
+    def test_importing_the_cli_leaves_numpy_random_unloaded(self):
+        # the rate commands never simulate, so they must not pay numpy.random's import
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, lia.cli; print('numpy.random' in sys.modules)"],
+            env=child_env(), capture_output=True, timeout=120, check=True,
+        )
+        assert done.stdout == b"False\n"
+
+    @pytest.mark.parametrize(
         "argv, channel, status, expected",
         [
             (("mac-sim", "--gamma", "0.7", "--snr-db=-3083"), None, 4,

@@ -7,18 +7,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lia.codes import LinearCode, encode, messages_dependent, sample_code
 from lia.macsim import (
     AMBIGUOUS,
     DECODER_TABLE_BYTES_CAP,
     PairDecoder,
+    _SPAN_TRIALS,
     _block_rows,
     _decoder_bytes,
+    _generator_from_words,
     check_run,
     estimate_error_prob,
     mod_mac_channel,
+    substream_words,
     trial_blocks,
     wilson_interval,
 )
@@ -386,9 +389,11 @@ def _run_network(code, snr, trials, seed):
         (math.nan, 5, 0, "snr"),
         (math.inf, 5, 0, "snr"),
         (10.0, 0, 0, "trials"),
+        (10.0, 2**32 + 1, 0, "trials"),
         (10.0, 5, -1, "seed"),
         (db_to_linear(-3083), 5, 0, "snr"),  # positive, but 1/snr is inf
         (10.0, 5, 0, "decoder needs"),  # control: a valid run reaches the decoder cap
+        (10.0, 2**32, 0, "decoder needs"),  # control: the most trials t's one key word allows
     ],
 )
 def test_both_simulators_check_the_run_before_building_a_decoder(
@@ -420,8 +425,13 @@ class TestTrialBlocks:
     def test_blocks_cover_the_trials_with_their_substreams(self, p, n, k, keys):
         code = sample_code(p, n, k, seed=0)
         rows = _block_rows(p**k, n, p)
-        for trials in engine_trial_counts(p, n, k):
-            blocks = [(block, list(gens)) for block, gens in trial_blocks(code, trials, 31, keys)]
+        # the seed words are hashed per span of whole blocks: cross its edges too
+        span = max(rows, _SPAN_TRIALS // rows * rows)
+        counts = engine_trial_counts(p, n, k) + [span - 1, span + 1, 2 * span + 3]
+        for seed, trials in itertools.product([31, 2**64 + 1], counts):
+            blocks = [
+                (block, list(gens)) for block, gens in trial_blocks(code, trials, seed, keys)
+            ]
             assert [len(b) for b, _ in blocks] == [
                 min(rows, trials - start) for start in range(0, trials, rows)
             ]
@@ -432,10 +442,35 @@ class TestTrialBlocks:
             for t, generators in enumerate(flat):
                 assert len(generators) == len(keys)
                 for key, g in zip(keys, generators):
-                    fresh = np.random.default_rng(np.random.SeedSequence(31, spawn_key=(t, *key)))
+                    fresh = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, *key)))
                     draws = [(r.integers(0, 2**62, size=3), r.normal()) for r in (g, fresh)]
                     assert np.array_equal(draws[0][0], draws[1][0])
                     assert draws[0][1] == draws[1][1]
+
+
+class TestSubstreamWords:
+    # keys: none (the MAC), one word (a network user) and one of two words
+    @example(seed=7, t=2**32 - 1, key=(3,))  # the largest trial index
+    @given(
+        seed=st.integers(0, 2**256 - 1),
+        t=st.integers(0, 2**32 - 1),
+        key=st.one_of(
+            st.just(()), st.tuples(st.integers(0, 2**32 - 1)), st.tuples(st.integers(2**32, 2**64))
+        ),
+    )
+    def test_words_and_draws_are_seed_sequences(self, seed, t, key):
+        sequence = np.random.SeedSequence(seed, spawn_key=(t, *key))
+        words = substream_words(seed, [t], [key])
+        assert words.shape == (1, 1, 4) and words.dtype == np.uint64
+        assert np.array_equal(words[0, 0], sequence.generate_state(4, np.uint64))
+        g, fresh = _generator_from_words()(words[0, 0]), np.random.default_rng(sequence)
+        assert np.array_equal(g.integers(0, 2**62, size=3), fresh.integers(0, 2**62, size=3))
+        assert g.normal() == fresh.normal()
+
+    @pytest.mark.parametrize("ts", [[2**32], [0, 2**32 + 5], [-1]])
+    def test_a_trial_index_that_does_not_fit_one_word_is_refused(self, ts):
+        with pytest.raises(ValueError, match="^every trial index must fit one 32-bit word$"):
+            substream_words(0, ts, [()])
 
 
 def _largest_gain(p):
