@@ -46,7 +46,6 @@ from .powertime import (
     GainOrderingError,
     Schedule,
     build_schedule,
-    dof_factor,
     dof_factors,
     schedule_rate,
     schedule_rates,
@@ -64,7 +63,6 @@ from .rates import (
     random_sym_capacity,
     rate_for_p,
     theorem1_rate,
-    theorem1_rates,
     theorem1_rows,
     theorem2_sym_rate,
     theorem2_sym_rates,

@@ -250,7 +250,7 @@ def _cmd_network(args) -> str:
 
 def _cmd_power_time(args) -> str:
     with open(args.channel, "r", encoding="ascii") as fh:
-        H = network.parse_real_matrix_text(fh.read(), K_expected=3)
+        H = network.parse_real_matrix_text(fh.read())
     sched = powertime.build_schedule(H)
     snrs = _parse_value_grid(args.snr_db)
     line = (

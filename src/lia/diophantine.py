@@ -172,6 +172,7 @@ def _approx_staircase(gamma: Gain):
     float gamma is expanded at its exact binary value.
     """
     x = gamma if isinstance(gamma, Fraction) else Fraction(float(gamma))
+    num, den = x.numerator, x.denominator
     dens, errs = [], []
     for h, q in _convergents(x):
         if q > _DENOMINATOR_CAP:
@@ -179,7 +180,8 @@ def _approx_staircase(gamma: Gain):
             # minimizer for every denominator bound up to the cap
             break
         dens.append(q)
-        errs.append(float(abs(q * x - h)))
+        # |q*x - h| in ints; int true division rounds correctly, as float(Fraction) does
+        errs.append(abs(q * num - h * den) / den)
     dens = np.asarray(dens, dtype=np.int64)
     errs = np.asarray(errs, dtype=float)
     dens.setflags(write=False)
@@ -216,8 +218,10 @@ def _offsets(gamma):
     return float(mod_quarter_interval(gamma))
 
 
-def _exp_tails(snr: np.ndarray) -> np.ndarray:
-    """exp(-3*SNR/8) for each SNR, by math.exp (np.exp may differ in the last place)."""
+def _exp_tails(snr) -> np.ndarray:
+    """exp(-3*SNR/8) for one SNR or each of an array, by math.exp (np.exp may differ in
+    the last place); every tail of the package is taken here."""
+    snr = np.asarray(snr, dtype=float)
     return np.array([math.exp(-0.375 * x) for x in snr.ravel().tolist()]).reshape(snr.shape)
 
 

@@ -227,7 +227,6 @@ class PairDecoder:
                 f" {DECODER_TABLE_BYTES_CAP} (reduce p, k or n)"
             )
         self.code = code
-        self.gamma = gamma
         self.book = book = Codebook(code)
         self.block_rows = _block_rows(count, n, p)
 

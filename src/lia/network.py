@@ -11,7 +11,8 @@ interference-sum estimate alone does not count against the scheme.
 The simulation runs on macsim.trial_blocks, the trial engine of both
 simulators: every trial draws from its own seed substreams, and each
 receiver decodes a whole block with one PairDecoder.decode_many call (or,
-when it hears no interferer, one macsim.nearest_rows pass), after
+when all its cross gains are multiples of p, so that it hears no interferer
+on the grid, one macsim.nearest_rows pass), after
 macsim.check_run has accepted the SNR, trial count, seed and direct gains.
 
 Channel files: first line K, then K whitespace-separated rows.  Diagonal
@@ -123,11 +124,11 @@ def load_channel_file(path) -> ChannelMatrix:
         return parse_channel_text(fh.read())
 
 
-def parse_real_matrix_text(text: str, K_expected: int | None = None) -> np.ndarray:
-    """Same file format with arbitrary real entries (power-time input)."""
+def parse_real_matrix_text(text: str) -> np.ndarray:
+    """Same file format with arbitrary real entries: the power-time input, so K = 3."""
     m = np.asarray(_parse_matrix_rows(text, _real_entry), dtype=float)
-    if K_expected is not None and len(m) != K_expected:
-        raise ChannelFormatError(f"expected K={K_expected}, file has K={len(m)}")
+    if len(m) != 3:
+        raise ChannelFormatError(f"expected K=3, file has K={len(m)}")
     return m
 
 
@@ -192,15 +193,16 @@ def simulate_network(
     check_run(snr, trials, seed, H.direct, code.p)
     K, p, n = H.K, code.p, code.n
     sigma = math.sqrt(1.0 / snr)
-    # A receiver with no interferers faces a point-to-point channel: there is
-    # no aligned codeword to decode jointly, so it searches messages alone,
-    # scoring [h x_i]* for every message i.
-    has_interference = H.cross.any(axis=1)
+    cross = H.cross % p  # integer gains act on the grid only mod p
+    # A receiver whose cross gains are all multiples of p hears no interference
+    # on the grid and faces a point-to-point channel: there is no aligned
+    # codeword to decode jointly, so it searches messages alone, scoring
+    # [h x_i]* for every message i.
+    has_interference = cross.any(axis=1)
     diag = np.asarray([float(g) for g in H.direct])
     pair_decoders = {h: PairDecoder(code, h) for h in set(diag[has_interference])}
     book = Codebook(code)
     single_tables = {h: mod_interval(h * book.reals) for h in set(diag[~has_interference])}
-    cross = H.cross % p  # integer gains act on the grid only mod p
 
     errors, ambiguous = [0] * K, [0] * K
     network_errors = 0

@@ -45,7 +45,6 @@ class GainOrderingError(ValueError):
     """The canonical schedule's gain ordering assumption fails."""
 
     def __init__(self, inequality: str, lhs: float, rhs: float):
-        self.inequality = inequality
         super().__init__(
             f"gain ordering {inequality} fails ({lhs:.6g} < {rhs:.6g}); "
             "only the canonical ordering is supported"
@@ -88,7 +87,6 @@ def _make_step(frame: int, receiver: int, label: str, g_a: float, g_b: float) ->
 class Schedule:
     """The full 4-frame plan for one channel matrix."""
 
-    matrix: np.ndarray
     receiver_scalings: tuple[float, float, float]  # 1/h12, 1/h23, 1/h31
     h_tilde: np.ndarray
     alphas: tuple[float, float, float]  # frame-1 alpha3, frame-2 alpha1, frame-3 alpha2
@@ -151,7 +149,6 @@ def build_schedule(H) -> Schedule:
     for m in (ht, ht1, ht2, ht3, ht4):
         m.setflags(write=False)
     return Schedule(
-        matrix=H,
         receiver_scalings=scalings,
         h_tilde=ht,
         alphas=(alpha3, alpha1, alpha2),
@@ -220,8 +217,3 @@ def dof_factors(H, snrs, p_max: Optional[int] = None) -> list[tuple[float, float
         denom = 0.5 * math.log2(snr) if snr > 1.0 else 0.0
         out.append((sym, 3.0 * sym / denom if sym > 0.0 and denom > 0.0 else 0.0))
     return out
-
-
-def dof_factor(H, snr: float, p_max: Optional[int] = None) -> tuple[float, float]:
-    """``dof_factors`` at one SNR."""
-    return dof_factors(H, [snr], p_max)[0]

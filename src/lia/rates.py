@@ -60,6 +60,7 @@ import numpy as np
 from .diophantine import (
     PRIME_SEARCH_CAP,
     Gain,
+    _exp_tails,
     admissible_mask,
     admissible_prefix,
     delta,
@@ -118,9 +119,8 @@ def _snr_terms(snr):
     """(c, tail, sq) = (1.5*SNR, 2 exp(-3*SNR/8), sqrt(2*pi/(3*SNR))) for an SNR or an array
     of them, the tail by math.exp as in admissible_mask; c may be inf."""
     snr = np.asarray(snr, dtype=float)
-    tail = np.array([math.exp(-0.375 * x) for x in snr.ravel().tolist()]).reshape(snr.shape)
     with np.errstate(over="ignore"):
-        return 1.5 * snr, 2.0 * tail, np.sqrt(2.0 * math.pi / (3.0 * snr))
+        return 1.5 * snr, 2.0 * _exp_tails(snr), np.sqrt(2.0 * math.pi / (3.0 * snr))
 
 
 def _f_term(pf, dlt, c):
@@ -289,9 +289,9 @@ def _winners(primes, table, lid, terms, t, row, width):
             oa[j, win].tolist(), ob[j, win].tolist(), od.tolist())
 
 
-def _search(primes, table, gains, snrs, lid, n) -> list[RatePoint]:
-    """The RatePoint of each row of gains[r] and snrs[r], whose admissible primes are
-    primes[:n[r]] and whose segments are the table's list lid[r]."""
+def _search(primes, table, keys, snrs, lid, n) -> list[RatePoint]:
+    """The RatePoint of each row of gain list keys[lid[r]] and snrs[r], whose admissible
+    primes are primes[:n[r]] and whose segments are the table's list lid[r]."""
     terms = np.array(_snr_terms(snrs))
     first = table[5]
     kept = [_prune(table, lid, n, terms, a, b) for a, b in _chunks((first[1:] - first[:-1])[lid])]
@@ -303,11 +303,11 @@ def _search(primes, table, gains, snrs, lid, n) -> list[RatePoint]:
             continue
         found = _winners(primes, table, lid, terms, t[lo:hi], row[lo:hi], width[lo:hi])
         for r, p, j, rate, oa, ob, od in zip(*found):
-            g = gains[r][j]
+            g = keys[lid[r]][j]
             points[r] = RatePoint(g, snrs[r], p, rate, OmegaBreakdown(p, g, snrs[r], oa, ob, od))
     return [
-        RatePoint(g[0], snr, None, 0.0, None) if point is None else point
-        for g, snr, point in zip(gains, snrs, points)
+        RatePoint(keys[i][0], snr, None, 0.0, None) if point is None else point
+        for i, snr, point in zip(lid.tolist(), snrs, points)
     ]
 
 
@@ -319,37 +319,39 @@ def _best_primes(rows, p_max: Optional[int]) -> list[RatePoint]:
     primes = primes_up_to(PRIME_SEARCH_CAP)
     if p_max is not None:
         primes_up_to(p_max)  # refuses a bound above the search cap
-    lists, gains, snrs, lid, limits = {}, [], [], [], []
+    # one record per distinct gain list, and per row only its list's index
+    lists, snrs, lid, limits = {}, [], [], []
     for g, snr in rows:  # the first row that fails is the error
         _require_positive_snr(snr)
         limits.append(default_p_max(snr) if p_max is None else p_max)
-        gains.append(g)
         snrs.append(snr)
         lid.append(lists.setdefault(tuple(g), len(lists)))
     if not snrs:
         return []
+    keys, lid = list(lists), np.array(lid)
     # every (row, gain) pair's admissible prefix in one search; where the
     # mask disagrees at a boundary, it decides the row's primes
     sizes = primes.searchsorted(limits, side="right")
-    count = np.array([len(g) for g in gains])
+    count = np.array([len(key) for key in keys])[lid]
     row = np.arange(count.size).repeat(count)
-    flat = [x for g in gains for x in g]
+    flat = [x for i in lid.tolist() for x in keys[i]]
     n, agree = admissible_prefix(primes, flat, np.array(snrs)[row], sizes[row])
     starts = count.cumsum() - count
     n, agree = np.minimum.reduceat(n, starts), np.logical_and.reduceat(agree, starts)
     alone = {}
     for r in np.flatnonzero(~agree).tolist():
         adm = primes[: sizes[r]]
-        for g in gains[r]:
+        for g in keys[lid[r]]:
             adm = adm[admissible_mask(adm, g, snrs[r])]
         if adm.size and adm[-1] != primes[adm.size - 1]:
             alone[r] = adm  # the full mask left a gap: this row searches its own primes
         n[r] = 0 if r in alone else adm.size
-    table = _table([_gain_segments(key) for key in lists])
-    points = _search(primes, table, gains, snrs, np.array(lid), n)
+    table = _table([_gain_segments(key) for key in keys])
+    points = _search(primes, table, keys, snrs, lid, n)
     for r, adm in alone.items():
-        table, size = _table([_segments(gains[r], adm)]), np.array([adm.size])
-        points[r] = _search(adm, table, [gains[r]], [snrs[r]], np.array([0]), size)[0]
+        key = keys[lid[r]]
+        table, size = _table([_segments(key, adm)]), np.array([adm.size])
+        points[r] = _search(adm, table, [key], [snrs[r]], np.array([0]), size)[0]
     return points
 
 
@@ -358,22 +360,7 @@ def theorem1_rows(rows, p_max: Optional[int] = None) -> list[RatePoint]:
     row of an iterable (drawn and checked in order), in one prime search: the max of
     rate_for_p over admissible primes up to p_max, ties to the smallest prime; rate 0 and no
     prime if none wins."""
-
-    def lists():
-        gains = ()
-        for gamma, snr in rows:
-            # a run of rows of one gain shares its list: a 499-gain sweep
-            # holds 499 lists, not one per row
-            if not gains or gains[0] is not gamma:
-                gains = (gamma,)
-            yield gains, snr
-
-    return _best_primes(lists(), p_max)
-
-
-def theorem1_rates(gamma: Gain, snrs, p_max: Optional[int] = None) -> list[RatePoint]:
-    """``theorem1_rows`` at one gain and each SNR of an iterable."""
-    return theorem1_rows(((gamma, snr) for snr in snrs), p_max)
+    return _best_primes((((gamma,), snr) for gamma, snr in rows), p_max)
 
 
 def theorem1_rate(gamma: Gain, snr: float, p_max: Optional[int] = None) -> RatePoint:
@@ -403,8 +390,8 @@ def normalized_rate(gamma: Gain, snr: float, p_max: Optional[int] = None) -> flo
 
 def theorem2_sym_rates(channel, snrs, p_max: Optional[int] = None) -> list[RatePoint]:
     """Achievable symmetric rate on a K-user integer-interference channel (a ChannelMatrix)
-    at each SNR, as in ``theorem1_rates``: the max, over primes admissible for every direct
-    gain, of the smallest per-receiver bound; the breakdown is the binding receiver's."""
+    at each SNR of an iterable, as in ``theorem1_rows``: the max over primes admissible for
+    every direct gain of the smallest per-receiver bound, with the binding receiver's breakdown."""
     # first-occurrence order, so a tie for the binding receiver goes to the
     # lowest index
     gains = tuple(dict.fromkeys(channel.direct))

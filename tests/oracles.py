@@ -127,7 +127,9 @@ def network_trial_outcomes(H, code, snr, seed, trials):
     K = H.K
     sigma = math.sqrt(1.0 / snr)
     cross = H.cross.astype(float)
-    pair = {float(g): OracleDecoder(code, g) for j, g in enumerate(H.direct) if H.cross[j].any()}
+    # a receiver whose cross gains are all multiples of p hears no interferer
+    heard = (H.cross % code.p).any(axis=1)
+    pair = {float(g): OracleDecoder(code, g) for j, g in enumerate(H.direct) if heard[j]}
     messages = np.asarray(list(np.ndindex(*([code.p] * code.k))), dtype=np.int64)
     reals = np.array([encode(code, m).reals for m in messages])
     outcomes = np.zeros((trials, K), dtype=int)
@@ -140,7 +142,7 @@ def network_trial_outcomes(H, code, snr, seed, trials):
             z = rng_j.normal(0.0, sigma, size=code.n)
             h = float(H.direct[j])
             y = mod_interval(h * X[j] + cross[j] @ X + z)
-            if H.cross[j].any():
+            if heard[j]:
                 out = pair[h].decode(y)
                 decoded = None if out is AMBIGUOUS else out[1]
             else:

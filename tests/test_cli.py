@@ -461,7 +461,7 @@ class TestPowerTime:
         path = CHANNEL3 if matrix is None else tmp_path / "m3.txt"
         if matrix is not None:
             path.write_text(matrix)
-        H = parse_real_matrix_text(Path(path).read_text(), K_expected=3)
+        H = parse_real_matrix_text(Path(path).read_text())
         with pytest.raises(ValueError) as refused:
             for snr_db in grid.split(","):
                 oracles.schedule_rate_loop(H, db_to_linear(float(snr_db)))

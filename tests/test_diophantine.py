@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lia import diophantine
 from lia.diophantine import (
     PRIME_SEARCH_CAP,
     admissible_mask,
@@ -189,6 +190,23 @@ def test_staircase_matches_enumeration():
         stair = delta_for_primes(g, primes)
         for p, d in zip(primes.tolist(), stair):
             assert abs(d - float(delta(p, g))) < 1e-12
+
+
+@given(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([5e-324, -5e-324, 1e308, -1e308, 2.0**-1022, 1 - 2.0**-53]),
+        st.fractions(),
+        st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+    )
+)
+def test_staircase_errors_match_fraction_arithmetic(g):
+    # the staircase takes each convergent's error in ints; it must keep every
+    # bit of float(|q*x - h|) in exact Fraction arithmetic, on both paths
+    x = g if isinstance(g, Fraction) else Fraction(g)
+    cap = diophantine._DENOMINATOR_CAP  # q is nondecreasing: a filter is the cut
+    want = [float(abs(q * x - h)) for h, q in diophantine._convergents(x) if q <= cap]
+    assert diophantine._approx_staircase.__wrapped__(g)[1].tolist() == want
 
 
 @given(st.floats(-2, 2, allow_nan=False))

@@ -112,10 +112,9 @@ class TestChannelParsing:
             parse_channel_text("2\n0.707 1 2\n2 0.707\n")
 
     def test_real_matrix_parser(self):
-        m = parse_real_matrix_text("3\n1/2 1 2\n3 1.5 1\n1 2 1\n", K_expected=3)
+        m = parse_real_matrix_text("3\n1/2 1 2\n3 1.5 1\n1 2 1\n")
         assert m.shape == (3, 3) and m[0, 0] == 0.5 and m[1, 1] == 1.5
         for bad in (
-            "2\n1 2\n3 4\n",  # wrong K
             "",
             "x\n1 2\n3 4\n",
             "3\n1 2 3\n4 5 6\n",  # missing row
@@ -124,7 +123,9 @@ class TestChannelParsing:
             "3\n1 2 3\n4 5 six\n6 7 8\n",
         ):
             with pytest.raises(ChannelFormatError):
-                parse_real_matrix_text(bad, K_expected=3)
+                parse_real_matrix_text(bad)
+        with pytest.raises(ChannelFormatError, match="^expected K=3, file has K=2$"):
+            parse_real_matrix_text("2\n1 2\n3 4\n")
 
 
 class TestAlignInterference:
@@ -268,6 +269,22 @@ class TestSimulateNetwork:
         ]
         assert results[0] == results[1]
         assert results[0].receiver_errors[1] == 38
+
+    def test_cross_gain_multiple_of_p_decodes_alone(self):
+        # a cross gain that is a nonzero multiple of p puts no interference on
+        # the grid: the receivers must decode alone, as with cross gain 0, not
+        # through a pair decoder that masks the zero interferer as dependent
+        code = sample_code(5, 8, 2, seed=1)
+
+        def run(g):
+            H = ChannelMatrix(K=2, direct=(0.7071,) * 2, cross=[[0, g], [g, 0]])
+            outcomes = network_trial_outcomes(H, code, db_to_linear(60), 1, 200)
+            return simulate_network(H, code, db_to_linear(60), 200, 1), network_result(outcomes)
+
+        alone, alone_oracle = run(0)
+        assert alone == alone_oracle and alone.receiver_errors == (0, 0)
+        for g in (5, 10, -5):
+            assert run(g) == (alone, alone_oracle), g
 
     def test_traced_peak_holds_one_trial_of_generators(self):
         # this 3-word code decodes 1438 trials per block; a traced peak of 1.3 MB

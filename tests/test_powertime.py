@@ -9,7 +9,6 @@ from lia.powertime import (
     SYMBOL_RATE,
     GainOrderingError,
     build_schedule,
-    dof_factor,
     dof_factors,
     schedule_rate,
     schedule_rates,
@@ -131,12 +130,11 @@ class TestScheduleRate:
 
 class TestDofFactor:
     def test_zero_below_threshold(self):
-        assert dof_factor(GENERIC_H, 2.0)[1] == 0.0
-        assert dof_factor(GENERIC_H, 4.0)[1] == 0.0
+        assert [f for _, f in dof_factors(GENERIC_H, [2.0, 4.0])] == [0.0, 0.0]
 
     def test_trend_and_calibration(self):
         grid = [db_to_linear(db) for db in (80, 120, 160, 200)]
-        out = [dof_factor(GENERIC_H, snr) for snr in grid]
+        out = dof_factors(GENERIC_H, grid)
         factors = [f for _, f in out]
         # the factor is the sum rate, three times the reported symmetric rate
         for snr, (sym, f) in zip(grid, out):

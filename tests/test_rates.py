@@ -25,7 +25,7 @@ from lia.rates import (
     random_sym_capacity,
     rate_for_p,
     theorem1_rate,
-    theorem1_rates,
+    theorem1_rows,
     theorem2_sym_rate,
     time_sharing_sum_rate,
 )
@@ -251,7 +251,7 @@ OTHER_GAMMAS = [
 
 def power_time_steps():
     with open(ROOT / "bench" / "data" / "h3.txt", encoding="ascii") as fh:
-        H = parse_real_matrix_text(fh.read(), K_expected=3)
+        H = parse_real_matrix_text(fh.read())
     return build_schedule(H).steps
 
 
@@ -443,7 +443,7 @@ class TestGridSearch:
         want = [oracles.best_prime_oracle(gains, snr, p_max) for snr in snrs]
         assert _best_primes([(gains, snr) for snr in snrs], p_max) == want
         if len(gains) == 1:
-            assert theorem1_rates(gains[0], iter(snrs), p_max) == want
+            assert theorem1_rows(((gains[0], snr) for snr in snrs), p_max) == want
 
     @given(
         # mirrored: every batch has duplicate and descending rows
@@ -457,17 +457,17 @@ class TestGridSearch:
         assert _best_primes(rows, p_max) == want
 
     def test_memory_flat_for_a_sweep_shaped_batch(self):
-        # 499 gains x 21 SNRs, as `lia sweep` asks, in one search: the kept
-        # primes (about 300,000) are evaluated in chunks of a fixed size, so the
-        # peak stays within the margin below of one gain's (about 5 MB more);
-        # in one batch they took about 37 MB more
+        # 499 gains x 21 SNRs through theorem1_rows, as `lia sweep` asks, in one
+        # search: the kept primes (about 300,000) are evaluated in chunks of a
+        # fixed size and each row keeps only its gain list's index, so the peak
+        # stays within the margin below of one gain's (about 5 MB more); in one
+        # batch they took about 37 MB more
         snrs = [db_to_linear(x) for x in range(0, 201, 10)]
 
         def peak(gains):
-            rows = [((g,), snr) for g in gains for snr in snrs]
             tracemalloc.start()
             try:
-                points = _best_primes(rows, None)
+                points = theorem1_rows(((g, snr) for g in gains for snr in snrs), None)
                 return tracemalloc.get_traced_memory()[1], points
             finally:
                 tracemalloc.stop()
