@@ -38,13 +38,19 @@ comes from one vectorized search (a row whose admissible primes have a gap is
 searched alone).  All (row, segment) pairs are bounded together: with U the
 smallest W at the last prime of a segment wholly admissible for that row,
 segments with L > U (1 + 1e-12) are dropped.  L bounds every prime of its
-segment, so the winner's segment is always kept.  The kept primes of all rows
-are then evaluated together.  Both the pairs in one bound array and the kept
-primes in one batch of omega terms are capped at _CHUNK, so memory stays flat
-in the number of rows.  The slack, thousands of ulps, covers the rounding of L
-and U (reassociated; math.exp and np.exp may differ in the last place) and
-log2, so every prime whose float rate ties the maximum is evaluated: ties
-still go to the smallest prime.  delta = 0 steps score 0.
+segment, so the winner's segment is always kept.  When the kept primes fill
+more than one batch, each kept pair is cut into pieces of at most _PIECE
+primes and bounded once more.  A piece lies in one step, so delta is constant
+on it and L from the piece's own first and last prime bounds all of its
+primes; a piece holds only admissible primes, so W at its last prime is an
+actual value and U drops to the smallest of them.  The winner's piece is kept
+as its segment was.  The kept primes of all rows are then evaluated together.
+The pairs or pieces in one bound array and the kept primes in one batch of
+omega terms are capped at _CHUNK, so memory stays flat in the number of rows.
+The slack, thousands of ulps, covers the rounding of L and U (reassociated;
+math.exp and np.exp may differ in the last place) and log2, so every prime
+whose float rate ties the maximum is evaluated: ties still go to the smallest
+prime.  delta = 0 steps score 0.
 """
 
 from __future__ import annotations
@@ -179,6 +185,9 @@ _PRUNE_SLACK = 1e-12
 # peak RSS of a 10,479-row sweep by about 14%).  One row's primes (at most
 # 9,592, every prime <= PRIME_SEARCH_CAP) always fit.
 _CHUNK = 1 << 12
+# Most primes in one piece of a kept segment, bounded again before its primes are
+# evaluated (module docstring); 16 and 32 timed fastest of 4 to 256.
+_PIECE = 16
 
 
 def _segments(gains, primes):
@@ -212,6 +221,9 @@ def _table(segments):
     """Several gain lists' ``_segments`` as one table, plus each list's first segment.  The
     gain axis is padded to the longest list by repeating a list's first gain, which changes
     no max, no min and no first match."""
+    if len(segments) == 1:  # one list, as single points search: its arrays, not copies
+        s, w, ends, per_gain, offs = segments[0]
+        return s, w, ends, per_gain, offs[None], np.array([0, s.size])
     g = max(seg[4].size for seg in segments)
 
     def pad(a):
@@ -238,40 +250,75 @@ def _chunks(counts: np.ndarray):
         a = max(b, a + 1)
 
 
+def _row_chunks(row, items, rows):
+    """Slices [lo, hi) of row-ordered pairs, whole rows at a time, each holding at most
+    _CHUNK items (one row may exceed it), where pair k holds items[k]."""
+    for a, b in _chunks(np.bincount(row, items, minlength=rows).astype(np.int64)):
+        lo, hi = row.searchsorted([a, b])
+        if lo < hi:
+            yield lo, hi
+
+
+def _bounds(ips, ipe, ipe2, idl, xs, xe, c, tail, sq):
+    """L, and W at the last prime, of each (row, interval) pair in reassociated float terms
+    (the slack covers it): 1/p_s, 1/p_e, p_e**-2 and per gain 1/delta, -(delta/p_s)**2 and
+    -(delta/p_e)**2; callers silence numpy (inf * 0 once delta is subnormal)."""
+    fe = np.exp(c * xe) * ipe
+    wb = ipe + sq * idl + tail
+    head = ipe2 + (sq + tail)
+    lower = np.maximum(np.sqrt(head + np.minimum(np.exp(c * xs) * ips, fe)), wb).max(axis=0)
+    return lower, np.maximum(np.sqrt(head + fe), wb).max(axis=0)
+
+
+def _can_win(lower, at_end, r, rows):
+    """Whether each pair's L is within the slack of U, its row's smallest W at an end (row
+    r of rows; a NaN keeps the pair)."""
+    u = np.full(rows, np.inf)
+    np.minimum.at(u, r, at_end)
+    return ~(lower > u[r] * (1.0 + _PRUNE_SLACK))
+
+
 def _prune(table, lid, n, terms, a, b):
     """The (row, segment) pairs of rows [a, b) that can hold their row's winner: each one's
-    segment index in the table, row and number of admissible primes.  L per pair and U per
-    row, from the wholly admissible segments, in reassociated float terms (the slack covers
-    it)."""
+    segment index in the table, row, first prime index and number of admissible primes.  L
+    per pair and U per row, from the wholly admissible segments."""
     S, W, ends, per_gain, _, first = table
     nseg = (first[1:] - first[:-1])[lid[a:b]]
     row, k = _ragged(nseg)
     t = first[lid[a:b][row]] + k
-    ips, ipe, ipe2 = ends[:, t]
-    _, idl, xs, xe = per_gain[:, :, t].transpose(1, 0, 2)
     c, tail, sq = terms[:, a:b][:, row]
     width = np.minimum(np.maximum(n[a:b][row] - S[t], 0), W[t])  # admissible primes
-    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 once delta is subnormal
-        fe = np.exp(c * xe) * ipe
-        wb = ipe + sq * idl + tail
-        head = ipe2 + (sq + tail)
-        lower = np.maximum(np.sqrt(head + np.minimum(np.exp(c * xs) * ips, fe)), wb).max(axis=0)
-        at_end = np.maximum(np.sqrt(head + fe), wb).max(axis=0)
-        u = np.full(b - a, np.inf)
-        np.minimum.at(u, row, np.where(width == W[t], at_end, np.inf))
-    width[lower > u[row] * (1.0 + _PRUNE_SLACK)] = 0
-    keep = width > 0
-    return t[keep], row[keep] + a, width[keep]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower, at_end = _bounds(*ends[:, t], *per_gain[:, 1:, t].transpose(1, 0, 2), c, tail, sq)
+        keep = (width > 0) & _can_win(lower, np.where(width == W[t], at_end, np.inf), row, b - a)
+    return t[keep], row[keep] + a, S[t[keep]], width[keep]
 
 
-def _winners(primes, table, lid, terms, t, row, width):
-    """Evaluate the kept primes of some rows (each kept pair's segment, row and width, in
-    row order) together: per row with a positive best rate, its row, p*, binding gain
-    index, rate and (omega_a, omega_b, omega_d) there, as lists."""
-    S, _, _, per_gain, offs, _ = table
+def _cut(primes, table, terms, t, row, start, width):
+    """Cut kept pairs of some rows into pieces of at most _PIECE primes and keep the pieces
+    that can hold their row's winner, as (segment, row, first prime index, width).  delta is
+    constant on a piece, so L from its own first and last prime bounds it, and every piece
+    is admissible, so U is the smallest W at a piece's last prime."""
+    own, j = _ragged(-(-width // _PIECE))
+    t, row, start = t[own], row[own], start[own] + j * _PIECE
+    width = np.minimum(width[own] - j * _PIECE, _PIECE)
+    dl, idl = table[3][:, :2, t].transpose(1, 0, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ps, pe = primes[start].astype(float), primes[start + width - 1].astype(float)
+        lower, at_end = _bounds(1.0 / ps, 1.0 / pe, pe**-2, idl, -((dl / ps) ** 2),
+                                -((dl / pe) ** 2), *terms[:, row])
+        keep = _can_win(lower, at_end, row - row[0], row[-1] - row[0] + 1)
+    return t[keep], row[keep], start[keep], width[keep]
+
+
+def _winners(primes, table, lid, terms, t, row, start, width):
+    """Evaluate the kept primes of some rows (each kept pair's segment, row, first prime
+    index and width, in row order) together: per row with a positive best rate, its row, p*,
+    binding gain index, rate and (omega_a, omega_b, omega_d) there, as lists."""
+    _, _, _, per_gain, offs, _ = table
     own, i = _ragged(width)
     t, row = t[own], row[own]
-    pf = primes[S[t] + i].astype(float)
+    pf = primes[start[own] + i].astype(float)
     c, tail, sq = terms[:, row]
     oa, ob = _omega_arrays(pf, per_gain[:, 0, t], c, tail, sq)
     # fmax: a NaN rate (delta = 0 once 1.5 * SNR overflows) clamps to 0
@@ -295,13 +342,15 @@ def _search(primes, table, keys, snrs, lid, n) -> list[RatePoint]:
     terms = np.array(_snr_terms(snrs))
     first = table[5]
     kept = [_prune(table, lid, n, terms, a, b) for a, b in _chunks((first[1:] - first[:-1])[lid])]
-    t, row, width = (np.concatenate(x) for x in zip(*kept))
+    kept = [np.concatenate(x) for x in zip(*kept)]  # segment, row, first prime, width
+    if kept[3].sum() > _CHUNK:  # below, the cut costs more than the primes it drops
+        cut = [_cut(primes, table, terms, *(x[lo:hi] for x in kept))
+               for lo, hi in _row_chunks(kept[1], -(-kept[3] // _PIECE), len(snrs))]
+        kept = [np.concatenate(x) for x in zip(*cut)]
+        del cut  # held beside its concatenation, it raised a sweep's peak RSS by 1.7%
     points = [None] * len(snrs)
-    for a, b in _chunks(np.bincount(row, width, minlength=len(snrs)).astype(np.int64)):
-        lo, hi = row.searchsorted([a, b])
-        if lo == hi:
-            continue
-        found = _winners(primes, table, lid, terms, t[lo:hi], row[lo:hi], width[lo:hi])
+    for lo, hi in _row_chunks(kept[1], kept[3], len(snrs)):
+        found = _winners(primes, table, lid, terms, *(x[lo:hi] for x in kept))
         for r, p, j, rate, oa, ob, od in zip(*found):
             g = keys[lid[r]][j]
             points[r] = RatePoint(g, snrs[r], p, rate, OmegaBreakdown(p, g, snrs[r], oa, ob, od))

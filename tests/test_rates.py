@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -390,6 +391,17 @@ SEARCH_SNRS = st.floats(0.0, 250.0).map(db_to_linear)
 SEARCH_P_MAX = st.sampled_from([None, PRIME_SEARCH_CAP])
 
 
+@contextlib.contextmanager
+def small_pieces(piece):
+    """Cut kept steps into pieces of ``piece`` primes, and batches into 16 items so that the
+    cut runs on a few rows too.  A context, not a fixture: Hypothesis refuses a
+    function-scoped fixture under ``@given``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rates, "_PIECE", piece)
+        mp.setattr(rates, "_CHUNK", 16)
+        yield
+
+
 class TestSinglePassSearch:
     """Random gains, SNRs and bounds: the search against the full scan of
     ``oracles.best_prime_oracle``, whole RatePoints."""
@@ -404,6 +416,16 @@ class TestSinglePassSearch:
         H = ChannelMatrix(K=K, direct=tuple(direct), cross=1 - np.eye(K, dtype=np.int64))
         want = oracles.best_prime_oracle(list(dict.fromkeys(direct)), snr, p_max)
         assert theorem2_sym_rate(H, snr, p_max) == want
+
+    @pytest.mark.parametrize("piece", [1, 3])
+    @given(st.lists(SEARCH_GAINS, min_size=2, max_size=4), SEARCH_SNRS, SEARCH_P_MAX)
+    def test_theorem2_matches_full_scan_in_small_pieces(self, piece, direct, snr, p_max):
+        # as above, with every kept step cut into pieces of 1 or 3 primes
+        K = len(direct)
+        H = ChannelMatrix(K=K, direct=tuple(direct), cross=1 - np.eye(K, dtype=np.int64))
+        want = oracles.best_prime_oracle(list(dict.fromkeys(direct)), snr, p_max)
+        with small_pieces(piece):
+            assert theorem2_sym_rate(H, snr, p_max) == want
 
 
 # 0 dB (no admissible prime), 18.5 dB (few), and SNRs past which 1.5 * SNR
@@ -456,9 +478,42 @@ class TestGridSearch:
         want = [oracles.best_prime_oracle(list(gains), snr, p_max) for gains, snr in rows]
         assert _best_primes(rows, p_max) == want
 
+    @pytest.mark.parametrize("piece", [1, 3])
+    @given(
+        st.lists(st.tuples(GAIN_LISTS, BATCH_SNRS), min_size=1, max_size=5).map(
+            lambda rows: rows + rows[::-1]
+        ),
+        st.sampled_from([None, 101, PRIME_SEARCH_CAP]),
+    )
+    def test_rows_of_several_gain_lists_match_full_scan_in_small_pieces(self, piece, rows, p_max):
+        # as above, with every kept step cut into pieces of 1 or 3 primes: steps
+        # partly admissible, widths no multiple of the piece, rows sharing a batch
+        want = [oracles.best_prime_oracle(list(gains), snr, p_max) for gains, snr in rows]
+        with small_pieces(piece):
+            assert _best_primes(rows, p_max) == want
+
+    def test_few_primes_evaluated_per_row(self, monkeypatch):
+        # the seed-3 benchmark sweep's gammas (0.0011875:0.4991875:0.001, as the
+        # CLI expands the range) at 200 dB: bounding the kept steps again in
+        # pieces leaves about 9 of the 684 primes per row that the steps' bound
+        # alone keeps for the omega terms
+        gammas = [0.0011875 + i * 0.001 for i in range(499)]
+        evaluated = []
+        winners = rates._winners
+
+        def count(*args):
+            evaluated.append(int(args[-1].sum()))  # the kept widths
+            return winners(*args)
+
+        monkeypatch.setattr(rates, "_winners", count)
+        points = theorem1_rows((g, db_to_linear(200)) for g in gammas)
+        assert len(points) == 499 and all(point.p_star for point in points)
+        assert sum(evaluated) / len(points) <= 32
+
     def test_memory_flat_for_a_sweep_shaped_batch(self):
         # 499 gains x 21 SNRs through theorem1_rows, as `lia sweep` asks, in one
-        # search: the kept primes (about 300,000) are evaluated in chunks of a
+        # search: the kept primes (82,860 after the pieces' bound; the steps'
+        # bound alone keeps 303,878) are evaluated in chunks of a
         # fixed size and each row keeps only its gain list's index, so the peak
         # stays within the margin below of one gain's (about 5 MB more); in one
         # batch they took about 37 MB more
