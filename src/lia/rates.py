@@ -221,7 +221,7 @@ def _table(segments):
     """Several gain lists' ``_segments`` as one table, plus each list's first segment.  The
     gain axis is padded to the longest list by repeating a list's first gain, which changes
     no max, no min and no first match."""
-    if len(segments) == 1:  # one list, as single points search: its arrays, not copies
+    if len(segments) == 1:  # one gain list (any single point, a network curve): uncopied
         s, w, ends, per_gain, offs = segments[0]
         return s, w, ends, per_gain, offs[None], np.array([0, s.size])
     g = max(seg[4].size for seg in segments)
