@@ -21,7 +21,6 @@ import sys
 from . import codes, macsim, network, powertime, rates
 from .diophantine import parse_gain
 from .network import ChannelFormatError
-from .powertime import GainOrderingError
 from .rates import PRIME_SEARCH_CAP, db_to_linear
 
 EXIT_OK = 0
@@ -164,17 +163,10 @@ def _cmd_sweep(args) -> str:
         raise _UsageError(f"sweep has more than {_GRID_POINTS_CAP} points")
     line = f"sweep --gamma {args.gamma} --snr-db {args.snr_db} --p-max {_p_max_text(args.p_max)}"
 
-    def grid():
-        # gamma-major; each SNR converted once, as the first gamma's rows draw
-        # it, so the first point that fails is the error
-        linear = []
-        for _, g in gammas:
-            for i, (_, v) in enumerate(snrs):
-                if i == len(linear):
-                    linear.append(db_to_linear(v))
-                yield g, linear[i]
-
-    points = rates.theorem1_rows(grid(), args.p_max)
+    # each SNR converted once, in order, so the first point that fails is the
+    # error; the gamma-major rows stay lazy
+    linear = [db_to_linear(v) for _, v in snrs]
+    points = rates.theorem1_rows(((g, snr) for _, g in gammas for snr in linear), args.p_max)
     rows = (
         _rate_row(g_text, g, v, point)
         for ((g_text, g), (_, v)), point in zip(itertools.product(gammas, snrs), points)
@@ -371,7 +363,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError, PermissionError, ChannelFormatError) as exc:
         print(f"lia: input file: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (GainOrderingError, ValueError) as exc:
+    except ValueError as exc:
         print(f"lia: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     try:

@@ -225,6 +225,14 @@ def _exp_tails(snr) -> np.ndarray:
     return np.array([math.exp(-0.375 * x) for x in snr.ravel().tolist()]).reshape(snr.shape)
 
 
+def _admission(pf, off, c, tail):
+    """(lhs, rhs) of the non-degeneracy test lhs < rhs at primes pf (floats), gain offsets
+    off, c = 1.5 * SNR (may be inf) and tail = 2 exp(-3*SNR/8), broadcast: every evaluation
+    of the test is rounded here.  inf * 0 is NaN, inadmissible."""
+    with np.errstate(invalid="ignore"):
+        return np.exp(-(c / pf**2) * off * off), 1.0 - pf * tail
+
+
 def admissible_mask(primes: np.ndarray, gamma, snr) -> np.ndarray:
     """Boolean mask of primes passing the non-degeneracy condition.
 
@@ -233,46 +241,11 @@ def admissible_mask(primes: np.ndarray, gamma, snr) -> np.ndarray:
     with g the centered reduction of gamma into [-1/4, 1/4).  ``gamma`` is one
     gain or a list of gains; the primes, the gains and ``snr`` broadcast.
     """
-    off = _offsets(gamma)
     pf = np.asarray(primes, dtype=float)
     snr = np.asarray(snr, dtype=float)
-    # 1.5 * SNR may overflow; inf * 0 is then NaN, inadmissible
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs = np.exp(-(1.5 * snr / pf**2) * off * off)
-        return lhs < 1.0 - 2.0 * pf * _exp_tails(snr)
-
-
-def admissible_prefix(primes: np.ndarray, gamma, snr, size=None):
-    """How many leading primes of ``primes[:size]`` (an ascending array; size defaults to
-    its length) ``admissible_mask`` admits, for each element of the broadcast gamma (one
-    gain or a list), snr and size.  The admissible primes are a prefix (lhs rises with p,
-    rhs falls), so one search narrows every element's count at once: each round probes
-    every open count's interval at k - 1 points, k as large as keeps a round within 2,048
-    probes, between 2 (bisection, which long batches use) and 128 (a few rounds of a few
-    numpy calls for a single element).
-
-    Returns (count, agrees): agrees is False where the mask disagrees with the count on
-    either side of the boundary, and the full mask must decide there.
-    """
-    off, snr, size = np.broadcast_arrays(
-        _offsets(gamma), np.asarray(snr, dtype=float), len(primes) if size is None else size
-    )
-    k = min(128, max(2, 2048 // max(1, size.size)))
-    parts, last = np.arange(1, k), len(primes) - 1
-    # the condition of admissible_mask, rounded the same way
-    with np.errstate(over="ignore", invalid="ignore"):
-        nc, off, t2 = -(1.5 * snr)[..., None], off[..., None], 2.0 * _exp_tails(snr)[..., None]
-        lo, hi = np.zeros(size.shape, dtype=np.int64), size.astype(np.int64)
-        while (lo < hi).any():
-            i = lo[..., None] + (hi - lo)[..., None] * parts // k
-            p = primes[np.minimum(i, last)] * 1.0
-            ok = np.exp(nc / p**2 * off * off) < 1.0 - p * t2
-            lo = np.maximum(lo, np.where(ok, i + 1, 0).max(-1))
-            hi = np.minimum(hi, np.where(ok, hi[..., None], i).min(-1))
-            lo = np.minimum(lo, hi)  # a closed count stays put
-    window = np.stack([np.maximum(lo - 1, 0), lo])
-    got = admissible_mask(primes[np.minimum(window, last)], gamma, snr) if last >= 0 else False
-    return lo, ((got == (window < lo)) | (window >= size)).all(axis=0)
+    with np.errstate(over="ignore"):  # 1.5 * SNR may overflow
+        lhs, rhs = _admission(pf, _offsets(gamma), 1.5 * snr, 2.0 * _exp_tails(snr))
+    return lhs < rhs
 
 
 def delta_step_starts(gamma: Gain, primes: np.ndarray) -> np.ndarray:

@@ -22,8 +22,10 @@ at the CLI boundary.
 
 The prime search is exact but evaluates the omega terms only on primes that
 can win, for a whole batch of rows at once; a row is a (gain list, SNR) pair.
-The rate is -log2 W, W = max(sqrt(omega_a), omega_b) (for several gains,
-their largest W).  delta is constant on a step of its staircase, so with sq =
+A prime scores 0 unless it passes every gain's admissibility test lhs < rhs
+(admissible_mask; diophantine._admission rounds it); otherwise its rate is
+-log2 W, W = max(sqrt(omega_a), omega_b) (for several gains, their largest
+W).  delta is constant on a step of its staircase, so with sq =
 sqrt(2*pi/(3*SNR)) and tail = 2 exp(-3*SNR/8), omega_b = 1/p + sq/delta +
 tail falls as p grows there, and in omega_a = 1/p^2 + sq + f(p) + tail, f(p)
 = exp(-a/p^2)/p with a = 1.5*SNR*delta^2 rises up to p = sqrt(2a) and falls
@@ -33,24 +35,29 @@ after it.  So on the primes in [p_s, p_e] of one step, W >= L with
 
 (for several gains, the max of their L on segments split at every gain's
 steps).  The sieve and steps are built once per gain list (cached), into one
-table per batch.  Every (row, gain) pair's admissible prefix
-comes from one vectorized search (a row whose admissible primes have a gap is
-searched alone).  All (row, segment) pairs are bounded together: with U the
-smallest W at the last prime of a segment wholly admissible for that row,
-segments with L > U (1 + 1e-12) are dropped.  L bounds every prime of its
-segment, so the winner's segment is always kept.  When the kept primes fill
-more than one batch, each kept pair is cut into pieces of at most _PIECE
-primes and bounded once more.  A piece lies in one step, so delta is constant
-on it and L from the piece's own first and last prime bounds all of its
-primes; a piece holds only admissible primes, so W at its last prime is an
-actual value and U drops to the smallest of them.  The winner's piece is kept
-as its segment was.  The kept primes of all rows are then evaluated together.
-The pairs or pieces in one bound array and the kept primes in one batch of
-omega terms are capped at _CHUNK, so memory stays flat in the number of rows.
-The slack, thousands of ulps, covers the rounding of L and U (reassociated;
-math.exp and np.exp may differ in the last place) and log2, so every prime
-whose float rate ties the maximum is evaluated: ties still go to the smallest
-prime.  delta = 0 steps score 0.
+table per batch.  All (row, segment) pairs up to each row's p_max are bounded
+together, and the test is evaluated only where the search already looks: at
+each pair's first and last prime, and at every prime whose omega terms are
+evaluated.  U, a row's smallest W at the last prime of a segment wholly in
+range, counts only where that prime passes, so it is an actual value: pairs
+with L > U (1 + 1e-12) cannot hold the winner and are dropped.  So is a pair
+whose first prime fails the test beyond the same slack, lhs > rhs (1 + 1e-12):
+in float, rhs = 1 - p*tail never rises with p and the argument of exp never
+falls (every rounded operation in them is monotone), and numpy's exp errs by a
+few ulps, four orders of magnitude below the slack, so every later prime fails
+too; a row with no admissible prime evaluates none.  So the search assumes no
+admissible prefix and is exact for any lhs non-monotone in p by less than the
+slack.  When the kept primes fill more than one batch, each kept pair is cut
+into pieces of at most _PIECE primes and bounded again by the same two rules.  A piece lies in one step, so delta is constant on it and
+L from the piece's own first and last prime bounds all of its primes; U drops
+to the smallest W at the last prime of a piece where that prime passes.  The
+winner's piece is kept as its segment was.  The kept primes of all rows are
+then evaluated together.  The pairs or pieces in one bound array and the kept
+primes in one batch of omega terms are capped at _CHUNK, so memory stays flat
+in the number of rows.  The slack, thousands of ulps, also covers the rounding
+of L and U (reassociated; math.exp and np.exp may differ in the last place)
+and log2, so every prime whose float rate ties the maximum is evaluated: ties
+still go to the smallest prime.  delta = 0 steps score 0.
 """
 
 from __future__ import annotations
@@ -66,9 +73,9 @@ import numpy as np
 from .diophantine import (
     PRIME_SEARCH_CAP,
     Gain,
+    _admission,
     _exp_tails,
     admissible_mask,
-    admissible_prefix,
     delta,
     delta_for_primes,
     delta_step_starts,
@@ -79,12 +86,15 @@ from .diophantine import (
 
 
 def db_to_linear(snr_db: float) -> float:
+    """The linear SNR of a dB value, refused unless finite and positive (no under- or overflow)."""
     if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, got {snr_db!r}")
     try:
-        return 10.0 ** (snr_db / 10.0)
+        snr = 10.0 ** (snr_db / 10.0)
     except OverflowError:
         raise ValueError(f"snr_db = {snr_db!r} overflows the linear scale") from None
+    _require_positive_snr(snr)
+    return snr
 
 
 def _require_positive_snr(snr: float) -> None:
@@ -190,10 +200,13 @@ _CHUNK = 1 << 12
 _PIECE = 16
 
 
-def _segments(gains, primes):
-    """Segments of an ascending prime array on which every gain's delta is constant and
-    positive: first index and length; per segment 1/p_s, 1/p_e and p_e**-2; per gain and
-    segment delta, 1/delta, -(delta/p_s)**2 and -(delta/p_e)**2; the gains' offsets."""
+@lru_cache(maxsize=64)
+def _gain_segments(gains: tuple):
+    """Segments of the primes up to PRIME_SEARCH_CAP on which every gain's delta is constant
+    and positive, once per gain list, read-only: first index and length; per segment 1/p_s,
+    1/p_e and p_e**-2; per gain and segment delta, 1/delta, -(delta/p_s)**2 and
+    -(delta/p_e)**2; the gains' offsets."""
+    primes = primes_up_to(PRIME_SEARCH_CAP)
     s = np.sort(np.concatenate([delta_step_starts(g, primes) for g in gains]))
     s = s[s < primes.size]
     e = np.concatenate((s[1:], [primes.size])) - 1
@@ -205,22 +218,16 @@ def _segments(gains, primes):
         ends = np.array([1.0 / ps, 1.0 / pe, pe**-2])
         per_gain = np.stack([dl, 1.0 / dl, -((dl / ps) ** 2), -((dl / pe) ** 2)], axis=1)
     offs = np.array([float(mod_quarter_interval(g)) for g in gains])
-    return s, e - s + 1, ends, per_gain, offs
-
-
-@lru_cache(maxsize=64)
-def _gain_segments(gains: tuple):
-    """``_segments`` of every prime up to PRIME_SEARCH_CAP, once per gain list, read-only."""
-    segments = _segments(gains, primes_up_to(PRIME_SEARCH_CAP))
+    segments = s, e - s + 1, ends, per_gain, offs
     for a in segments:
         a.setflags(write=False)
     return segments
 
 
 def _table(segments):
-    """Several gain lists' ``_segments`` as one table, plus each list's first segment.  The
-    gain axis is padded to the longest list by repeating a list's first gain, which changes
-    no max, no min and no first match."""
+    """Several gain lists' ``_gain_segments`` as one table, plus each list's first segment.
+    The gain axis is padded to the longest list by repeating a list's first gain, which
+    changes no max, no min and no first match."""
     if len(segments) == 1:  # one gain list (any single point, a network curve): uncopied
         s, w, ends, per_gain, offs = segments[0]
         return s, w, ends, per_gain, offs[None], np.array([0, s.size])
@@ -259,6 +266,16 @@ def _row_chunks(row, items, rows):
             yield lo, hi
 
 
+def _admits(ps, pe, off, c, tail):
+    """Whether each interval's first prime ps fails the admissibility test for a gain beyond
+    the slack, so that every later prime fails it too, and whether its last prime pe passes
+    it for every gain (off gain-major; module docstring)."""
+    lhs, rhs = _admission(ps, off, c, tail)
+    dead = (lhs > rhs * (1.0 + _PRUNE_SLACK)).any(axis=0)
+    lhs, rhs = _admission(pe, off, c, tail)
+    return dead, (lhs < rhs).all(axis=0)
+
+
 def _bounds(ips, ipe, ipe2, idl, xs, xe, c, tail, sq):
     """L, and W at the last prime, of each (row, interval) pair in reassociated float terms
     (the slack covers it): 1/p_s, 1/p_e, p_e**-2 and per gain 1/delta, -(delta/p_s)**2 and
@@ -278,36 +295,44 @@ def _can_win(lower, at_end, r, rows):
     return ~(lower > u[r] * (1.0 + _PRUNE_SLACK))
 
 
-def _prune(table, lid, n, terms, a, b):
+def _prune(primes, table, lid, n, terms, a, b):
     """The (row, segment) pairs of rows [a, b) that can hold their row's winner: each one's
-    segment index in the table, row, first prime index and number of admissible primes.  L
-    per pair and U per row, from the wholly admissible segments."""
-    S, W, ends, per_gain, _, first = table
+    segment index in the table, row, first prime index and number of primes <= p_max.  L
+    per pair, and U per row from the segments wholly in range whose last prime passes."""
+    S, W, ends, per_gain, offs, first = table
     nseg = (first[1:] - first[:-1])[lid[a:b]]
     row, k = _ragged(nseg)
     t = first[lid[a:b][row]] + k
     c, tail, sq = terms[:, a:b][:, row]
-    width = np.minimum(np.maximum(n[a:b][row] - S[t], 0), W[t])  # admissible primes
+    off = offs[lid[a:b][row]].T
+    width = np.minimum(np.maximum(n[a:b][row] - S[t], 0), W[t])
+    ps, pe = primes[S[t]].astype(float), primes[S[t] + W[t] - 1].astype(float)
+    dead, passes = _admits(ps, pe, off, c, tail)
+    passes &= width == W[t]
     with np.errstate(over="ignore", invalid="ignore"):
         lower, at_end = _bounds(*ends[:, t], *per_gain[:, 1:, t].transpose(1, 0, 2), c, tail, sq)
-        keep = (width > 0) & _can_win(lower, np.where(width == W[t], at_end, np.inf), row, b - a)
+        keep = (width > 0) & ~dead & _can_win(lower, np.where(passes, at_end, np.inf), row, b - a)
     return t[keep], row[keep] + a, S[t[keep]], width[keep]
 
 
-def _cut(primes, table, terms, t, row, start, width):
+def _cut(primes, table, lid, terms, t, row, start, width):
     """Cut kept pairs of some rows into pieces of at most _PIECE primes and keep the pieces
     that can hold their row's winner, as (segment, row, first prime index, width).  delta is
-    constant on a piece, so L from its own first and last prime bounds it, and every piece
-    is admissible, so U is the smallest W at a piece's last prime."""
+    constant on a piece, so L from its own first and last prime bounds it, and U is the
+    smallest W at the last prime of a piece where that prime passes."""
     own, j = _ragged(-(-width // _PIECE))
     t, row, start = t[own], row[own], start[own] + j * _PIECE
     width = np.minimum(width[own] - j * _PIECE, _PIECE)
     dl, idl = table[3][:, :2, t].transpose(1, 0, 2)
+    c, tail, sq = terms[:, row]
+    off = table[4][lid[row]].T
+    ps, pe = primes[start].astype(float), primes[start + width - 1].astype(float)
+    dead, passes = _admits(ps, pe, off, c, tail)
     with np.errstate(over="ignore", invalid="ignore"):
-        ps, pe = primes[start].astype(float), primes[start + width - 1].astype(float)
         lower, at_end = _bounds(1.0 / ps, 1.0 / pe, pe**-2, idl, -((dl / ps) ** 2),
-                                -((dl / pe) ** 2), *terms[:, row])
-        keep = _can_win(lower, at_end, row - row[0], row[-1] - row[0] + 1)
+                                -((dl / pe) ** 2), c, tail, sq)
+        keep = ~dead & _can_win(lower, np.where(passes, at_end, np.inf), row - row[0],
+                                row[-1] - row[0] + 1)
     return t[keep], row[keep], start[keep], width[keep]
 
 
@@ -320,9 +345,12 @@ def _winners(primes, table, lid, terms, t, row, start, width):
     t, row = t[own], row[own]
     pf = primes[start[own] + i].astype(float)
     c, tail, sq = terms[:, row]
+    off = offs[lid[row]].T
     oa, ob = _omega_arrays(pf, per_gain[:, 0, t], c, tail, sq)
-    # fmax: a NaN rate (delta = 0 once 1.5 * SNR overflows) clamps to 0
-    rates = np.fmax(_rate_from_omegas(oa, ob), 0.0)
+    lhs, rhs = _admission(pf, off, c, tail)
+    # a gain whose test fails scores 0, and so does a NaN rate (fmax: delta = 0
+    # once 1.5 * SNR overflows)
+    rates = np.where(lhs < rhs, np.fmax(_rate_from_omegas(oa, ob), 0.0), 0.0)
     overall = rates.min(axis=0)
     r = row - row[0]
     best = np.zeros(r[-1] + 1)
@@ -331,33 +359,9 @@ def _winners(primes, table, lid, terms, t, row, start, width):
     win = np.flatnonzero((overall == best[r]) & (overall > 0.0))
     win = win[np.unique(r[win], return_index=True)[1]]
     j = (rates[:, win] == overall[win]).argmax(axis=0)
-    od = _omega_d(pf[win], ob[j, win], offs[lid[row[win]], j], c[win], tail[win])
+    od = _omega_d(pf[win], ob[j, win], off[j, win], c[win], tail[win])
     return (row[win].tolist(), pf[win].astype(np.int64).tolist(), j.tolist(), overall[win].tolist(),
             oa[j, win].tolist(), ob[j, win].tolist(), od.tolist())
-
-
-def _search(primes, table, keys, snrs, lid, n) -> list[RatePoint]:
-    """The RatePoint of each row of gain list keys[lid[r]] and snrs[r], whose admissible
-    primes are primes[:n[r]] and whose segments are the table's list lid[r]."""
-    terms = np.array(_snr_terms(snrs))
-    first = table[5]
-    kept = [_prune(table, lid, n, terms, a, b) for a, b in _chunks((first[1:] - first[:-1])[lid])]
-    kept = [np.concatenate(x) for x in zip(*kept)]  # segment, row, first prime, width
-    if kept[3].sum() > _CHUNK:  # below, the cut costs more than the primes it drops
-        cut = [_cut(primes, table, terms, *(x[lo:hi] for x in kept))
-               for lo, hi in _row_chunks(kept[1], -(-kept[3] // _PIECE), len(snrs))]
-        kept = [np.concatenate(x) for x in zip(*cut)]
-        del cut  # held beside its concatenation, it raised a sweep's peak RSS by 1.7%
-    points = [None] * len(snrs)
-    for lo, hi in _row_chunks(kept[1], kept[3], len(snrs)):
-        found = _winners(primes, table, lid, terms, *(x[lo:hi] for x in kept))
-        for r, p, j, rate, oa, ob, od in zip(*found):
-            g = keys[lid[r]][j]
-            points[r] = RatePoint(g, snrs[r], p, rate, OmegaBreakdown(p, g, snrs[r], oa, ob, od))
-    return [
-        RatePoint(keys[i][0], snr, None, 0.0, None) if point is None else point
-        for i, snr, point in zip(lid.tolist(), snrs, points)
-    ]
 
 
 def _best_primes(rows, p_max: Optional[int]) -> list[RatePoint]:
@@ -378,30 +382,26 @@ def _best_primes(rows, p_max: Optional[int]) -> list[RatePoint]:
     if not snrs:
         return []
     keys, lid = list(lists), np.array(lid)
-    # every (row, gain) pair's admissible prefix in one search; where the
-    # mask disagrees at a boundary, it decides the row's primes
-    sizes = primes.searchsorted(limits, side="right")
-    count = np.array([len(key) for key in keys])[lid]
-    row = np.arange(count.size).repeat(count)
-    flat = [x for i in lid.tolist() for x in keys[i]]
-    n, agree = admissible_prefix(primes, flat, np.array(snrs)[row], sizes[row])
-    starts = count.cumsum() - count
-    n, agree = np.minimum.reduceat(n, starts), np.logical_and.reduceat(agree, starts)
-    alone = {}
-    for r in np.flatnonzero(~agree).tolist():
-        adm = primes[: sizes[r]]
-        for g in keys[lid[r]]:
-            adm = adm[admissible_mask(adm, g, snrs[r])]
-        if adm.size and adm[-1] != primes[adm.size - 1]:
-            alone[r] = adm  # the full mask left a gap: this row searches its own primes
-        n[r] = 0 if r in alone else adm.size
+    n = primes.searchsorted(limits, side="right")  # each row's primes <= p_max
     table = _table([_gain_segments(key) for key in keys])
-    points = _search(primes, table, keys, snrs, lid, n)
-    for r, adm in alone.items():
-        key = keys[lid[r]]
-        table, size = _table([_segments(key, adm)]), np.array([adm.size])
-        points[r] = _search(adm, table, [key], [snrs[r]], np.array([0]), size)[0]
-    return points
+    terms = np.array(_snr_terms(snrs))
+    kept = [_prune(primes, table, lid, n, terms, a, b) for a, b in _chunks(np.diff(table[5])[lid])]
+    kept = [np.concatenate(x) for x in zip(*kept)]  # segment, row, first prime, width
+    if kept[3].sum() > _CHUNK:  # below, the cut costs more than the primes it drops
+        cut = [_cut(primes, table, lid, terms, *(x[lo:hi] for x in kept))
+               for lo, hi in _row_chunks(kept[1], -(-kept[3] // _PIECE), len(snrs))]
+        kept = [np.concatenate(x) for x in zip(*cut)]
+        del cut  # held beside its concatenation, it raised a sweep's peak RSS by 1.7%
+    points = [None] * len(snrs)
+    for lo, hi in _row_chunks(kept[1], kept[3], len(snrs)):
+        found = _winners(primes, table, lid, terms, *(x[lo:hi] for x in kept))
+        for r, p, j, rate, oa, ob, od in zip(*found):
+            g = keys[lid[r]][j]
+            points[r] = RatePoint(g, snrs[r], p, rate, OmegaBreakdown(p, g, snrs[r], oa, ob, od))
+    return [
+        RatePoint(keys[i][0], snr, None, 0.0, None) if point is None else point
+        for i, snr, point in zip(lid.tolist(), snrs, points)
+    ]
 
 
 def theorem1_rows(rows, p_max: Optional[int] = None) -> list[RatePoint]:

@@ -9,7 +9,6 @@ from lia import diophantine
 from lia.diophantine import (
     PRIME_SEARCH_CAP,
     admissible_mask,
-    admissible_prefix,
     best_rational_oracle,
     delta,
     delta_for_primes,
@@ -220,30 +219,14 @@ def test_staircase_matches_enumeration_random(g):
 class TestAdmissibility:
     def test_half_gain_never_admissible(self):
         for gain in (0.5, Fraction(1, 2)):
-            count, agrees = admissible_prefix(primes_up_to(101), gain, [1.0, 1e2, 1e6, 1e12])
-            assert count.tolist() == [0, 0, 0, 0] and agrees.all()
+            primes = primes_up_to(101)[:, None]
+            assert not admissible_mask(primes, gain, [1.0, 1e2, 1e6, 1e12]).any()
 
     def test_hand_case(self):
-        count, agrees = admissible_prefix(primes_up_to(3), 0.4, 100.0)
-        assert (int(count), bool(agrees)) == (2, True)
+        assert admissible_mask(primes_up_to(3), 0.4, 100.0).tolist() == [True, True]
 
     def test_vanishing_snr_empty(self):
-        count, agrees = admissible_prefix(primes_up_to(101), 0.4, 1e-9)
-        assert (int(count), bool(agrees)) == (0, True)
-
-    def test_prefix_broadcasts_like_one_element_at_a_time(self):
-        # gains, SNRs and prefix lengths mixed in one search, each element
-        # against a search of its own on primes[:size]
-        primes = primes_up_to(PRIME_SEARCH_CAP)
-        gains = [0.37, Fraction(707, 1000), 0.5, math.sqrt(2) / 2, 1.7, 0.37]
-        snrs = [30.0, 20.0, 1e6, 1e20, 1e3, 1e12]
-        sizes = [26, 9592, 9592, 1229, 3, 0]
-        count, agrees = admissible_prefix(primes, gains, snrs, sizes)
-        assert agrees.all()
-        for g, snr, size, n in zip(gains, snrs, sizes, count.tolist()):
-            one, _ = admissible_prefix(primes[:size], g, snr)
-            assert n == int(one)
-        assert 0 < count[0] < 26 and 0 < count[1] < 9592
+        assert not admissible_mask(primes_up_to(101), 0.4, 1e-9).any()
 
     def test_mask_broadcasts_like_one_snr_at_a_time(self):
         # the tail is math.exp per SNR, so the broadcast mask has the same bits

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from lia import diophantine, rates
-from lia.diophantine import admissible_prefix, primes_up_to
+from lia.diophantine import mod_quarter_interval, primes_up_to
 from lia.network import ChannelMatrix, bundled_channel_path, load_channel_file, parse_real_matrix_text
 from lia.powertime import build_schedule
 from lia.rates import (
@@ -297,76 +297,66 @@ class TestPrunedSearch:
                 want = oracles.best_prime_oracle(gains, snr, p_max)
                 assert theorem2_sym_rate(H, snr, p_max) == want, (snr_db, p_max)
 
-    @pytest.mark.parametrize("gamma", [0.37, -SQRT2_OVER_2, Fraction(707, 1000), 1.7])
-    def test_admissible_prefix_matches_full_mask(self, gamma):
-        # every SNR in one search, each count against the full mask at its SNR;
-        # a prefix of the whole sieve gives the counts of a shorter prime array
-        snrs = [db_to_linear(x) for x in [*np.arange(0.0, 30.0, 0.5), *PRUNE_SNRS_DB]]
-        interior = 0
-        for p_max in (1, 2, 3, 101, PRIME_SEARCH_CAP):
-            primes = primes_up_to(p_max)
-            count, agrees = admissible_prefix(primes, gamma, snrs)
-            assert agrees.all()
-            whole = admissible_prefix(primes_up_to(PRIME_SEARCH_CAP), gamma, snrs, primes.size)
-            assert np.array_equal(whole[0], count) and whole[1].all()
-            for snr, n in zip(snrs, count.tolist()):
-                mask = diophantine.admissible_mask(primes, gamma, snr)
-                assert mask[:n].all() and not mask[n:].any()
-                interior += 0 < n < primes.size
-        assert interior > 10
-
     @pytest.mark.parametrize("admitted", ["fewer", "more", "gap"])
     def test_mask_overrides_bisection(self, monkeypatch, admitted):
-        # a mask that disagrees with the search at the boundary of one (gain,
-        # SNR) decides there; the search, its fallback and the full scan all use it
-        real = diophantine.admissible_mask
+        # a test that admits other primes than the real one decides: the search
+        # and the full scan both round it in diophantine._admission
+        real = diophantine._admission
         primes = primes_up_to(PRIME_SEARCH_CAP)
         gamma = 0.37
-        if admitted == "fewer":
-            snr = db_to_linear(120)
+        if admitted == "gap":
+            # lhs off by 1e-13 (below the slack) at every prime = 1 mod 4: near a
+            # gain of 1/2 lhs and rhs both round to about 1, so the mask
+            # re-admits primes after its first failure
+            gamma, snr = 0.5 + 1e-6, db_to_linear(40)
 
-            def change(ps, admits):
-                return admits & (ps < 50)
-        elif admitted == "gap":
-            # one more prime at the boundary and none at the winner: the
-            # admissible primes are no prefix, so that row searches them alone
-            snr = db_to_linear(18.5)
-            k = int(np.count_nonzero(real(primes, gamma, snr)))
-            winner = theorem1_rate(gamma, snr, PRIME_SEARCH_CAP).p_star
-
-            def change(ps, admits):
-                return (admits & (ps != winner)) | (ps == primes[k])
+            def fake(pf, off, c, tail):
+                lhs, rhs = real(pf, off, c, tail)
+                return np.where(pf % 4 == 1, lhs * (1.0 + 1e-13), lhs), rhs
         else:
-            snr = db_to_linear(18.5)
-            k = int(np.count_nonzero(real(primes, gamma, snr)))
+            if admitted == "fewer":
+                snr = db_to_linear(120)
 
-            def change(ps, admits):
-                return admits | (ps <= primes[k])
+                def change(pf, admits):
+                    return admits & (pf < 50)
+            else:  # up to the first failing prime
+                snr = db_to_linear(18.5)
+                k = int(np.count_nonzero(diophantine.admissible_mask(primes, gamma, snr)))
 
-        def fake(ps, g, s):
-            ps, admits = np.asarray(ps), real(ps, g, s)
-            at = np.array([x == gamma for x in g] if isinstance(g, list) else g == gamma)
-            return np.where(at & (np.asarray(s) == snr), change(ps, admits), admits)
+                def change(pf, admits):
+                    return admits | (pf <= primes[k])
 
-        for module in (diophantine, rates, oracles):
-            monkeypatch.setattr(module, "admissible_mask", fake)
-        assert not admissible_prefix(primes, gamma, snr)[1]
+            def fake(pf, off, c, tail):
+                lhs, rhs = real(pf, off, c, tail)
+                at = (off == mod_quarter_interval(gamma)) & (c == 1.5 * snr)
+                admits = change(pf, lhs < rhs)
+                return np.where(at, np.where(admits, 0.0, 1.0), lhs), np.where(at, 0.5, rhs)
+
+        for module in (diophantine, rates):
+            monkeypatch.setattr(module, "_admission", fake)
+        mask = diophantine.admissible_mask(primes, gamma, snr)
         got = theorem1_rate(gamma, snr, PRIME_SEARCH_CAP)
         assert got == oracles.best_prime_oracle([gamma], snr, PRIME_SEARCH_CAP)
         if admitted == "fewer":
-            assert 0 < got.p_star < 50
+            assert 0 < got.p_star < 50 and not mask[primes >= 50].any()
+        if admitted == "more":
+            assert mask[: k + 1].all() and not mask[k + 1 :].any()
         if admitted == "gap":
-            assert got.p_star not in (None, winner)
-            # the gap row between rows of other gains and SNRs, in one batch
-            rows = [
-                ((SQRT2_OVER_2,), db_to_linear(40)),
-                ((gamma,), snr),
-                ((Fraction(707, 1000), 0.41, Fraction(707, 1000)), snr),
-                ((gamma,), db_to_linear(60)),
-            ]
-            want = [oracles.best_prime_oracle(list(g), x, PRIME_SEARCH_CAP) for g, x in rows]
-            assert _best_primes(rows, PRIME_SEARCH_CAP) == want
-            assert want[1] == got
+            assert mask[np.argmin(mask):].any()
+        # the row among rows of other gains and SNRs (at a gain of 1/2 only p = 2,
+        # which fails the test, has a positive bound): one batch that runs the
+        # cut, and the distinct rows in small pieces
+        gains = [
+            (gamma,), (0.37,), (0.5,), (SQRT2_OVER_2,), (Fraction(707, 1000), 0.41, Fraction(707, 1000))
+        ]
+        rows = [((gamma,), snr)] + [
+            (g, db_to_linear(x)) for g in gains for x in (0, 10, 18.5, 20, 40, 60, 120, 200)
+        ]
+        want = [oracles.best_prime_oracle(list(g), x, PRIME_SEARCH_CAP) for g, x in rows]
+        assert _best_primes(rows * 75, PRIME_SEARCH_CAP) == want * 75
+        for piece in (1, 3):
+            with small_pieces(piece):
+                assert _best_primes(rows, PRIME_SEARCH_CAP) == want
 
     @pytest.mark.parametrize("p_max", [3, 101, None])
     @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
@@ -451,6 +441,20 @@ BATCH_SNRS = st.one_of(
 )
 
 
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The number of primes each ``rates._winners`` call evaluates, as the search runs."""
+    counts = []
+    winners = rates._winners
+
+    def count(*args):
+        counts.append(int(args[-1].sum()))  # the kept widths
+        return winners(*args)
+
+    monkeypatch.setattr(rates, "_winners", count)
+    return counts
+
+
 class TestGridSearch:
     """One search over a whole batch of rows against the one-row full scan of
     ``oracles.best_prime_oracle`` at each row, whole RatePoints."""
@@ -492,28 +496,39 @@ class TestGridSearch:
         with small_pieces(piece):
             assert _best_primes(rows, p_max) == want
 
-    def test_few_primes_evaluated_per_row(self, monkeypatch):
+    def test_few_primes_evaluated_per_row(self, evaluated):
         # the seed-3 benchmark sweep's gammas (0.0011875:0.4991875:0.001, as the
         # CLI expands the range) at 200 dB: bounding the kept steps again in
         # pieces leaves about 9 of the 684 primes per row that the steps' bound
         # alone keeps for the omega terms
         gammas = [0.0011875 + i * 0.001 for i in range(499)]
-        evaluated = []
-        winners = rates._winners
-
-        def count(*args):
-            evaluated.append(int(args[-1].sum()))  # the kept widths
-            return winners(*args)
-
-        monkeypatch.setattr(rates, "_winners", count)
         points = theorem1_rows((g, db_to_linear(200)) for g in gammas)
         assert len(points) == 499 and all(point.p_star for point in points)
         assert sum(evaluated) / len(points) <= 32
 
+    def test_no_prime_evaluated_where_none_is_admissible(self, evaluated):
+        # below about 6 dB every prime fails the admissibility test; each step's
+        # first prime fails it beyond the slack, so every step is dropped before
+        # its primes are evaluated (the whole range would be about 6 million)
+        gammas, snrs_db = np.linspace(0.0, 0.5, 49), np.arange(0.0, 6.5, 0.5)
+        rows = [((g,), db_to_linear(x)) for g in gammas for x in snrs_db]
+        points = _best_primes(rows, PRIME_SEARCH_CAP)
+        assert len(points) == 49 * 13 and all(point.p_star is None for point in points)
+        assert sum(evaluated) == 0
+
+    def test_sweep_shaped_batch_evaluates_few_primes(self, evaluated):
+        # the batch of the memory test below keeps 83,068 primes; a piece bound
+        # built from its step's first prime instead of its own (still a bound,
+        # so the rates stay exact) keeps about 114,000
+        snrs = [db_to_linear(x) for x in range(0, 201, 10)]
+        points = theorem1_rows((g, snr) for g in (np.arange(499) + 1) / 1000 for snr in snrs)
+        assert len(points) == 499 * 21
+        assert sum(evaluated) <= 90_000
+
     def test_memory_flat_for_a_sweep_shaped_batch(self):
         # 499 gains x 21 SNRs through theorem1_rows, as `lia sweep` asks, in one
-        # search: the kept primes (82,860 after the pieces' bound; the steps'
-        # bound alone keeps 303,878) are evaluated in chunks of a
+        # search: the kept primes (83,068 after the pieces' bound; the steps'
+        # bound alone keeps 304,086) are evaluated in chunks of a
         # fixed size and each row keeps only its gain list's index, so the peak
         # stays within the margin below of one gain's (about 5 MB more); in one
         # batch they took about 37 MB more
@@ -642,6 +657,12 @@ class TestHelpers:
             db_to_linear(4000.0)
         with pytest.raises(ValueError):
             db_to_linear(math.inf)
+
+    def test_db_to_linear_refuses_underflow(self):
+        # a dB value whose linear SNR underflows to 0 is no usable SNR
+        with pytest.raises(ValueError, match=r"^snr must be positive and finite, got 0\.0$"):
+            db_to_linear(-4000.0)
+        assert 0.0 < db_to_linear(-3083.0) < 1e-308
 
     def test_nonfinite_snr_rejected(self):
         with pytest.raises(ValueError):
