@@ -29,35 +29,37 @@ W).  delta is constant on a step of its staircase, so with sq =
 sqrt(2*pi/(3*SNR)) and tail = 2 exp(-3*SNR/8), omega_b = 1/p + sq/delta +
 tail falls as p grows there, and in omega_a = 1/p^2 + sq + f(p) + tail, f(p)
 = exp(-a/p^2)/p with a = 1.5*SNR*delta^2 rises up to p = sqrt(2a) and falls
-after it.  So on the primes in [p_s, p_e] of one step, W >= L with
+after it.  So on the primes in [p_s, p_e] of an interval on which delta is
+constant, W >= L with
 
-    L = max(sqrt(1/p_e^2 + sq + min(f(p_s), f(p_e)) + tail), 1/p_e + sq/delta + tail)
+    L = max(sqrt(1/p_e^2 + sq + min(f(p_s), f(p_e)) + tail),
+            1/p_e + sq/delta + tail)
 
-(for several gains, the max of their L on segments split at every gain's
-steps).  The sieve and steps are built once per gain list (cached), into one
-table per batch.  All (row, segment) pairs up to each row's p_max are bounded
-together, and the test is evaluated only where the search already looks: at
-each pair's first and last prime, and at every prime whose omega terms are
-evaluated.  U, a row's smallest W at the last prime of a segment wholly in
-range, counts only where that prime passes, so it is an actual value: pairs
-with L > U (1 + 1e-12) cannot hold the winner and are dropped.  So is a pair
-whose first prime fails the test beyond the same slack, lhs > rhs (1 + 1e-12):
-in float, rhs = 1 - p*tail never rises with p and the argument of exp never
-falls (every rounded operation in them is monotone), and numpy's exp errs by a
-few ulps, four orders of magnitude below the slack, so every later prime fails
-too; a row with no admissible prime evaluates none.  So the search assumes no
-admissible prefix and is exact for any lhs non-monotone in p by less than the
-slack.  When the kept primes fill more than one batch, each kept pair is cut
-into pieces of at most _PIECE primes and bounded again by the same two rules.  A piece lies in one step, so delta is constant on it and
-L from the piece's own first and last prime bounds all of its primes; U drops
-to the smallest W at the last prime of a piece where that prime passes.  The
-winner's piece is kept as its segment was.  The kept primes of all rows are
-then evaluated together.  The pairs or pieces in one bound array and the kept
-primes in one batch of omega terms are capped at _CHUNK, so memory stays flat
-in the number of rows.  The slack, thousands of ulps, also covers the rounding
-of L and U (reassociated; math.exp and np.exp may differ in the last place)
-and log2, so every prime whose float rate ties the maximum is evaluated: ties
-still go to the smallest prime.  delta = 0 steps score 0.
+(for several gains, the max of their L; segments split at every gain's steps).
+One rule (_keep) bounds each such interval.  It drops an interval whose first
+prime fails the test beyond a slack, lhs > rhs (1 + 1e-12): in float,
+rhs = 1 - p*tail never rises with p and the argument of exp never falls
+(every rounded operation in them is monotone), and numpy's exp errs by a few
+ulps, four orders of magnitude below the slack, so every later prime fails
+too.  It also drops an interval with L > U (1 + 1e-12), U being the row's
+smallest W at the last prime of an interval where that prime passes for every
+gain: an actual value, so the winner's interval is kept.  So a row with no
+admissible prime evaluates none, and the search is exact for any lhs
+non-monotone in p by less than the slack.  The test is evaluated only where
+the search already looks: at each interval's first and last prime, and at
+every prime whose omega terms are evaluated.
+
+The rule runs on two kinds of interval.  First on each row's steps, clipped
+to its p_max; the sieve and steps are built once per gain list (cached), into
+one table per batch.  Then, when the kept primes fill more than one batch, on
+the kept steps cut into pieces of at most _PIECE primes, whose own first and
+last primes give a tighter L and U.  The kept primes of all rows are then
+evaluated together.  The intervals in one bound array and the kept primes in
+one batch of omega terms are capped at _CHUNK, so memory stays flat in the
+number of rows.  The slack, thousands of ulps, also covers the rounding of L
+and U (math.exp and np.exp may differ in the last place) and of log2, so
+every prime whose float rate ties the maximum is evaluated: ties still go to
+the smallest prime.  delta = 0 steps score 0.
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ def rate_for_p(p: int, gamma: Gain, snr: float) -> float:
 
 # Relative slack on the pruning bound: thousands of ulps (module docstring).
 _PRUNE_SLACK = 1e-12
-# Most (row, segment) pairs in one bound array, and most kept primes in one
+# Most intervals (steps or pieces) in one bound array, and most kept primes in one
 # batch of omega terms, so memory stays flat in the number of rows: a batch's
 # temporaries take about 1 MB (at 32,768 they took about 6 MB and raised the
 # peak RSS of a 10,479-row sweep by about 14%).  One row's primes (at most
@@ -203,22 +205,16 @@ _PIECE = 16
 @lru_cache(maxsize=64)
 def _gain_segments(gains: tuple):
     """Segments of the primes up to PRIME_SEARCH_CAP on which every gain's delta is constant
-    and positive, once per gain list, read-only: first index and length; per segment 1/p_s,
-    1/p_e and p_e**-2; per gain and segment delta, 1/delta, -(delta/p_s)**2 and
-    -(delta/p_e)**2; the gains' offsets."""
+    and positive, once per gain list, read-only: first index, length, delta per gain and
+    segment, and the gains' offsets."""
     primes = primes_up_to(PRIME_SEARCH_CAP)
     s = np.sort(np.concatenate([delta_step_starts(g, primes) for g in gains]))
     s = s[s < primes.size]
     e = np.concatenate((s[1:], [primes.size])) - 1
     dl = np.array([delta_for_primes(g, primes[s]) for g in gains])
     live = (e >= s) & (dl > 0.0).all(axis=0)
-    s, e, dl = s[live], e[live], dl[:, live]
-    ps, pe = primes[s].astype(float), primes[e].astype(float)
-    with np.errstate(over="ignore"):  # a subnormal delta: W is bounded by inf
-        ends = np.array([1.0 / ps, 1.0 / pe, pe**-2])
-        per_gain = np.stack([dl, 1.0 / dl, -((dl / ps) ** 2), -((dl / pe) ** 2)], axis=1)
     offs = np.array([float(mod_quarter_interval(g)) for g in gains])
-    segments = s, e - s + 1, ends, per_gain, offs
+    segments = s[live], (e - s + 1)[live], dl[:, live], offs
     for a in segments:
         a.setflags(write=False)
     return segments
@@ -228,18 +224,15 @@ def _table(segments):
     """Several gain lists' ``_gain_segments`` as one table, plus each list's first segment.
     The gain axis is padded to the longest list by repeating a list's first gain, which
     changes no max, no min and no first match."""
-    if len(segments) == 1:  # one gain list (any single point, a network curve): uncopied
-        s, w, ends, per_gain, offs = segments[0]
-        return s, w, ends, per_gain, offs[None], np.array([0, s.size])
-    g = max(seg[4].size for seg in segments)
+    g = max(seg[3].size for seg in segments)
 
     def pad(a):
         return np.concatenate([a, a[:1].repeat(g - a.shape[0], axis=0)])
 
     first = np.cumsum([0] + [seg[0].size for seg in segments])
-    s, w, ends = (np.concatenate([seg[i] for seg in segments], axis=-1) for i in range(3))
-    per_gain = np.concatenate([pad(seg[3]) for seg in segments], axis=2)
-    return s, w, ends, per_gain, np.array([pad(seg[4]) for seg in segments]), first
+    s, w = (np.concatenate([seg[i] for seg in segments]) for i in range(2))
+    dl = np.concatenate([pad(seg[2]) for seg in segments], axis=1)
+    return s, w, dl, np.array([pad(seg[3]) for seg in segments]), first
 
 
 def _ragged(counts: np.ndarray):
@@ -266,87 +259,58 @@ def _row_chunks(row, items, rows):
             yield lo, hi
 
 
-def _admits(ps, pe, off, c, tail):
-    """Whether each interval's first prime ps fails the admissibility test for a gain beyond
-    the slack, so that every later prime fails it too, and whether its last prime pe passes
-    it for every gain (off gain-major; module docstring)."""
+def _steps(table, lid, n, a, b):
+    """The delta steps of rows [a, b), each clipped to its row's primes <= p_max (n of them),
+    as (segment, row, first prime index, width), nonempty and in row order."""
+    S, W, _, _, first = table
+    row, k = _ragged(np.diff(first)[lid[a:b]])
+    row += a
+    t = first[lid[row]] + k
+    width = np.minimum(n[row] - S[t], W[t])
+    on = width > 0
+    return t[on], row[on], S[t[on]], width[on]
+
+
+def _pieces(t, row, start, width):
+    """Kept steps cut into pieces of at most _PIECE primes, as (segment, row, first prime
+    index, width)."""
+    own, j = _ragged(-(-width // _PIECE))
+    return t[own], row[own], start[own] + j * _PIECE, np.minimum(width[own] - j * _PIECE, _PIECE)
+
+
+def _keep(primes, table, lid, terms, t, row, start, width):
+    """Of nonempty intervals of primes in row order, each within one segment (so delta is
+    constant on it), given as (segment, row, first prime index, width): those that can hold
+    their row's winner.  An interval goes when its first prime fails the test beyond the
+    slack, or when its L exceeds U (1 + slack), U being its row's smallest W at the last
+    prime of an interval where that prime passes for every gain (module docstring)."""
+    dl, off = table[2][:, t], table[3][lid[row]].T
+    c, tail, sq = terms[:, row]
+    ps, pe = primes[start].astype(float), primes[start + width - 1].astype(float)
     lhs, rhs = _admission(ps, off, c, tail)
     dead = (lhs > rhs * (1.0 + _PRUNE_SLACK)).any(axis=0)
     lhs, rhs = _admission(pe, off, c, tail)
-    return dead, (lhs < rhs).all(axis=0)
-
-
-def _bounds(ips, ipe, ipe2, idl, xs, xe, c, tail, sq):
-    """L, and W at the last prime, of each (row, interval) pair in reassociated float terms
-    (the slack covers it): 1/p_s, 1/p_e, p_e**-2 and per gain 1/delta, -(delta/p_s)**2 and
-    -(delta/p_e)**2; callers silence numpy (inf * 0 once delta is subnormal)."""
-    fe = np.exp(c * xe) * ipe
-    wb = ipe + sq * idl + tail
-    head = ipe2 + (sq + tail)
-    lower = np.maximum(np.sqrt(head + np.minimum(np.exp(c * xs) * ips, fe)), wb).max(axis=0)
-    return lower, np.maximum(np.sqrt(head + fe), wb).max(axis=0)
-
-
-def _can_win(lower, at_end, r, rows):
-    """Whether each pair's L is within the slack of U, its row's smallest W at an end (row
-    r of rows; a NaN keeps the pair)."""
-    u = np.full(rows, np.inf)
+    oa, ob = _omega_arrays(pe, dl, c, tail, sq)
+    # omega_a at pe with f(pe) replaced by min(f(ps), f(pe))
+    lower = np.maximum(np.sqrt(np.minimum(oa, pe**-2 + sq + _f_term(ps, dl, c) + tail)), ob)
+    at_end = np.where((lhs < rhs).all(axis=0), np.maximum(np.sqrt(oa), ob).max(axis=0), np.inf)
+    r = row - row[:1]  # an empty batch stays empty
+    u = np.full(r.max(initial=-1) + 1, np.inf)
     np.minimum.at(u, r, at_end)
-    return ~(lower > u[r] * (1.0 + _PRUNE_SLACK))
-
-
-def _prune(primes, table, lid, n, terms, a, b):
-    """The (row, segment) pairs of rows [a, b) that can hold their row's winner: each one's
-    segment index in the table, row, first prime index and number of primes <= p_max.  L
-    per pair, and U per row from the segments wholly in range whose last prime passes."""
-    S, W, ends, per_gain, offs, first = table
-    nseg = (first[1:] - first[:-1])[lid[a:b]]
-    row, k = _ragged(nseg)
-    t = first[lid[a:b][row]] + k
-    c, tail, sq = terms[:, a:b][:, row]
-    off = offs[lid[a:b][row]].T
-    width = np.minimum(np.maximum(n[a:b][row] - S[t], 0), W[t])
-    ps, pe = primes[S[t]].astype(float), primes[S[t] + W[t] - 1].astype(float)
-    dead, passes = _admits(ps, pe, off, c, tail)
-    passes &= width == W[t]
-    with np.errstate(over="ignore", invalid="ignore"):
-        lower, at_end = _bounds(*ends[:, t], *per_gain[:, 1:, t].transpose(1, 0, 2), c, tail, sq)
-        keep = (width > 0) & ~dead & _can_win(lower, np.where(passes, at_end, np.inf), row, b - a)
-    return t[keep], row[keep] + a, S[t[keep]], width[keep]
-
-
-def _cut(primes, table, lid, terms, t, row, start, width):
-    """Cut kept pairs of some rows into pieces of at most _PIECE primes and keep the pieces
-    that can hold their row's winner, as (segment, row, first prime index, width).  delta is
-    constant on a piece, so L from its own first and last prime bounds it, and U is the
-    smallest W at the last prime of a piece where that prime passes."""
-    own, j = _ragged(-(-width // _PIECE))
-    t, row, start = t[own], row[own], start[own] + j * _PIECE
-    width = np.minimum(width[own] - j * _PIECE, _PIECE)
-    dl, idl = table[3][:, :2, t].transpose(1, 0, 2)
-    c, tail, sq = terms[:, row]
-    off = table[4][lid[row]].T
-    ps, pe = primes[start].astype(float), primes[start + width - 1].astype(float)
-    dead, passes = _admits(ps, pe, off, c, tail)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lower, at_end = _bounds(1.0 / ps, 1.0 / pe, pe**-2, idl, -((dl / ps) ** 2),
-                                -((dl / pe) ** 2), c, tail, sq)
-        keep = ~dead & _can_win(lower, np.where(passes, at_end, np.inf), row - row[0],
-                                row[-1] - row[0] + 1)
+    keep = ~dead & ~(lower.max(axis=0) > u[r] * (1.0 + _PRUNE_SLACK))  # a NaN keeps it
     return t[keep], row[keep], start[keep], width[keep]
 
 
 def _winners(primes, table, lid, terms, t, row, start, width):
-    """Evaluate the kept primes of some rows (each kept pair's segment, row, first prime
+    """Evaluate the kept primes of some rows (each kept interval's segment, row, first prime
     index and width, in row order) together: per row with a positive best rate, its row, p*,
     binding gain index, rate and (omega_a, omega_b, omega_d) there, as lists."""
-    _, _, _, per_gain, offs, _ = table
     own, i = _ragged(width)
     t, row = t[own], row[own]
     pf = primes[start[own] + i].astype(float)
     c, tail, sq = terms[:, row]
-    off = offs[lid[row]].T
-    oa, ob = _omega_arrays(pf, per_gain[:, 0, t], c, tail, sq)
+    off = table[3][lid[row]].T
+    oa, ob = _omega_arrays(pf, table[2][:, t], c, tail, sq)
     lhs, rhs = _admission(pf, off, c, tail)
     # a gain whose test fails scores 0, and so does a NaN rate (fmax: delta = 0
     # once 1.5 * SNR overflows)
@@ -373,22 +337,24 @@ def _best_primes(rows, p_max: Optional[int]) -> list[RatePoint]:
     if p_max is not None:
         primes_up_to(p_max)  # refuses a bound above the search cap
     # one record per distinct gain list, and per row only its list's index
-    lists, snrs, lid, limits = {}, [], [], []
+    lists, snrs, lid = {}, [], []
     for g, snr in rows:  # the first row that fails is the error
         _require_positive_snr(snr)
-        limits.append(default_p_max(snr) if p_max is None else p_max)
         snrs.append(snr)
         lid.append(lists.setdefault(tuple(g), len(lists)))
     if not snrs:
         return []
     keys, lid = list(lists), np.array(lid)
-    n = primes.searchsorted(limits, side="right")  # each row's primes <= p_max
+    # default_p_max once per distinct SNR; n counts each row's primes <= p_max
+    limit = {x: default_p_max(x) if p_max is None else p_max for x in set(snrs)}
+    n = primes.searchsorted([limit[x] for x in snrs], side="right")
     table = _table([_gain_segments(key) for key in keys])
     terms = np.array(_snr_terms(snrs))
-    kept = [_prune(primes, table, lid, n, terms, a, b) for a, b in _chunks(np.diff(table[5])[lid])]
+    kept = [_keep(primes, table, lid, terms, *_steps(table, lid, n, a, b))
+            for a, b in _chunks(np.diff(table[4])[lid])]
     kept = [np.concatenate(x) for x in zip(*kept)]  # segment, row, first prime, width
     if kept[3].sum() > _CHUNK:  # below, the cut costs more than the primes it drops
-        cut = [_cut(primes, table, lid, terms, *(x[lo:hi] for x in kept))
+        cut = [_keep(primes, table, lid, terms, *_pieces(*(x[lo:hi] for x in kept)))
                for lo, hi in _row_chunks(kept[1], -(-kept[3] // _PIECE), len(snrs))]
         kept = [np.concatenate(x) for x in zip(*cut)]
         del cut  # held beside its concatenation, it raised a sweep's peak RSS by 1.7%

@@ -298,7 +298,7 @@ class TestPrunedSearch:
                 assert theorem2_sym_rate(H, snr, p_max) == want, (snr_db, p_max)
 
     @pytest.mark.parametrize("admitted", ["fewer", "more", "gap"])
-    def test_mask_overrides_bisection(self, monkeypatch, admitted):
+    def test_faked_admission_decides(self, monkeypatch, admitted):
         # a test that admits other primes than the real one decides: the search
         # and the full scan both round it in diophantine._admission
         real = diophantine._admission
@@ -344,8 +344,9 @@ class TestPrunedSearch:
         if admitted == "gap":
             assert mask[np.argmin(mask):].any()
         # the row among rows of other gains and SNRs (at a gain of 1/2 only p = 2,
-        # which fails the test, has a positive bound): one batch that runs the
-        # cut, and the distinct rows in small pieces
+        # which fails the test, has a positive bound): one batch large enough that
+        # _keep bounds its kept steps again in pieces, and the distinct rows in
+        # small pieces
         gains = [
             (gamma,), (0.37,), (0.5,), (SQRT2_OVER_2,), (Fraction(707, 1000), 0.41, Fraction(707, 1000))
         ]
@@ -383,9 +384,9 @@ SEARCH_P_MAX = st.sampled_from([None, PRIME_SEARCH_CAP])
 
 @contextlib.contextmanager
 def small_pieces(piece):
-    """Cut kept steps into pieces of ``piece`` primes, and batches into 16 items so that the
-    cut runs on a few rows too.  A context, not a fixture: Hypothesis refuses a
-    function-scoped fixture under ``@given``."""
+    """Cut kept steps into pieces of ``piece`` primes, and batches into 16 items so that
+    ``_keep`` bounds the pieces on a few rows too.  A context, not a fixture: Hypothesis
+    refuses a function-scoped fixture under ``@given``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rates, "_PIECE", piece)
         mp.setattr(rates, "_CHUNK", 16)
@@ -499,8 +500,8 @@ class TestGridSearch:
     def test_few_primes_evaluated_per_row(self, evaluated):
         # the seed-3 benchmark sweep's gammas (0.0011875:0.4991875:0.001, as the
         # CLI expands the range) at 200 dB: bounding the kept steps again in
-        # pieces leaves about 9 of the 684 primes per row that the steps' bound
-        # alone keeps for the omega terms
+        # pieces leaves about 9 of the 684 primes per row that _keep keeps on
+        # the steps alone for the omega terms
         gammas = [0.0011875 + i * 0.001 for i in range(499)]
         points = theorem1_rows((g, db_to_linear(200)) for g in gammas)
         assert len(points) == 499 and all(point.p_star for point in points)
@@ -508,7 +509,7 @@ class TestGridSearch:
 
     def test_no_prime_evaluated_where_none_is_admissible(self, evaluated):
         # below about 6 dB every prime fails the admissibility test; each step's
-        # first prime fails it beyond the slack, so every step is dropped before
+        # first prime fails it beyond the slack, so _keep drops every step before
         # its primes are evaluated (the whole range would be about 6 million)
         gammas, snrs_db = np.linspace(0.0, 0.5, 49), np.arange(0.0, 6.5, 0.5)
         rows = [((g,), db_to_linear(x)) for g in gammas for x in snrs_db]
@@ -517,8 +518,8 @@ class TestGridSearch:
         assert sum(evaluated) == 0
 
     def test_sweep_shaped_batch_evaluates_few_primes(self, evaluated):
-        # the batch of the memory test below keeps 83,068 primes; a piece bound
-        # built from its step's first prime instead of its own (still a bound,
+        # the batch of the memory test below keeps 83,068 primes; _keep bounding
+        # a piece from its step's first prime instead of its own (still a bound,
         # so the rates stay exact) keeps about 114,000
         snrs = [db_to_linear(x) for x in range(0, 201, 10)]
         points = theorem1_rows((g, snr) for g in (np.arange(499) + 1) / 1000 for snr in snrs)
@@ -527,8 +528,8 @@ class TestGridSearch:
 
     def test_memory_flat_for_a_sweep_shaped_batch(self):
         # 499 gains x 21 SNRs through theorem1_rows, as `lia sweep` asks, in one
-        # search: the kept primes (83,068 after the pieces' bound; the steps'
-        # bound alone keeps 304,086) are evaluated in chunks of a
+        # search: the kept primes (83,068 after _keep bounds the pieces; on the
+        # steps alone it keeps 304,086) are evaluated in chunks of a
         # fixed size and each row keeps only its gain list's index, so the peak
         # stays within the margin below of one gain's (about 5 MB more); in one
         # batch they took about 37 MB more
