@@ -15,7 +15,10 @@ trials into blocks and gives each trial its own substreams; a block's
 codewords come from a codebook lookup, its dependent draws from the
 decoder's mask, its received vectors from one channel evaluation, and its
 decisions from one PairDecoder.decode_many call, which decides every row
-exactly as decoding it alone would.  The substreams' generators are built
+exactly as decoding it alone would.  The decoder scores every pair in
+float32 and re-scores, in float64, each pair whose score lies within the
+float32 rounding of its row's minimum, so its decisions are those of the
+float64 pairs x n table, bit for bit.  The substreams' generators are built
 from seed words that substream_words hashes for a whole span of trials at
 once, the words SeedSequence itself would generate, so every draw is the one
 SeedSequence's own generator makes.
@@ -160,11 +163,11 @@ def nearest_rows(Y: np.ndarray, tables) -> np.ndarray:
 def _per_vector_bytes(count: int, n: int, p: int) -> int:
     """Temporaries of decoding one received vector.
 
-    The gathered distances (count x n*p float64) beside the metric matrix
-    (count x count float64), the candidate test (count x count bool) and the
-    n x p x p distance table with the temporaries of mod_interval.
+    The gathered squares (count x n*p float32) beside the metric matrix
+    (count x count float32), the candidate test (count x count bool) and the
+    float64 n x p x p distance table with the temporaries of mod_interval.
     """
-    return count * n * p * 8 + count * count * 9 + 8 * n * p * p * 8
+    return count * n * p * 4 + count * count * 5 + 8 * n * p * p * 8
 
 
 def _block_rows(count: int, n: int, p: int) -> int:
@@ -175,15 +178,15 @@ def _block_rows(count: int, n: int, p: int) -> int:
 def _decoder_bytes(count: int, n: int, p: int, k: int) -> int:
     """Bytes a PairDecoder holds plus the temporaries of one block decode.
 
-    Held: the one-hot codebook (count x n*p float64), the additive mask
-    (count x count float64), the Codebook (messages, residues and reals)
+    Held: the one-hot codebook (count x n*p float32), the additive mask
+    (count x count float32), the Codebook (messages, residues and reals)
     with the residues' one-hot columns, and psi.  Per block: the
     temporaries of _block_rows received vectors (_per_vector_bytes each;
     the block's candidate list takes the place of its freed metric
     matrices), and one chunk of re-scored psi rows.  The build's boolean
     dependency table is smaller than the per-block part.
     """
-    held = count * n * p * 8 + count * count * 8 + count * (3 * n + k) * 8 + p * p * 8
+    held = count * n * p * 4 + count * count * 4 + count * (3 * n + k) * 8 + p * p * 8
     chunk = min(count * count, _RESCORE_ROWS) * (8 * n + 4) * 8
     return held + _block_rows(count, n, p) * _per_vector_bytes(count, n, p) + chunk
 
@@ -195,23 +198,29 @@ class PairDecoder:
     on the residue pair (a, b) = (c_i,t, c_j,t), through the p x p
     constellation ``psi[a, b] = [grid(a) + gamma*grid(b)]*``.  decode_many()
     takes a block of received vectors y and builds, per y, the n x p x p
-    table D[t, a, b] = ([y_t - psi[a, b]]*)^2, gathers E[i, (t, b)] =
-    D[t, c_i,t, b] and scores every pair at once as the count x count matrix
-    E @ A.T plus an additive mask, where A is the one-hot codebook and the
-    mask is +inf on linearly dependent pairs; the whole block is one
-    distance table, one gather and one matrix product.  No per-pair table is
-    stored or formed; there are n_pairs = (M - 1)(M - p) independent pairs
-    for M = p**k.
+    table D[t, a, b] = ([y_t - psi[a, b]]*)^2 in float64, casts its squares
+    to float32, gathers E[i, (t, b)] = D[t, c_i,t, b] and scores every pair
+    at once as the count x count float32 matrix E @ A.T plus an additive
+    mask, where A is the one-hot codebook and the mask is +inf on linearly
+    dependent pairs; the whole block is one distance table, one gather and
+    one matrix product.  No per-pair table is stored or formed; there are
+    n_pairs = (M - 1)(M - p) independent pairs for M = p**k.
 
-    The matrix product sums each metric in an order of its own, so pairs
-    whose metrics tie exactly under one order can differ in the last bits.
-    Every pair within a relative 16*n*eps of its row's minimum, which covers
-    the rounding gap between any two summation orders of n nonnegative
-    terms, is therefore re-scored on its psi row by ``nearest_rows``
-    (mod_interval, einsum, a minimum attained more than once is ambiguous),
-    in chunks of _RESCORE_ROWS: every decision, ties included, is the one
-    the exhaustive pairs x n table gives, bit for bit, however many vectors
-    are decoded together.  block_rows vectors are decoded at a time (see
+    A float32 score is not the float64 metric, and the matrix product sums
+    each score in an order of its own.  Each cast square is its float64
+    value within a relative 2**-24 (eps/2, eps of float32 throughout) or,
+    below float32's normal range, within an absolute ``tiny`` (the smallest
+    normal float32), also where a BLAS flushes subnormal inputs or outputs
+    to zero, which only lowers a score; summing n nonnegative terms in any
+    order adds at most a relative (n - 1)*2**-24.  So two pairs' scores can
+    stand in the other order from their float64 metrics only when they lie
+    within about a relative 2*n*eps plus n*tiny of each other.  Every pair
+    scored within a relative 16*n*eps (room to spare) plus n*tiny of its
+    row's minimum is therefore re-scored on its psi row by ``nearest_rows``
+    in float64 (mod_interval, einsum, a minimum attained more than once is
+    ambiguous), in chunks of _RESCORE_ROWS: every decision, ties included,
+    is the one the exhaustive pairs x n table gives, bit for bit, however
+    many vectors are decoded together.  block_rows vectors are decoded at a time (see
     _block_rows).  The decoder is refused before it is built when its
     arrays plus one block decode's temporaries would exceed
     DECODER_TABLE_BYTES_CAP.
@@ -240,7 +249,8 @@ class PairDecoder:
         self.n_pairs = dep.size - int(np.count_nonzero(dep))
         if self.n_pairs == 0:
             raise ValueError("empty search space: no independent message pairs (need k >= 2)")
-        self.mask = np.where(dep, np.inf, 0.0)
+        self.mask = np.zeros((count, count), dtype=np.float32)
+        self.mask[dep] = np.inf
         del dep
 
         grid = grid_real(np.arange(p), p)
@@ -248,11 +258,11 @@ class PairDecoder:
         # column t*p + c_i,t of the one-hot row i; also the row of D[t, c_i,t]
         # in D reshaped to (n*p) x p
         self._cols = book.residues + p * np.arange(n)
-        self._onehot = np.zeros((count, n * p))
+        self._onehot = np.zeros((count, n * p), dtype=np.float32)
         np.put_along_axis(self._onehot, self._cols, 1.0, axis=1)
-        self._slack = 16 * n * np.finfo(float).eps
-        # rounding of squares below the normal range is absolute, not relative
-        self._floor = n * np.finfo(float).smallest_subnormal
+        self._slack = 16 * n * np.finfo(np.float32).eps
+        # error below the normal range is absolute, up to tiny per square if flushed to zero
+        self._floor = n * np.finfo(np.float32).tiny
 
     def decode(self, y):
         """Closest pair (w_i, w_j), or AMBIGUOUS when the minimum ties."""
@@ -283,7 +293,7 @@ class PairDecoder:
         rows, (n, p) = Y.shape[0], (self.code.n, self.code.p)
         count = len(self.book)
         d = mod_interval(Y[:, :, None, None] - self.psi)
-        e = np.take((d * d).reshape(rows, n * p, p), self._cols, axis=1)
+        e = np.take((d * d).astype(np.float32).reshape(rows, n * p, p), self._cols, axis=1)
         del d
         s = e.reshape(rows * count, n * p) @ self._onehot.T
         del e

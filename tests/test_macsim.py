@@ -14,10 +14,12 @@ from lia.macsim import (
     AMBIGUOUS,
     DECODER_TABLE_BYTES_CAP,
     PairDecoder,
+    _RESCORE_ROWS,
     _SPAN_TRIALS,
     _block_rows,
     _decoder_bytes,
     _generator_from_words,
+    _per_vector_bytes,
     check_run,
     estimate_error_prob,
     mod_mac_channel,
@@ -67,6 +69,24 @@ def _corpus_received(code, gamma, oracle, rng, draws):
             x1 = encode(code, oracle.messages[oracle.i_idx[h]])
             x2 = encode(code, oracle.messages[oracle.j_idx[h]])
             yield label, mod_mac_channel(x1, x2, gamma, rng.normal(0.0, sigma, size=code.n))
+
+
+def _near_tie_received(oracle, rng, anchors, per_anchor):
+    """Received vectors whose two best pairs' float64 metrics nearly tie.
+
+    Each starts at the torus midpoint of a random pair's psi row and the
+    nearest row distinct from it, steps along their bisector (which keeps
+    both exact metrics equal but changes every component's square) and then a
+    relative 1e-10 to 1e-7 of their difference toward the first row.
+    """
+    for a in rng.integers(0, oracle.psi.shape[0], size=anchors):
+        others = oracle.metrics(oracle.psi[a])
+        others[others == 0.0] = np.inf  # row a and any row equal to it
+        delta = mod_interval(oracle.psi[np.argmin(others)] - oracle.psi[a])
+        for eps in 10.0 ** rng.uniform(-10, -7, size=per_anchor):
+            w = rng.normal(0.0, 0.05, size=delta.size)
+            w -= (w @ delta) / (delta @ delta) * delta
+            yield mod_interval(oracle.psi[a] + (0.5 - eps) * delta + w)
 
 
 class TestWilsonInterval:
@@ -169,6 +189,36 @@ class TestPairDecoder:
         assert draws >= 1000
         assert ambiguous >= 500
 
+    def test_agrees_with_oracle_on_near_ties(self):
+        # the two best pairs' metrics differ by less than float32 resolves, so
+        # the float32 scores order them at random: only re-scoring every pair
+        # within the float32 slack in float64 decides each row as the oracle
+        rng = np.random.default_rng(11)
+        shapes = [
+            (5, 8, 2, 0.707106781, 8),
+            (7, 10, 2, 0.3, 8),
+            (5, 5, 3, 2.0, 8),
+            (3, 6, 3, -1.0, 8),
+            (7, 16, 3, 0.707106781, 3),
+        ]
+        draws = in_band = 0
+        disagreements = []
+        for p, n, k, gamma, anchors in shapes:
+            code = sample_code(p, n, k, seed=p * n)
+            oracle = OracleDecoder(code, gamma)
+            dec = PairDecoder(code, gamma)
+            ys = np.array(list(_near_tie_received(oracle, rng, anchors, 8)))
+            for y, h in zip(ys, dec.decode_many(ys)):
+                best, second = np.partition(oracle.metrics(y), 1)[:2]
+                draws += 1
+                in_band += 1e-9 <= (second - best) / best <= 1e-6
+                want = oracle.decode(y)
+                if h != (-1 if want is AMBIGUOUS else dec.book.rows(want) @ [len(dec.book), 1]):
+                    disagreements.append((p, n, k, gamma, y))
+        assert disagreements == []
+        assert draws == 4 * 8 * 8 + 3 * 8
+        assert in_band >= 100
+
     def test_decode_many_matches_oracle_row_by_row(self):
         # a block mixing the adversarial tie y = 0 with noiseless and noisy
         # rows, decoded in several blocks, gives each row's oracle decision
@@ -193,7 +243,7 @@ class TestPairDecoder:
 
     def test_decode_many_memory_within_bound(self):
         # 500 rows go through in blocks of block_rows; at once they would
-        # take about 13 MB
+        # take about 10 MB
         code = sample_code(5, 8, 2, seed=0)
         dec = PairDecoder(code, SQRT2_OVER_2)
         ys = np.random.default_rng(3).uniform(-L / 2, L / 2, size=(500, 8))
@@ -207,9 +257,20 @@ class TestPairDecoder:
 
     def test_block_rows(self):
         # one block decode's temporaries stay within 1 MiB unless one decode
-        # alone is larger (p=7, n=16, k=3: about 1.4 MB)
+        # alone is larger (p=7, n=16, k=3: about 0.8 MB, so two do not fit)
         assert PairDecoder(sample_code(7, 16, 3, seed=0), 0.3).block_rows == 1
         assert PairDecoder(sample_code(5, 8, 2, seed=0), 0.3).block_rows > 1
+
+    @pytest.mark.parametrize("p, n, k", [(3, 4, 2), (5, 32, 2), (7, 16, 3)])
+    def test_held_arrays_are_what_the_cap_counts(self, p, n, k):
+        dec = PairDecoder(sample_code(p, n, k, seed=0), 0.3)
+        count = p**k
+        held = [dec._onehot, dec.mask, dec.psi, dec._cols]
+        held += [dec.book.messages, dec.book.residues, dec.book.reals]
+        # _decoder_bytes less one block decode's temporaries and one re-scored chunk
+        block = _block_rows(count, n, p) * _per_vector_bytes(count, n, p)
+        chunk = min(count * count, _RESCORE_ROWS) * (8 * n + 4) * 8
+        assert sum(a.nbytes for a in held) == _decoder_bytes(count, n, p, k) - block - chunk
 
     @pytest.mark.parametrize("p, k", [(3, 2), (5, 2), (3, 3)])
     def test_mask_matches_messages_dependent(self, p, k):
@@ -239,7 +300,8 @@ class TestPairDecoder:
         assert PairDecoder(sample_code(p, 3, k, seed=0), 0.3).n_pairs == (M - 1) * (M - p)
 
     def test_table_memory_capped_before_build(self):
-        # the 2809 x 13568 one-hot codebook alone is about 305 MB
+        # the 2809 x 13568 one-hot codebook and one decode's gathered squares
+        # are about 305 MB
         code = sample_code(53, 256, 2, seed=0)
         tracemalloc.start()
         try:
@@ -360,7 +422,7 @@ class TestEstimateErrorProb:
 
     def test_traced_peak_of_block_engine_within_bound(self):
         # 3000 trials in blocks of block_rows: one block's temporaries, not
-        # 3000 decodes' (about 79 MB), bound the run
+        # 3000 decodes' (about 60 MB), bound the run
         code = sample_code(5, 8, 2, seed=3)
         tracemalloc.start()
         try:
