@@ -9,16 +9,21 @@ than once.  Drawing a linearly dependent message pair counts as an error
 without decoding.
 
 Determinism contract: trial t draws its messages and noise from the
-substream SeedSequence(seed, spawn_key=(t,)), so aggregate counts depend on
+substream SeedSequence(seed, spawn_key=(t,)), as integers(0, p, size=(2, k))
+and then normal(0, 1/sqrt(snr), size=n) would, so aggregate counts depend on
 the seed alone.  trial_blocks, the trial engine of both simulators, cuts the
-trials into blocks and gives each trial its own substreams; a block's
-codewords come from a codebook lookup, its dependent draws from the
-decoder's mask, its received vectors from one channel evaluation, and its
-decisions from one PairDecoder.decode_many call, which decides every row
-exactly as decoding it alone would.  The decoder scores every pair in
-float32 and re-scores, in float64, each pair whose score lies within the
-float32 rounding of its row's minimum, so its decisions are those of the
-float64 pairs x n table, bit for bit.  The substreams' generators are built
+trials into blocks and gives each trial its own substreams.  It takes each
+trial's messages as raw PCG64 words and reduces the whole block to [0, p)
+by the rule integers follows, and draws each trial's noise in place into a
+block array, scaled once; a trial whose reduction rejects a 32-bit draw,
+which happens with probability below p / 2**32 per draw, is drawn again the
+reference way.  A block's codewords come from a codebook lookup, its
+dependent draws from the decoder's mask, its received vectors from one
+channel evaluation, and its decisions from one PairDecoder.decode_many
+call, which decides every row exactly as decoding it alone would.  The
+decoder scores every pair in float32 and re-scores, in float64, each pair
+whose score lies within the float32 rounding of its row's minimum, so its
+decisions are those of the float64 pairs x n table, bit for bit.  The substreams' generators are built
 from seed words that substream_words hashes for a whole span of trials at
 once, the words SeedSequence itself would generate, so every draw is the one
 SeedSequence's own generator makes.
@@ -293,7 +298,8 @@ class PairDecoder:
         rows, (n, p) = Y.shape[0], (self.code.n, self.code.p)
         count = len(self.book)
         d = mod_interval(Y[:, :, None, None] - self.psi)
-        e = np.take((d * d).astype(np.float32).reshape(rows, n * p, p), self._cols, axis=1)
+        d *= d
+        e = np.take(d.astype(np.float32).reshape(rows, n * p, p), self._cols, axis=1)
         del d
         s = e.reshape(rows * count, n * p) @ self._onehot.T
         del e
@@ -419,23 +425,76 @@ def _generator_from_words():
     return lambda words: Generator(PCG64(Words(words)))
 
 
-def trial_blocks(code: LinearCode, trials: int, seed: int, keys):
-    """The trial engine: yields range(trials) in the blocks a PairDecoder of ``code``
-    decodes together, each with an iterator that makes trial t's generators only when it
-    reaches t, one per key, drawing from SeedSequence(seed, spawn_key=(t, *key)).
+def _lemire(raw: np.ndarray, p: int, count: int):
+    """The first ``count`` values in [0, p) of each row's 32-bit halves of ``raw``, by
+    the rule Generator.integers(0, p, size) follows for p < 2**32: (values, rejected).
 
-    The generators' seed words come from one substream_words pass per span of whole
-    blocks (about _SPAN_TRIALS trials), so the blocks are those of the trials alone.
+    Each 64-bit word gives its low half first, then its high half; a half u gives
+    (u*p) >> 32 unless the low 32 bits of u*p fall below 2**32 % p.  ``rejected`` marks
+    the rows where that happened: integers would have drawn on, so their values
+    from that point on are not these.
+    """
+    halves = np.empty((raw.shape[0], 2 * raw.shape[1]), dtype=np.uint64)
+    halves[:, 0::2] = raw & _MASK32
+    halves[:, 1::2] = raw >> 32
+    m = halves[:, :count] * np.uint64(p)
+    return (m >> 32).astype(np.int64), ((m & _MASK32) < 2**32 % p).any(axis=1)
+
+
+def _draw_block(words: np.ndarray, p: int, shape, n: int, sigma: float, noise_from: int):
+    """The messages and noise of the trials whose substream_words rows are ``words``.
+
+    Returns (W, Z): W[b] is what trial b's first generator draws as
+    integers(0, p, size=shape), and Z[b, j] what its generator of key
+    noise_from + j then draws as normal(0, sigma, size=n).  A trial's generators are
+    dropped once it has drawn: its messages are raw PCG64 words, reduced for the
+    whole block at once, and its noise goes into its row of Z as standard normals,
+    scaled once.  A trial whose reduction rejected a draw is drawn again, the
+    reference way, from a generator rebuilt from its words.
+    """
+    generator = _generator_from_words()
+    count = shape[0] * shape[1]
+    raw = np.empty((len(words), (count + 1) // 2), dtype=np.uint64)
+    Z = np.empty((len(words), words.shape[1] - noise_from, n))
+    for b, trial in enumerate(words):
+        gens = [generator(w) for w in trial]
+        raw[b] = gens[0].bit_generator.random_raw(raw.shape[1])
+        for g, row in zip(gens[noise_from:], Z[b]):
+            g.standard_normal(out=row)
+    W, rejected = _lemire(raw, p, count)
+    W = W.reshape(len(words), *shape)
+    for b in np.flatnonzero(rejected):
+        g = generator(words[b, 0])
+        W[b] = g.integers(0, p, size=shape)
+        if noise_from == 0:
+            g.standard_normal(out=Z[b, 0])
+    Z *= sigma
+    return W, Z
+
+
+def trial_blocks(
+    code: LinearCode, trials: int, seed: int, keys, users: int, sigma: float, noise_from: int
+):
+    """The trial engine: yields (block, W, Z), range(trials) in the blocks a PairDecoder
+    of ``code`` decodes together, with the block's messages and noise.
+
+    Trial t has one generator per key, drawing from SeedSequence(seed,
+    spawn_key=(t, *key)).  The first draws its ``users`` messages, W[b] (users x k),
+    as integers(0, p, size=(users, k)) would; then the generator of each key from
+    keys[noise_from] on draws an n-vector of noise, Z[b, j], as normal(0, sigma, n)
+    would (the first generator after the messages).  The generators' seed words come
+    from one substream_words pass per span of whole blocks (about _SPAN_TRIALS
+    trials), so the blocks are those of the trials alone.
     """
     size = _block_rows(code.p**code.k, code.n, code.p)
     span = max(size, _SPAN_TRIALS // size * size)
-    generator = _generator_from_words()
     for start in range(0, trials, span):
         words = substream_words(seed, range(start, min(start + span, trials)), keys)
         for block in _blocks(words.shape[0], size):
-            yield range(start + block.start, start + block.stop), (
-                [generator(w) for w in trial] for trial in words[block.start : block.stop]
+            W, Z = _draw_block(
+                words[block.start : block.stop], code.p, (users, code.k), code.n, sigma, noise_from
             )
+            yield range(start + block.start, start + block.stop), W, Z
 
 
 def estimate_error_prob(
@@ -452,17 +511,14 @@ def estimate_error_prob(
     book = decoder.book
     sigma = math.sqrt(1.0 / snr)
     dependent = errors_independent = ambiguous = 0
-    for block, generators in trial_blocks(code, trials, seed, [()]):
-        rngs = [g for (g,) in generators]  # kept: independent draws draw their noise below
-        # w1 then w2 from each trial's substream: one (2, k) call draws what two k calls would
-        sent = book.rows([g.integers(0, code.p, size=(2, code.k)) for g in rngs])
+    for block, W, Z in trial_blocks(code, trials, seed, [()], 2, sigma, 0):
+        sent = book.rows(W)  # w1, w2 of each trial
         independent = np.flatnonzero(decoder.mask[sent[:, 0], sent[:, 1]] == 0.0)
         dependent += len(block) - independent.size
         sent = sent[independent]
-        # only independent draws go on to draw their noise
-        z = np.array([rngs[b].normal(0.0, sigma, size=code.n) for b in independent])
+        # a dependent draw's noise is drawn too, but only independent draws use theirs
         y = mod_interval(
-            book.reals[sent[:, 0]] + float(gamma) * book.reals[sent[:, 1]] + z.reshape(-1, code.n)
+            book.reals[sent[:, 0]] + float(gamma) * book.reals[sent[:, 1]] + Z[independent, 0]
         )
         decided = decoder.decode_many(y)
         ambiguous += int(np.count_nonzero(decided < 0))

@@ -21,16 +21,22 @@ def mod_interval(x):
     """Reduce a finite scalar or array into [-L/2, L/2), elementwise.
 
     Returns x - m*L with m the unique integer placing each value in the
-    half-open interval, as an array (0-d for a scalar).  Idempotent: values
+    half-open interval, as a new array (0-d for a scalar).  Idempotent: values
     already inside come back unchanged bit for bit.  Refuses non-finite
-    values.
+    values.  Works in one fresh buffer: the steps are those of
+    r = x - L*floor(x/L + 0.5), then r - L where r >= L/2, then r + L where
+    r < -L/2, each rounded as written, so the result is that formula's bits.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("mod_interval requires finite values")
-    r = arr - L * np.floor(arr / L + 0.5)
-    r = np.where(r >= HALF_L, r - L, r)
-    r = np.where(r < -HALF_L, r + L, r)
+    r = np.divide(arr, L, out=np.empty(arr.shape))
+    r += 0.5
+    np.floor(r, out=r)
+    r *= L
+    np.subtract(arr, r, out=r)
+    np.subtract(r, L, out=r, where=r >= HALF_L)
+    np.add(r, L, out=r, where=r < -HALF_L)
     return r
 
 

@@ -164,6 +164,9 @@ class NetworkSimResult:
 
     ``receiver_ambiguous`` counts, per receiver, the errors that were
     decoder ties; the rest of ``receiver_errors`` are wrong decodes.
+    ``receiver_dependent`` counts, per receiver, the trials whose pair
+    (w_IF, w_j) is linearly dependent, which its pair decoder masks; it is 0
+    for a receiver that decodes alone.
     """
 
     trials: int
@@ -174,6 +177,7 @@ class NetworkSimResult:
     network_p_e: float
     network_ci95: tuple[float, float]
     receiver_ambiguous: tuple[int, ...]
+    receiver_dependent: tuple[int, ...]
 
 
 def simulate_network(
@@ -191,7 +195,7 @@ def simulate_network(
     Trials are decoded in blocks, with the decisions of decoding each alone.
     """
     check_run(snr, trials, seed, H.direct, code.p)
-    K, p, n = H.K, code.p, code.n
+    K, p = H.K, code.p
     sigma = math.sqrt(1.0 / snr)
     cross = H.cross % p  # integer gains act on the grid only mod p
     # A receiver whose cross gains are all multiples of p hears no interference
@@ -204,16 +208,12 @@ def simulate_network(
     book = Codebook(code)
     single_tables = {h: mod_interval(h * book.reals) for h in set(diag[~has_interference])}
 
-    errors, ambiguous = [0] * K, [0] * K
+    errors, ambiguous, dependent = [0] * K, [0] * K, [0] * K
     network_errors = 0
     # blocks of the pair decoders' size; a single-user pass over a block holds
     # block x p**k x n floats, 1/p of a pair decode's gathered distances
-    for block, generators in trial_blocks(code, trials, seed, [(j,) for j in range(K + 1)]):
-        W = np.empty((len(block), K, code.k), dtype=np.int64)
-        z = np.empty((len(block), K, n))
-        for b, (g, *noise) in enumerate(generators):  # a trial's generators go once it drew
-            W[b] = g.integers(0, p, size=(K, code.k))  # all K messages in one call
-            z[b] = [r.normal(0.0, sigma, size=n) for r in noise]
+    keys = [(j,) for j in range(K + 1)]
+    for block, W, z in trial_blocks(code, trials, seed, keys, K, sigma, 1):
         sent = book.rows(W)
         # each receiver's interference folded on residues (a_jj = 0 keeps the
         # desired message out): the codeword of sum_k a_jk w_k mod p
@@ -222,8 +222,10 @@ def simulate_network(
         failed = np.zeros(len(block), dtype=bool)
         for j in range(K):
             if has_interference[j]:
-                decided = pair_decoders[diag[j]].decode_many(y[:, j])
+                decoder = pair_decoders[diag[j]]
                 # the desired message plays the gain-h_jj (second) role
+                dependent[j] += int(np.count_nonzero(decoder.mask[aligned[:, j], sent[:, j]]))
+                decided = decoder.decode_many(y[:, j])
                 decided = np.where(decided < 0, -1, decided % len(book))
             else:
                 decided = nearest_rows(y[:, j], [single_tables[diag[j]]])
@@ -242,6 +244,7 @@ def simulate_network(
         network_p_e=network_errors / trials,
         network_ci95=wilson_interval(network_errors, trials),
         receiver_ambiguous=tuple(ambiguous),
+        receiver_dependent=tuple(dependent),
     )
 
 

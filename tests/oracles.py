@@ -10,6 +10,8 @@ The block engine must reproduce their counts field for field.
 p_max; the pruned search in ``lia.rates`` must return the same RatePoint.
 ``schedule_rate_loop`` is the power-time rate one SNR and one step at a time;
 ``lia.powertime.schedule_rates`` must return its rates and first error.
+``mod_interval_formula`` is the formula that ``lia.modarith.mod_interval``
+evaluates in place, one temporary per step; the kernel must give its bits.
 """
 
 import math
@@ -19,7 +21,7 @@ import numpy as np
 from lia.codes import encode, messages_dependent
 from lia.diophantine import admissible_mask, delta_for_primes, mod_quarter_interval, primes_up_to
 from lia.macsim import AMBIGUOUS, SimResult, _block_rows, mod_mac_channel, wilson_interval
-from lia.modarith import grid_real, mod_interval
+from lia.modarith import HALF_L, L, grid_real, mod_interval
 from lia.network import NetworkSimResult
 from lia.powertime import SYMBOL_RATE, Schedule, build_schedule
 from lia.rates import (
@@ -33,8 +35,10 @@ from lia.rates import (
     theorem1_rate,
 )
 
-# per-receiver network outcomes
+# per-receiver network outcomes, with DEPENDENT or-ed on when the receiver's
+# pair (w_IF, w_j) is linearly dependent
 RIGHT, WRONG, TIE = 0, 1, 2
+DEPENDENT = 4
 # (p, n, k) for the block engine against the per-trial loops; (7, 16, 3)
 # decodes one vector at a time
 ENGINE_SHAPES = [(3, 4, 2), (5, 8, 2), (5, 32, 2), (7, 16, 3)]
@@ -123,7 +127,8 @@ def mac_result(outcomes) -> SimResult:
 
 
 def network_trial_outcomes(H, code, snr, seed, trials):
-    """trials x K array of RIGHT, WRONG or TIE, per trial and receiver of simulate_network."""
+    """trials x K array of RIGHT, WRONG or TIE, per trial and receiver of simulate_network,
+    each with DEPENDENT or-ed on where a pair decoder receiver drew a dependent pair."""
     K = H.K
     sigma = math.sqrt(1.0 / snr)
     cross = H.cross.astype(float)
@@ -143,6 +148,9 @@ def network_trial_outcomes(H, code, snr, seed, trials):
             h = float(H.direct[j])
             y = mod_interval(h * X[j] + cross[j] @ X + z)
             if heard[j]:
+                w_if = (H.cross[j] % code.p) @ W % code.p
+                if messages_dependent(w_if, W[j], code.p):
+                    outcomes[t, j] = DEPENDENT
                 out = pair[h].decode(y)
                 decoded = None if out is AMBIGUOUS else out[1]
             else:
@@ -151,17 +159,18 @@ def network_trial_outcomes(H, code, snr, seed, trials):
                 hits = np.flatnonzero(metrics == metrics.min())
                 decoded = messages[hits[0]] if hits.size == 1 else None
             if decoded is None:
-                outcomes[t, j] = TIE
+                outcomes[t, j] |= TIE
             elif not np.array_equal(decoded, W[j]):
-                outcomes[t, j] = WRONG
+                outcomes[t, j] |= WRONG
     return outcomes
 
 
 def network_result(outcomes) -> NetworkSimResult:
     """The NetworkSimResult of the trials whose outcome rows are given."""
     trials = outcomes.shape[0]
-    errors = tuple(int(e) for e in np.count_nonzero(outcomes != RIGHT, axis=0))
-    network_errors = int(np.count_nonzero((outcomes != RIGHT).any(axis=1)))
+    kind = outcomes & ~DEPENDENT
+    errors = tuple(int(e) for e in np.count_nonzero(kind != RIGHT, axis=0))
+    network_errors = int(np.count_nonzero((kind != RIGHT).any(axis=1)))
     return NetworkSimResult(
         trials=trials,
         receiver_errors=errors,
@@ -170,8 +179,20 @@ def network_result(outcomes) -> NetworkSimResult:
         network_errors=network_errors,
         network_p_e=network_errors / trials,
         network_ci95=wilson_interval(network_errors, trials),
-        receiver_ambiguous=tuple(int(a) for a in np.count_nonzero(outcomes == TIE, axis=0)),
+        receiver_ambiguous=tuple(int(a) for a in np.count_nonzero(kind == TIE, axis=0)),
+        receiver_dependent=tuple(int(d) for d in np.count_nonzero(outcomes & DEPENDENT, axis=0)),
     )
+
+
+def mod_interval_formula(x):
+    """``lia.modarith.mod_interval`` as the formula it computes, one temporary per step."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("mod_interval requires finite values")
+    r = arr - L * np.floor(arr / L + 0.5)
+    r = np.where(r >= HALF_L, r - L, r)
+    r = np.where(r < -HALF_L, r + L, r)
+    return r
 
 
 def _scan_primes(gamma, snr, p_max):

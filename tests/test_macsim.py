@@ -18,7 +18,9 @@ from lia.macsim import (
     _SPAN_TRIALS,
     _block_rows,
     _decoder_bytes,
+    _draw_block,
     _generator_from_words,
+    _lemire,
     _per_vector_bytes,
     check_run,
     estimate_error_prob,
@@ -483,31 +485,70 @@ def test_snr_one_db_above_the_noise_overflow_runs_like_the_per_trial_loops():
 
 class TestTrialBlocks:
     @pytest.mark.parametrize("p, n, k", ENGINE_SHAPES)
-    @pytest.mark.parametrize("keys", [[()], [(j,) for j in range(4)]], ids=["mac", "network"])
-    def test_blocks_cover_the_trials_with_their_substreams(self, p, n, k, keys):
-        code = sample_code(p, n, k, seed=0)
+    @pytest.mark.parametrize(
+        "keys, users, noise_from", [([()], 2, 0), ([(j,) for j in range(4)], 3, 1)],
+        ids=["mac", "network"],
+    )
+    def test_blocks_cover_the_trials_with_their_substreams(self, p, n, k, keys, users, noise_from):
+        code, sigma = sample_code(p, n, k, seed=0), 0.3
         rows = _block_rows(p**k, n, p)
         # the seed words are hashed per span of whole blocks: cross its edges too
         span = max(rows, _SPAN_TRIALS // rows * rows)
         counts = engine_trial_counts(p, n, k) + [span - 1, span + 1, 2 * span + 3]
         for seed, trials in itertools.product([31, 2**64 + 1], counts):
-            blocks = [
-                (block, list(gens)) for block, gens in trial_blocks(code, trials, seed, keys)
-            ]
-            assert [len(b) for b, _ in blocks] == [
+            blocks = list(trial_blocks(code, trials, seed, keys, users, sigma, noise_from))
+            assert [len(b) for b, _, _ in blocks] == [
                 min(rows, trials - start) for start in range(0, trials, rows)
             ]
-            assert [t for b, _ in blocks for t in b] == list(range(trials))
-            # trial t of the concatenated blocks holds the generators of (t, *key)
-            flat = list(itertools.chain.from_iterable(gens for _, gens in blocks))
-            assert len(flat) == trials
-            for t, generators in enumerate(flat):
-                assert len(generators) == len(keys)
-                for key, g in zip(keys, generators):
-                    fresh = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, *key)))
-                    draws = [(r.integers(0, 2**62, size=3), r.normal()) for r in (g, fresh)]
-                    assert np.array_equal(draws[0][0], draws[1][0])
-                    assert draws[0][1] == draws[1][1]
+            assert [t for b, _, _ in blocks for t in b] == list(range(trials))
+            W = np.concatenate([w for _, w, _ in blocks])
+            Z = np.concatenate([z for _, _, z in blocks])
+            assert W.shape == (trials, users, k) and Z.shape == (trials, len(keys) - noise_from, n)
+            # trial t draws its messages, then its noise, from the substreams of (t, *key)
+            for t in range(trials):
+                fresh = [
+                    np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, *key)))
+                    for key in keys
+                ]
+                assert np.array_equal(W[t], fresh[0].integers(0, p, size=(users, k)))
+                for j, g in enumerate(fresh[noise_from:]):
+                    assert np.array_equal(Z[t, j], g.normal(0.0, sigma, size=n))
+
+
+class TestMessageDraws:
+    # 2**31 + 11 is prime: 2**32 % p = 2**32 - p rejects about half of all 32-bit draws
+    PRIMES = [2, 3, 5, 7, 11, 53, 2999, 2**31 + 11]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (5, 2), (3, 3)])
+    def test_block_draws_are_integers_then_normal(self, p, shape):
+        # 1,000 substreams; the MAC's (2, k) messages and its noise come from one
+        # generator, the network's (K, k) from its own (an odd count leaves a half unused)
+        trials, n, sigma = 1000, 3, 0.25
+        keys, noise_from = ([()], 0) if shape[0] == 2 else ([(0,), (1,)], 1)
+        words = substream_words(17, range(trials), keys)
+        W, Z = _draw_block(words, p, shape, n, sigma, noise_from)
+        assert W.shape == (trials, *shape) and Z.shape == (trials, 1, n)
+        for t in range(trials):
+            fresh = [
+                np.random.default_rng(np.random.SeedSequence(17, spawn_key=(t, *key)))
+                for key in keys
+            ]
+            assert np.array_equal(W[t], fresh[0].integers(0, p, size=shape)), t
+            assert np.array_equal(Z[t, 0], fresh[noise_from].normal(0.0, sigma, size=n)), t
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_rejections_are_what_integers_rejects(self, p):
+        # every row the reduction leaves unrejected holds integers' values; at
+        # p = 2**31 + 11 the rejection path above runs for most of the 1,000 rows
+        words = substream_words(17, range(1000), [()])
+        generator = _generator_from_words()
+        raw = np.array([generator(w).bit_generator.random_raw(2) for w in words[:, 0]])
+        values, rejected = _lemire(raw, p, 4)
+        reference = np.array([generator(w).integers(0, p, size=4) for w in words[:, 0]])
+        assert np.array_equal(values[~rejected], reference[~rejected])
+        # below 2**31 a draw is rejected with probability 2**32 % p / 2**32 < p / 2**32
+        assert np.count_nonzero(rejected) > 800 if p > 2**31 else not rejected.any()
 
 
 class TestSubstreamWords:

@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from lia.modarith import HALF_L, L, grid_real, mod_interval
+from oracles import mod_interval_formula
 
 finite_reals = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -44,6 +46,70 @@ class TestModInterval:
         # which can flip the half-open boundary side for near-tie inputs
         gap = mod_interval(mod_interval(x + m * L) - mod_interval(x))
         assert abs(gap) < 1e-9
+
+
+def _edge_values():
+    """+-L/2 and +-L with their float neighbours, +-0.0 and the huge-gain scale."""
+    values = [0.0, -0.0, 1.2e308, -1.2e308, 1e308, sys.float_info.max, -sys.float_info.max]
+    for v in (HALF_L, -HALF_L, L, -L, 3 * HALF_L, -3 * HALF_L):
+        values += [v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)]
+    return np.array(values)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.shape == b.shape
+        and a.dtype == b.dtype == np.float64
+        and np.array_equal(np.signbit(a), np.signbit(b))
+        and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    )
+
+
+class TestModIntervalAgainstFormula:
+    """mod_interval works in place; its bits must be those of the formula in oracles."""
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 1e6, 1e300])
+    def test_random_arrays(self, scale):
+        rng = np.random.default_rng(11)
+        for shape in [(1000,), (7, 3, 5, 5)]:
+            x = rng.normal(0.0, scale, size=shape)
+            assert _same_bits(mod_interval(x), mod_interval_formula(x))
+
+    def test_interval_edges_and_signed_zero(self):
+        x = _edge_values()
+        assert _same_bits(mod_interval(x), mod_interval_formula(x))
+        assert np.signbit(mod_interval(-0.0)) and not np.signbit(mod_interval(0.0))
+
+    def test_scalars_give_0d_arrays(self):
+        for v in _edge_values():
+            for x in (float(v), np.float64(v), np.array(v)):
+                out = mod_interval(x)
+                assert isinstance(out, np.ndarray) and out.ndim == 0
+                assert _same_bits(out, mod_interval_formula(x))
+
+    def test_huge_gain_inputs(self):
+        # the simulators' 1.2e308 gains times grid points, plus the received-vector sum
+        grid = grid_real(np.arange(5), 5)
+        x = np.concatenate([1.2e308 * grid, -1.2e308 * grid + grid[::-1]])
+        assert np.isfinite(x).all()
+        assert _same_bits(mod_interval(x), mod_interval_formula(x))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(ValueError, match="^mod_interval requires finite values$"):
+            mod_interval(np.array([0.0, bad, 1.0]))
+        with pytest.raises(ValueError, match="^mod_interval requires finite values$"):
+            mod_interval(bad)
+
+    def test_input_left_unchanged(self):
+        x = np.concatenate([_edge_values(), np.linspace(-20.0, 20.0, 101)])
+        before = x.copy()
+        out = mod_interval(x)
+        assert out is not x and not np.shares_memory(out, x)
+        assert _same_bits(x, before)
+        inside = mod_interval(before)  # already reduced: returned unchanged, but a copy
+        assert not np.shares_memory(mod_interval(inside), inside)
 
 
 class TestGridOps:

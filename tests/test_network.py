@@ -18,7 +18,8 @@ from lia.network import (
     simulate_network,
     sum_rate_curves,
 )
-from lia.rates import db_to_linear
+from lia.macsim import wilson_interval
+from lia.rates import db_to_linear, dependent_message_prob
 from oracles import ENGINE_SHAPES, engine_trial_counts, network_result, network_trial_outcomes
 
 SQRT2_OVER_2 = math.sqrt(2) / 2
@@ -255,6 +256,24 @@ class TestSimulateNetwork:
         assert res.receiver_ambiguous == res.receiver_errors == (50, 50, 50)
         noisy = simulate_network(H, sample_code(3, 4, 2, seed=1), db_to_linear(10), 50, 2)
         assert all(0 <= a <= e for a, e in zip(noisy.receiver_ambiguous, noisy.receiver_errors))
+
+    def test_dependent_draws_counted_per_receiver(self):
+        # every receiver of the bundled file hears an interferer, so each pair
+        # (w_IF, w_j) is dependent with probability dependent_message_prob(5, 2);
+        # at 40 dB those masked draws are the receivers' errors
+        H = load_channel_file(bundled_channel_path())
+        trials = 2000
+        res = simulate_network(H, sample_code(5, 8, 2, seed=1), db_to_linear(40), trials, 3)
+        p_dep = float(dependent_message_prob(5, 2))
+        for dep, err in zip(res.receiver_dependent, res.receiver_errors):
+            lo, hi = wilson_interval(dep, trials)
+            assert lo <= p_dep <= hi
+            assert 0 < dep <= err
+        # a receiver that decodes alone has no pair to mask
+        H = ChannelMatrix(K=3, direct=(SQRT2_OVER_2, 0.5, 0.3), cross=ZERO_ROW_CROSS)
+        res = simulate_network(H, sample_code(5, 8, 2, seed=1), db_to_linear(40), trials, 3)
+        assert res.receiver_dependent[1] == 0
+        assert min(res.receiver_dependent[0], res.receiver_dependent[2]) > 0
 
     def test_huge_cross_gain_aligns_like_its_residue(self):
         # a cross gain acts on the grid only mod p: 2**60 + 3 = 3 (mod 5), and
