@@ -58,10 +58,7 @@ from .rates import (
     dependent_message_prob,
     dof_benchmark,
     dof_ratio,
-    normalized_rate,
-    omega_breakdown,
     random_sym_capacity,
-    rate_for_p,
     theorem1_rate,
     theorem1_rows,
     theorem2_sym_rate,

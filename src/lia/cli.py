@@ -51,16 +51,16 @@ def _parse_p_max(text: str):
     return value
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low (argparse names the flag in its error)."""
+def _int_at_least(low: int, high=math.inf):
+    """argparse type: an integer in [low, high] (argparse names the flag in its error)."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = None
-        if value is None or value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        if value is None or not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"expected an integer in [{low}, {high}], got {text!r}")
         return value
 
     return parse
@@ -74,7 +74,9 @@ def _finite_float(text: str) -> float:
     return value
 
 
-_WORKERS_HELP = "accepted for compatibility; trials run serially and output never depends on it"
+_WORKERS_CAP = 64  # a fixed bound on --workers, whatever the machine
+_WORKERS_HELP = (f"1 to {_WORKERS_CAP}; accepted for compatibility, trials run serially and"
+                 " output never depends on it")
 
 
 def _gain_text(text: str) -> str:
@@ -313,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mac.add_argument("--trials", type=_int_at_least(1), required=True)
     p_mac.add_argument("--seed", type=_int_at_least(0), default=0)
     p_mac.add_argument("--code-seed", type=_int_at_least(0), default=0)
-    p_mac.add_argument("--workers", type=_int_at_least(1), default=1, help=_WORKERS_HELP)
+    p_mac.add_argument("--workers", type=_int_at_least(1, _WORKERS_CAP), default=1, help=_WORKERS_HELP)
     p_mac.add_argument("--out", default=None)
     p_mac.set_defaults(func=_cmd_mac_sim)
 
@@ -328,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_net.add_argument("--trials", type=_int_at_least(1), default=None)
     p_net.add_argument("--seed", type=_int_at_least(0), default=0)
     p_net.add_argument("--code-seed", type=_int_at_least(0), default=0)
-    p_net.add_argument("--workers", type=_int_at_least(1), default=1, help=_WORKERS_HELP)
+    p_net.add_argument("--workers", type=_int_at_least(1, _WORKERS_CAP), default=1, help=_WORKERS_HELP)
     p_net.add_argument("--out", default=None)
     p_net.set_defaults(func=_cmd_network)
 

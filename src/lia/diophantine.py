@@ -196,7 +196,6 @@ def delta_for_primes(gamma: Gain, primes: np.ndarray) -> np.ndarray:
     return errs[idx]
 
 
-@lru_cache(maxsize=1024, typed=True)
 def mod_quarter_interval(gamma: Gain):
     """Reduce gamma into [-1/4, 1/4) by integer multiples of 1/2."""
     if isinstance(gamma, Fraction):
@@ -209,13 +208,6 @@ def mod_quarter_interval(gamma: Gain):
     elif r < -0.25:
         r += 0.5
     return r
-
-
-def _offsets(gamma):
-    """The float reduction of one gain into [-1/4, 1/4), or an array of them for a list."""
-    if isinstance(gamma, (list, tuple)):
-        return np.array([float(mod_quarter_interval(g)) for g in gamma])
-    return float(mod_quarter_interval(gamma))
 
 
 def _exp_tails(snr) -> np.ndarray:
@@ -233,18 +225,16 @@ def _admission(pf, off, c, tail):
         return np.exp(-(c / pf**2) * off * off), 1.0 - pf * tail
 
 
-def admissible_mask(primes: np.ndarray, gamma, snr) -> np.ndarray:
+def admissible_mask(primes: np.ndarray, gamma: Gain, snr: float) -> np.ndarray:
     """Boolean mask of primes passing the non-degeneracy condition.
 
     A prime p qualifies when
         exp(-(3*SNR / (2 p^2)) * g^2) < 1 - 2 p exp(-3*SNR/8)
-    with g the centered reduction of gamma into [-1/4, 1/4).  ``gamma`` is one
-    gain or a list of gains; the primes, the gains and ``snr`` broadcast.
+    with g the centered reduction of gamma into [-1/4, 1/4), for one gain and one SNR.
     """
     pf = np.asarray(primes, dtype=float)
-    snr = np.asarray(snr, dtype=float)
-    with np.errstate(over="ignore"):  # 1.5 * SNR may overflow
-        lhs, rhs = _admission(pf, _offsets(gamma), 1.5 * snr, 2.0 * _exp_tails(snr))
+    c = 1.5 * float(snr)  # a Python float overflows to inf quietly
+    lhs, rhs = _admission(pf, float(mod_quarter_interval(gamma)), c, 2.0 * _exp_tails(snr))
     return lhs < rhs
 
 

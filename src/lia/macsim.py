@@ -44,7 +44,7 @@ from .diophantine import Gain
 from .modarith import grid_real, mod_interval
 from .rates import _require_positive_snr
 
-DECODER_TABLE_BYTES_CAP = 2**28  # bound on PairDecoder's arrays plus one block decode's temporaries
+DECODER_TABLE_BYTES_CAP = 2**28  # bound on a run's PairDecoders plus one block decode's temporaries
 _RESCORE_ROWS = 4096  # near-tie candidates re-scored per chunk
 _BATCH_BYTES = 2**20  # temporaries of one block decode, when one decode's are smaller
 _SPAN_TRIALS = 1024  # trials whose substream words are hashed together, rounded to whole blocks
@@ -68,8 +68,9 @@ class _Ambiguous:
 AMBIGUOUS = _Ambiguous()
 
 
-def check_run(snr: float, trials: int, seed: int, gains, p: int) -> None:
-    """The run check of both simulators, made before either builds anything."""
+def check_run(snr: float, trials: int, seed: int, gains, code: LinearCode, paired=None) -> None:
+    """The run check of both simulators, made before either builds anything; the run's
+    PairDecoders, one per distinct gain of ``paired`` (default ``gains``), fit together."""
     _require_positive_snr(snr)
     if not math.isfinite(1.0 / snr):
         raise ValueError(f"snr {snr!r} is too small: the noise variance 1/snr overflows")
@@ -82,10 +83,11 @@ def check_run(snr: float, trials: int, seed: int, gains, p: int) -> None:
         raise ValueError("seed must be non-negative")
     # each gain scales the points of the prime-p grid, whose largest |point|
     # sits at the residues next to p/2; no O(p) array before the size caps
-    top = float(np.abs(grid_real(np.array([p // 2, (p + 1) // 2]), p)).max())
+    top = float(np.abs(grid_real(np.array([code.p // 2, (code.p + 1) // 2]), code.p)).max())
     for g in gains:
         if not math.isfinite(float(g) * top):
-            raise ValueError(f"gain {g} times the p={p} grid overflows a float")
+            raise ValueError(f"gain {g} times the p={code.p} grid overflows a float")
+    _check_decoders(code, len({float(g) for g in (gains if paired is None else paired)}))
 
 
 @dataclass(frozen=True)
@@ -180,8 +182,8 @@ def _block_rows(count: int, n: int, p: int) -> int:
     return max(1, _BATCH_BYTES // _per_vector_bytes(count, n, p))
 
 
-def _decoder_bytes(count: int, n: int, p: int, k: int) -> int:
-    """Bytes a PairDecoder holds plus the temporaries of one block decode.
+def _decoder_bytes(count: int, n: int, p: int, k: int, decoders: int = 1) -> int:
+    """Bytes ``decoders`` PairDecoders hold plus the temporaries of one block decode.
 
     Held: the one-hot codebook (count x n*p float32), the additive mask
     (count x count float32), the Codebook (messages, residues and reals)
@@ -193,7 +195,15 @@ def _decoder_bytes(count: int, n: int, p: int, k: int) -> int:
     """
     held = count * n * p * 4 + count * count * 4 + count * (3 * n + k) * 8 + p * p * 8
     chunk = min(count * count, _RESCORE_ROWS) * (8 * n + 4) * 8
-    return held + _block_rows(count, n, p) * _per_vector_bytes(count, n, p) + chunk
+    return held * decoders + _block_rows(count, n, p) * _per_vector_bytes(count, n, p) + chunk
+
+
+def _check_decoders(code: LinearCode, decoders: int) -> None:
+    """Refuse ``decoders`` (> 0) PairDecoders of ``code`` whose _decoder_bytes exceed the cap."""
+    need = _decoder_bytes(code.p**code.k, code.n, code.p, code.k, decoders)
+    if decoders and need > DECODER_TABLE_BYTES_CAP:
+        raise ValueError(f"decoder needs {need} bytes for {decoders} distinct gain(s), above the"
+                         f" cap of {DECODER_TABLE_BYTES_CAP} (reduce p, k or n)")
 
 
 class PairDecoder:
@@ -234,12 +244,7 @@ class PairDecoder:
     def __init__(self, code: LinearCode, gamma: Gain):
         p, n = code.p, code.n
         count = p**code.k
-        need = _decoder_bytes(count, n, p, code.k)
-        if need > DECODER_TABLE_BYTES_CAP:
-            raise ValueError(
-                f"decoder needs {need} bytes, above the cap of"
-                f" {DECODER_TABLE_BYTES_CAP} (reduce p, k or n)"
-            )
+        _check_decoders(code, 1)
         self.code = code
         self.book = book = Codebook(code)
         self.block_rows = _block_rows(count, n, p)
@@ -506,7 +511,7 @@ def estimate_error_prob(
     decoder is ambiguous, or when the decoded ordered pair differs from the
     transmitted one.  Deterministic in seed.
     """
-    check_run(snr, trials, seed, [gamma], code.p)
+    check_run(snr, trials, seed, [gamma], code)
     decoder = PairDecoder(code, gamma)
     book = decoder.book
     sigma = math.sqrt(1.0 / snr)

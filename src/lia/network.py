@@ -13,7 +13,8 @@ simulators: every trial draws from its own seed substreams, and each
 receiver decodes a whole block with one PairDecoder.decode_many call (or,
 when all its cross gains are multiples of p, so that it hears no interferer
 on the grid, one macsim.nearest_rows pass), after
-macsim.check_run has accepted the SNR, trial count, seed and direct gains.
+macsim.check_run has accepted the SNR, trial count, seed and direct gains,
+and the pair decoders of the receivers that hear interference together.
 
 Channel files: first line K, then K whitespace-separated rows.  Diagonal
 entries may be "a/b" fractions or decimals; off-diagonal entries must parse
@@ -194,15 +195,15 @@ def simulate_network(
     its decoded desired message differs from w_j (ambiguity included).
     Trials are decoded in blocks, with the decisions of decoding each alone.
     """
-    check_run(snr, trials, seed, H.direct, code.p)
     K, p = H.K, code.p
-    sigma = math.sqrt(1.0 / snr)
     cross = H.cross % p  # integer gains act on the grid only mod p
     # A receiver whose cross gains are all multiples of p hears no interference
     # on the grid and faces a point-to-point channel: there is no aligned
     # codeword to decode jointly, so it searches messages alone, scoring
     # [h x_i]* for every message i.
     has_interference = cross.any(axis=1)
+    check_run(snr, trials, seed, H.direct, code, [g for g, h in zip(H.direct, has_interference) if h])
+    sigma = math.sqrt(1.0 / snr)
     diag = np.asarray([float(g) for g in H.direct])
     pair_decoders = {h: PairDecoder(code, h) for h in set(diag[has_interference])}
     book = Codebook(code)

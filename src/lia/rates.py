@@ -20,17 +20,18 @@ base e, rates use log2; all rates are bits per real channel use.  Negative
 bounds clamp to zero.  SNR arguments here are linear; dB conversion happens
 at the CLI boundary.
 
-The prime search is exact but evaluates the omega terms only on primes that
-can win, for a whole batch of rows at once; a row is a (gain list, SNR) pair.
-A prime scores 0 unless it passes every gain's admissibility test lhs < rhs
-(admissible_mask; diophantine._admission rounds it); otherwise its rate is
--log2 W, W = max(sqrt(omega_a), omega_b) (for several gains, their largest
-W).  delta is constant on a step of its staircase, so with sq =
-sqrt(2*pi/(3*SNR)) and tail = 2 exp(-3*SNR/8), omega_b = 1/p + sq/delta +
-tail falls as p grows there, and in omega_a = 1/p^2 + sq + f(p) + tail, f(p)
-= exp(-a/p^2)/p with a = 1.5*SNR*delta^2 rises up to p = sqrt(2a) and falls
-after it.  So on the primes in [p_s, p_e] of an interval on which delta is
-constant, W >= L with
+The prime search is the one evaluation of the rate (tests/oracles.py keeps
+per-prime references).  It is exact but evaluates the omega terms only on
+primes that can win, for a whole batch of rows at once; a row is a (gain list,
+SNR) pair, all lists of a batch of one length.  A prime scores 0 unless it
+passes every gain's admissibility test lhs < rhs (admissible_mask;
+diophantine._admission rounds it); otherwise its rate is -log2 W, W =
+max(sqrt(omega_a), omega_b) (for several gains, their largest W).  delta is
+constant on a step of its staircase, so with sq = sqrt(2*pi/(3*SNR)) and
+tail = 2 exp(-3*SNR/8), omega_b = 1/p + sq/delta + tail falls as p grows
+there, and in omega_a = 1/p^2 + sq + f(p) + tail, f(p) = exp(-a/p^2)/p with
+a = 1.5*SNR*delta^2 rises up to p = sqrt(2a) and falls after it.  So on the
+primes in [p_s, p_e] of an interval on which delta is constant, W >= L with
 
     L = max(sqrt(1/p_e^2 + sq + min(f(p_s), f(p_e)) + tail),
             1/p_e + sq/delta + tail)
@@ -77,8 +78,6 @@ from .diophantine import (
     Gain,
     _admission,
     _exp_tails,
-    admissible_mask,
-    delta,
     delta_for_primes,
     delta_step_starts,
     is_prime,
@@ -167,28 +166,6 @@ def _rate_from_omegas(oa: np.ndarray, ob: np.ndarray) -> np.ndarray:
     return np.minimum(ra, rb)
 
 
-def omega_breakdown(p: int, gamma: Gain, snr: float) -> OmegaBreakdown:
-    """The four omega terms for a single prime (delta by direct enumeration)."""
-    _require_positive_snr(snr)
-    c, tail, sq = _snr_terms(snr)
-    pf = np.asarray([float(p)])
-    oa, ob = _omega_arrays(pf, np.asarray([float(delta(p, gamma))]), c, tail, sq)
-    with np.errstate(invalid="ignore"):  # a zero offset; _best_primes never passes one
-        od = _omega_d(pf, ob, float(mod_quarter_interval(gamma)), c, tail)
-    return OmegaBreakdown(p, gamma, snr, float(oa[0]), float(ob[0]), float(od[0]))
-
-
-def rate_for_p(p: int, gamma: Gain, snr: float) -> float:
-    """Rate bound at a fixed prime; 0 when p is inadmissible or the bound is negative."""
-    _require_positive_snr(snr)
-    if not admissible_mask(np.asarray([p]), gamma, snr)[0]:
-        return 0.0
-    bd = omega_breakdown(p, gamma, snr)
-    oa = np.asarray([bd.omega_a])
-    ob = np.asarray([bd.omega_b])
-    return max(0.0, float(_rate_from_omegas(oa, ob)[0]))
-
-
 # Relative slack on the pruning bound: thousands of ulps (module docstring).
 _PRUNE_SLACK = 1e-12
 # Most intervals (steps or pieces) in one bound array, and most kept primes in one
@@ -221,18 +198,10 @@ def _gain_segments(gains: tuple):
 
 
 def _table(segments):
-    """Several gain lists' ``_gain_segments`` as one table, plus each list's first segment.
-    The gain axis is padded to the longest list by repeating a list's first gain, which
-    changes no max, no min and no first match."""
-    g = max(seg[3].size for seg in segments)
-
-    def pad(a):
-        return np.concatenate([a, a[:1].repeat(g - a.shape[0], axis=0)])
-
+    """Gain lists' ``_gain_segments`` (one gain count) as one table, and each list's first."""
     first = np.cumsum([0] + [seg[0].size for seg in segments])
-    s, w = (np.concatenate([seg[i] for seg in segments]) for i in range(2))
-    dl = np.concatenate([pad(seg[2]) for seg in segments], axis=1)
-    return s, w, dl, np.array([pad(seg[3]) for seg in segments]), first
+    s, w, dl = (np.concatenate([seg[i] for seg in segments], axis=-1) for i in range(3))
+    return s, w, dl, np.array([seg[3] for seg in segments]), first
 
 
 def _ragged(counts: np.ndarray):
@@ -332,7 +301,8 @@ def _best_primes(rows, p_max: Optional[int]) -> list[RatePoint]:
     """The rate of each row (gains, snr) of an iterable, drawn and checked in order: the max
     over primes <= p_max (default ``default_p_max(snr)``) of the smallest bound over the
     row's gains (0 where a gain's prime is inadmissible), ties to the smallest prime; the
-    binding gain, the first whose bound is smallest at p*, names the point."""
+    binding gain, the first whose bound is smallest at p*, names the point.  Every row's
+    gain list has the same length."""
     primes = primes_up_to(PRIME_SEARCH_CAP)
     if p_max is not None:
         primes_up_to(p_max)  # refuses a bound above the search cap
@@ -372,9 +342,9 @@ def _best_primes(rows, p_max: Optional[int]) -> list[RatePoint]:
 
 def theorem1_rows(rows, p_max: Optional[int] = None) -> list[RatePoint]:
     """Achievable symmetric rate of the two-user same-codebook modulo MAC at each (gamma, snr)
-    row of an iterable (drawn and checked in order), in one prime search: the max of
-    rate_for_p over admissible primes up to p_max, ties to the smallest prime; rate 0 and no
-    prime if none wins."""
+    row of an iterable (drawn and checked in order), in one prime search: the max over
+    primes up to p_max of the clamped bound, 0 at an inadmissible prime, ties to the
+    smallest prime; rate 0 and no prime if none wins."""
     return _best_primes((((gamma,), snr) for gamma, snr in rows), p_max)
 
 
@@ -393,14 +363,6 @@ def random_sym_capacity(gamma: Gain, snr: float) -> float:
         0.5 * math.log2(1.0 + g * g * snr),
         0.25 * math.log2(1.0 + (1.0 + g * g) * snr),
     )
-
-
-def normalized_rate(gamma: Gain, snr: float, p_max: Optional[int] = None) -> float:
-    """theorem1_rate / random_sym_capacity, with 0/0 defined as 0."""
-    denom = random_sym_capacity(gamma, snr)
-    if denom == 0.0:
-        return 0.0
-    return theorem1_rate(gamma, snr, p_max).rate / denom
 
 
 def theorem2_sym_rates(channel, snrs, p_max: Optional[int] = None) -> list[RatePoint]:

@@ -8,6 +8,10 @@ decode per trial, with the substreams of ``lia.macsim`` and ``lia.network``.
 The block engine must reproduce their counts field for field.
 ``best_prime_oracle`` is the rate search that evaluates every prime up to
 p_max; the pruned search in ``lia.rates`` must return the same RatePoint.
+``omega_breakdown`` and ``rate_for_p`` are the bound at one prime, with delta
+by direct enumeration (``lia.diophantine.delta``) rather than the staircase,
+and admissibility from ``admissible_mask``; the search must agree with them
+prime by prime.
 ``schedule_rate_loop`` is the power-time rate one SNR and one step at a time;
 ``lia.powertime.schedule_rates`` must return its rates and first error.
 ``mod_interval_formula`` is the formula that ``lia.modarith.mod_interval``
@@ -19,7 +23,13 @@ import math
 import numpy as np
 
 from lia.codes import encode, messages_dependent
-from lia.diophantine import admissible_mask, delta_for_primes, mod_quarter_interval, primes_up_to
+from lia.diophantine import (
+    admissible_mask,
+    delta,
+    delta_for_primes,
+    mod_quarter_interval,
+    primes_up_to,
+)
 from lia.macsim import AMBIGUOUS, SimResult, _block_rows, mod_mac_channel, wilson_interval
 from lia.modarith import HALF_L, L, grid_real, mod_interval
 from lia.network import NetworkSimResult
@@ -30,6 +40,7 @@ from lia.rates import (
     _omega_arrays,
     _omega_d,
     _rate_from_omegas,
+    _require_positive_snr,
     _snr_terms,
     default_p_max,
     theorem1_rate,
@@ -193,6 +204,26 @@ def mod_interval_formula(x):
     r = np.where(r >= HALF_L, r - L, r)
     r = np.where(r < -HALF_L, r + L, r)
     return r
+
+
+def omega_breakdown(p, gamma, snr) -> OmegaBreakdown:
+    """The four omega terms for a single prime (delta by direct enumeration)."""
+    _require_positive_snr(snr)
+    c, tail, sq = _snr_terms(snr)
+    pf = np.asarray([float(p)])
+    oa, ob = _omega_arrays(pf, np.asarray([float(delta(p, gamma))]), c, tail, sq)
+    with np.errstate(invalid="ignore"):  # a zero offset; the search never passes one
+        od = _omega_d(pf, ob, float(mod_quarter_interval(gamma)), c, tail)
+    return OmegaBreakdown(p, gamma, snr, float(oa[0]), float(ob[0]), float(od[0]))
+
+
+def rate_for_p(p, gamma, snr) -> float:
+    """Rate bound at a fixed prime; 0 when p is inadmissible or the bound is negative."""
+    _require_positive_snr(snr)
+    if not admissible_mask(np.asarray([p]), gamma, snr)[0]:
+        return 0.0
+    bd = omega_breakdown(p, gamma, snr)
+    return max(0.0, float(_rate_from_omegas(np.asarray([bd.omega_a]), np.asarray([bd.omega_b]))[0]))
 
 
 def _scan_primes(gamma, snr, p_max):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import lia
-from lia.cli import main
+from lia.cli import _rate_row, main
 from lia.diophantine import primes_up_to
 from lia.network import bundled_channel_path
 from lia.rates import db_to_linear
@@ -73,23 +73,28 @@ def test_criterion_02_rational_saturation():
     print(f"criterion 2 PASS: 3 gains x 201 dB points strictly below log2(q), {elapsed:.1f}s")
 
 
+def r_norm(gamma, snr_db):
+    """The r_norm column of a rate row: the rate over the random-code capacity, 0/0 as 0."""
+    point = lia.theorem1_rate(gamma, db_to_linear(snr_db))
+    return float(_rate_row(str(gamma), gamma, snr_db, point)[5])
+
+
 def test_criterion_03_degradedness_and_dips():
     """Normalized rate <= 1 on the full grid; at 100-120 dB the small
     denominator rationals (0.20, 0.25) dip strictly below their +-0.01 grid
     neighbors and a near-half probe sits below the 0.45 grid value.  The
     dip checks formalize the qualitative figure shape; exact figure values
-    are not reproduced."""
+    are not reproduced.  r_norm is read from the rows the CLI prints."""
     gammas = [round(i / 100, 2) for i in range(1, 50)]
     snr_dbs = [20, 30, 40, 100, 110, 120]
     for g in gammas:
         for db in snr_dbs:
-            assert lia.normalized_rate(g, db_to_linear(db)) <= 1.0
+            assert r_norm(g, db) <= 1.0
     for db in (100, 110, 120):
-        snr = db_to_linear(db)
-        r = {g: lia.normalized_rate(g, snr) for g in (0.19, 0.20, 0.21, 0.24, 0.25, 0.26, 0.45)}
+        r = {g: r_norm(g, db) for g in (0.19, 0.20, 0.21, 0.24, 0.25, 0.26, 0.45)}
         assert r[0.25] < r[0.24] and r[0.25] < r[0.26]
         assert r[0.20] < r[0.19] and r[0.20] < r[0.21]
-        assert lia.normalized_rate(0.49999, snr) < r[0.45]
+        assert r_norm(0.49999, db) < r[0.45]
     print("criterion 3 PASS: r_norm <= 1 on 49x6 grid; rational and near-1/2 dips present")
 
 

@@ -21,6 +21,7 @@ from lia.cli import (
     main,
 )
 import oracles
+from lia import macsim
 from lia.network import bundled_channel_path, parse_real_matrix_text
 from lia.rates import PRIME_SEARCH_CAP, db_to_linear
 
@@ -209,10 +210,20 @@ class TestMacSim:
         _, out2, _ = rerun_from_header(capsys, out1)
         assert out1 == out2
 
-    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    @pytest.mark.parametrize("value", ["0", "-3", "two", "65", "1" + "0" * 30])
     def test_workers_below_one_usage_error(self, capsys, value):
+        # and above the fixed cap of 64, whatever the machine
         code, out, err = run_cli(capsys, *self.ARGS, "--workers", value)
         assert code == EXIT_USAGE and not out and "--workers" in err
+        for network in (False, True):
+            argv = ["network", "--channel", CHANNEL5, "--snr-db", "40", "--workers", value]
+            code, out, err = run_cli(capsys, *argv, *(["--simulate"] * network))
+            assert code == EXIT_USAGE and not out and "--workers" in err
+
+    def test_workers_at_the_cap_accepted(self, capsys):
+        _, out1, _ = run_cli(capsys, *self.ARGS)
+        code, out2, err = run_cli(capsys, *self.ARGS, "--workers", "64")
+        assert code == EXIT_OK and not err and out2 == out1
 
     @pytest.mark.parametrize("flag", ["--seed", "--code-seed"])
     @pytest.mark.parametrize("value", ["-1", "1.5", "x"])
@@ -287,6 +298,24 @@ class TestNetwork:
         lines = out.splitlines()
         assert lines[1] == "snr_db,sum_rate_ia,sum_rate_ts,sum_rate_bench"
         assert len(lines) == 4
+
+    def test_pair_decoders_above_the_cap_together_refused(self, capsys, tmp_path, monkeypatch):
+        # the cap fits two p=5, n=8, k=2 decoders: three distinct direct gains are
+        # refused with exit 4, three equal gains run
+        monkeypatch.setattr(macsim, "DECODER_TABLE_BYTES_CAP", macsim._decoder_bytes(25, 8, 5, 2, 2))
+        for direct, status in (("0.7 0.6 0.5", EXIT_PRECONDITION), ("0.7 0.7 0.7", EXIT_OK)):
+            a, b, c = direct.split()
+            path = tmp_path / "three.txt"
+            path.write_text(f"3\n{a} 1 1\n1 {b} 1\n1 1 {c}\n")
+            code, out, err = run_cli(
+                capsys, "network", "--channel", str(path), "--snr-db", "20", "--simulate",
+                "--p", "5", "--n", "8", "--k", "2", "--trials", "20",
+            )
+            assert code == status, direct
+            if status == EXIT_PRECONDITION:
+                assert not out and err.startswith("lia: decoder needs ")
+            else:
+                assert not err and len(out.splitlines()) == 6
 
     def test_benchmark_finite_for_a_huge_direct_gain(self, capsys, tmp_path):
         path = tmp_path / "huge2.txt"

@@ -243,19 +243,23 @@ class TestPairDecoder:
         with pytest.raises(ValueError):
             dec.decode_many(np.zeros(4))
 
-    def test_decode_many_memory_within_bound(self):
-        # 500 rows go through in blocks of block_rows; at once they would
-        # take about 10 MB
-        code = sample_code(5, 8, 2, seed=0)
-        dec = PairDecoder(code, SQRT2_OVER_2)
-        ys = np.random.default_rng(3).uniform(-L / 2, L / 2, size=(500, 8))
+    @pytest.mark.parametrize("p, n, k, rows", [(3, 4, 2, 8), (5, 8, 2, 500), (5, 32, 2, 29), (7, 16, 3, 3)])
+    def test_decode_many_memory_within_bound(self, p, n, k, rows):
+        # the rows go through in blocks of block_rows (500 rows at p=5, n=8, k=2
+        # would take about 10 MB at once), so one call's traced peak is one
+        # block's temporaries, bounded by _per_vector_bytes per row: measured at
+        # 0.37, 0.33, 0.37 and 0.79 of the bound.  At p=3, n=4, k=2 about 8 KB
+        # of each call does not grow with the rows, so 8 rows, not 1; without
+        # the distance stage's term the bound fails there
+        dec = PairDecoder(sample_code(p, n, k, seed=0), SQRT2_OVER_2)
+        ys = np.random.default_rng(3).uniform(-L / 2, L / 2, size=(rows, n))
         tracemalloc.start()
         try:
             dec.decode_many(ys)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= _decoder_bytes(25, 8, 5, 2)
+        assert peak <= min(rows, dec.block_rows) * _per_vector_bytes(p**k, n, p)
 
     def test_block_rows(self):
         # one block decode's temporaries stay within 1 MiB unless one decode
@@ -469,7 +473,7 @@ def test_both_simulators_check_the_run_before_building_a_decoder(
         simulate(code, snr, trials, seed)
     if refused != "decoder needs":
         with pytest.raises(ValueError) as checked:
-            check_run(snr, trials, seed, [SQRT2_OVER_2], code.p)
+            check_run(snr, trials, seed, [SQRT2_OVER_2], code)
         assert str(raised.value) == str(checked.value)
 
 

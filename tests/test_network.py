@@ -18,7 +18,8 @@ from lia.network import (
     simulate_network,
     sum_rate_curves,
 )
-from lia.macsim import wilson_interval
+from lia import macsim, network
+from lia.macsim import _decoder_bytes, wilson_interval
 from lia.rates import db_to_linear, dependent_message_prob
 from oracles import ENGINE_SHAPES, engine_trial_counts, network_result, network_trial_outcomes
 
@@ -318,6 +319,34 @@ class TestSimulateNetwork:
             tracemalloc.stop()
         assert res.trials == 1500
         assert peak < 4 * 2**20
+
+    def test_pair_decoders_are_bounded_together(self, monkeypatch):
+        # under a cap that fits two p=5, n=8, k=2 decoders but not three, three
+        # distinct direct gains are refused before any decoder or codebook is
+        # built; three equal gains, and the bundled file (one distinct gain), run
+        # as without the cap
+        code, snr = sample_code(5, 8, 2, seed=1), db_to_linear(20)
+        cross = 1 - np.eye(3, dtype=np.int64)
+        distinct = ChannelMatrix(K=3, direct=(0.7, 0.6, 0.5), cross=cross)
+        runs = [
+            ChannelMatrix(K=3, direct=(0.7,) * 3, cross=cross),
+            load_channel_file(bundled_channel_path()),
+        ]
+        before = [simulate_network(H, code, snr, 60, 4) for H in runs]
+        monkeypatch.setattr(macsim, "DECODER_TABLE_BYTES_CAP", _decoder_bytes(25, 8, 5, 2, 2))
+        with monkeypatch.context() as mp:
+
+            def built(*args):
+                raise AssertionError("built before the run check")
+
+            mp.setattr(network, "PairDecoder", built)
+            mp.setattr(network, "Codebook", built)
+            with pytest.raises(ValueError, match=r"^decoder needs \d+ bytes for 3 distinct gain"):
+                simulate_network(distinct, code, snr, 60, 4)
+        assert [simulate_network(H, code, snr, 60, 4) for H in runs] == before
+        # the control: a cap that fits three decoders runs the distinct gains
+        monkeypatch.setattr(macsim, "DECODER_TABLE_BYTES_CAP", _decoder_bytes(25, 8, 5, 2, 3))
+        assert simulate_network(distinct, code, snr, 60, 4).trials == 60
 
     def test_negative_seed_rejected_before_decoding(self):
         with pytest.raises(ValueError, match="seed"):

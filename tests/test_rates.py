@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from lia import diophantine, rates
+from lia.cli import _rate_row
 from lia.diophantine import mod_quarter_interval, primes_up_to
 from lia.network import ChannelMatrix, bundled_channel_path, load_channel_file, parse_real_matrix_text
 from lia.powertime import build_schedule
@@ -21,10 +22,7 @@ from lia.rates import (
     dependent_message_prob,
     dof_benchmark,
     dof_ratio,
-    normalized_rate,
-    omega_breakdown,
     random_sym_capacity,
-    rate_for_p,
     theorem1_rate,
     theorem1_rows,
     theorem2_sym_rate,
@@ -53,30 +51,30 @@ def brute_dependent_prob(p, k):
 
 class TestOmegaBreakdown:
     def test_hand_values(self):
-        bd = omega_breakdown(3, 0.4, 100.0)
+        bd = oracles.omega_breakdown(3, 0.4, 100.0)
         # 1/9 + sqrt(2*pi/300) + (1/3) exp(-(300/18)*0.04) + 2 exp(-37.5)
         assert bd.omega_a == pytest.approx(0.426970, abs=1e-6)
         assert bd.omega_b == pytest.approx(1.056935, abs=1e-6)
 
     def test_high_snr_limits(self):
-        bd = omega_breakdown(7, 0.3, 1e18)
+        bd = oracles.omega_breakdown(7, 0.3, 1e18)
         assert bd.omega_a == pytest.approx(1 / 49, rel=1e-6)
         assert bd.omega_b == pytest.approx(1 / 7, rel=1e-6)
 
     def test_annihilated_delta_gives_infinite_b(self):
-        bd = omega_breakdown(5, Fraction(1, 3), 100.0)
+        bd = oracles.omega_breakdown(5, Fraction(1, 3), 100.0)
         assert math.isinf(bd.omega_b)
         assert bd.omega_d >= bd.omega_b or math.isinf(bd.omega_d)
 
     @pytest.mark.filterwarnings("error")
     def test_huge_float_gain_is_an_integer(self):
         # 1e308 is an integer: delta = 0, so omega_a = 1/p^2 + sq + 1/p + tail
-        bd = omega_breakdown(5, 1e308, 1e4)
+        bd = oracles.omega_breakdown(5, 1e308, 1e4)
         assert bd.omega_a == pytest.approx(1 / 25 + math.sqrt(2 * math.pi / 3e4) + 1 / 5)
         assert math.isinf(bd.omega_b)
 
     def test_all_terms_positive(self):
-        bd = omega_breakdown(11, 0.37, 50.0)
+        bd = oracles.omega_breakdown(11, 0.37, 50.0)
         for v in (bd.omega_a, bd.omega_b, bd.omega_d):
             assert v > 0
 
@@ -85,14 +83,14 @@ class TestRateForP:
     def test_unit_snr_always_zero(self):
         for p in (2, 3, 11, 101):
             for g in (0.1, 0.4, SQRT2_OVER_2):
-                assert rate_for_p(p, g, 1.0) == 0.0
+                assert oracles.rate_for_p(p, g, 1.0) == 0.0
 
     def test_moderate_snr_zero_at_p3(self):
         # omega_b > 1 at SNR = 100, gamma = 0.4
-        assert rate_for_p(3, 0.4, 100.0) == 0.0
+        assert oracles.rate_for_p(3, 0.4, 100.0) == 0.0
 
     def test_high_snr_positive(self):
-        assert rate_for_p(3, 0.4, 1e6) > 0.0
+        assert oracles.rate_for_p(3, 0.4, 1e6) > 0.0
 
     def test_never_negative(self):
         rng = np.random.default_rng(3)
@@ -100,7 +98,7 @@ class TestRateForP:
             p = int(rng.choice([2, 3, 5, 7, 11, 31]))
             g = float(rng.uniform(0, 1))
             snr = float(10 ** rng.uniform(-1, 12))
-            assert rate_for_p(p, g, snr) >= 0.0
+            assert oracles.rate_for_p(p, g, snr) >= 0.0
 
 
 class TestTheorem1:
@@ -127,7 +125,7 @@ class TestTheorem1:
             for snr in (1e2, 1e4, 1e8):
                 best_rate, best_p = 0.0, None
                 for p in primes_up_to(101).tolist():
-                    r = rate_for_p(int(p), g, snr)
+                    r = oracles.rate_for_p(int(p), g, snr)
                     if r > best_rate:
                         best_rate, best_p = r, int(p)
                 rp = theorem1_rate(g, snr, 101)
@@ -136,7 +134,7 @@ class TestTheorem1:
 
     def test_breakdown_is_at_p_star(self):
         rp = theorem1_rate(SQRT2_OVER_2, 1e4)
-        bd = omega_breakdown(rp.p_star, SQRT2_OVER_2, 1e4)
+        bd = oracles.omega_breakdown(rp.p_star, SQRT2_OVER_2, 1e4)
         assert rp.breakdown.omega_a == pytest.approx(bd.omega_a, rel=1e-9)
         assert rp.breakdown.omega_b == pytest.approx(bd.omega_b, rel=1e-9)
 
@@ -159,16 +157,23 @@ class TestRandomSymCapacity:
         )
 
 
+def r_norm(gamma, snr_db):
+    """The r_norm column of a rate row: the rate over the random-code capacity, 0/0 as 0."""
+    return float(_rate_row(str(gamma), gamma, snr_db, theorem1_rate(gamma, db_to_linear(snr_db)))[5])
+
+
 class TestNormalizedRate:
     def test_half_gain_zero(self):
-        assert normalized_rate(0.5, 1e4) == 0.0
+        assert r_norm(0.5, 40) == 0.0
 
     def test_zero_gain_zero_by_convention(self):
-        assert normalized_rate(0.0, 1e4) == 0.0
+        # rate and capacity are both 0
+        assert random_sym_capacity(0.0, 1e4) == 0.0
+        assert r_norm(0.0, 40) == 0.0
 
     def test_sweep_below_one(self):
         for g in np.arange(0.05, 0.5, 0.05):
-            assert normalized_rate(round(float(g), 2), 1e4) <= 1.0
+            assert 0.0 < r_norm(round(float(g), 2), 40) <= 1.0
 
 
 class TestTheorem2:
@@ -212,13 +217,15 @@ class TestTheorem2:
         H = ChannelMatrix(K=3, direct=(g_a, g_b, g_a), cross=cross)
         snr, p_max = 1e7, 200
         rp = theorem2_sym_rate(H, snr, p_max)
-        oracle = {int(p): min(rate_for_p(int(p), g_a, snr), rate_for_p(int(p), g_b, snr))
-                  for p in primes_up_to(p_max)}
+        oracle = {
+            int(p): min(oracles.rate_for_p(int(p), g_a, snr), oracles.rate_for_p(int(p), g_b, snr))
+            for p in primes_up_to(p_max)
+        }
         best = max(oracle.values())
         assert best > 0.0
         assert rp.rate == pytest.approx(best, rel=1e-9)
         assert oracle[rp.p_star] == pytest.approx(best, rel=1e-9)
-        binding = min((g_a, g_b), key=lambda g: rate_for_p(rp.p_star, g, snr))
+        binding = min((g_a, g_b), key=lambda g: oracles.rate_for_p(rp.p_star, g, snr))
         assert rp.gamma == binding and rp.breakdown.gamma == binding
 
     @pytest.mark.parametrize("gamma", [SQRT2_OVER_2, Fraction(707, 1000)])
@@ -344,20 +351,19 @@ class TestPrunedSearch:
         if admitted == "gap":
             assert mask[np.argmin(mask):].any()
         # the row among rows of other gains and SNRs (at a gain of 1/2 only p = 2,
-        # which fails the test, has a positive bound): one batch large enough that
-        # _keep bounds its kept steps again in pieces, and the distinct rows in
-        # small pieces
-        gains = [
-            (gamma,), (0.37,), (0.5,), (SQRT2_OVER_2,), (Fraction(707, 1000), 0.41, Fraction(707, 1000))
-        ]
-        rows = [((gamma,), snr)] + [
-            (g, db_to_linear(x)) for g in gains for x in (0, 10, 18.5, 20, 40, 60, 120, 200)
-        ]
-        want = [oracles.best_prime_oracle(list(g), x, PRIME_SEARCH_CAP) for g, x in rows]
-        assert _best_primes(rows * 75, PRIME_SEARCH_CAP) == want * 75
-        for piece in (1, 3):
-            with small_pieces(piece):
-                assert _best_primes(rows, PRIME_SEARCH_CAP) == want
+        # which fails the test, has a positive bound), and rows of three gains in
+        # a search of their own (a search holds one gain count): batches large
+        # enough that _keep bounds their kept steps again in pieces, and the
+        # distinct rows in small pieces
+        snrs = [db_to_linear(x) for x in (0, 10, 18.5, 20, 40, 60, 120, 200)]
+        one = [((gamma,), snr)] + [((g,), x) for g in (gamma, 0.37, 0.5, SQRT2_OVER_2) for x in snrs]
+        three = [((Fraction(707, 1000), 0.41, Fraction(707, 1000)), x) for x in snrs]
+        for rows in (one, three):
+            want = [oracles.best_prime_oracle(list(g), x, PRIME_SEARCH_CAP) for g, x in rows]
+            assert _best_primes(rows * 75, PRIME_SEARCH_CAP) == want * 75
+            for piece in (1, 3):
+                with small_pieces(piece):
+                    assert _best_primes(rows, PRIME_SEARCH_CAP) == want
 
     @pytest.mark.parametrize("p_max", [3, 101, None])
     @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
@@ -367,8 +373,8 @@ class TestPrunedSearch:
         snr = db_to_linear(3081)
         got = theorem1_rate(0.25, snr, p_max)
         assert got.p_star == 3
-        assert got.rate == rate_for_p(3, 0.25, snr) > 0.0
-        assert got.breakdown == omega_breakdown(3, 0.25, snr)
+        assert got.rate == oracles.rate_for_p(3, 0.25, snr) > 0.0
+        assert got.breakdown == oracles.omega_breakdown(3, 0.25, snr)
 
 
 # plain floats, and gains whose delta steps are long: floats near 0 and 1/2,
@@ -424,22 +430,35 @@ class TestSinglePassSearch:
 GRID_SNRS = st.one_of(st.sampled_from([1.0, db_to_linear(18.5), 1.2e308, 1.7e308]), SEARCH_SNRS)
 
 
-# one gain (a float or a Fraction), a list with a repeated gain, and the
-# distinct direct gains of a multi-gain ChannelMatrix
+# the distinct direct gains of a multi-gain ChannelMatrix
 MULTI_GAINS = tuple(dict.fromkeys(ChannelMatrix(
     K=4,
     direct=(SQRT2_OVER_2, 0.37, Fraction(-707, 1000), 0.37),
     cross=1 - np.eye(4, dtype=np.int64),
 ).direct))
-GAIN_LISTS = st.one_of(
-    SEARCH_GAINS.map(lambda g: (g,)),
-    st.lists(SEARCH_GAINS, min_size=1, max_size=2).map(lambda gs: (*gs, gs[0])),
-    st.just(MULTI_GAINS),
-)
+
+
+def gain_lists(size):
+    """Gain lists of one length (floats or Fractions): drawn lists, lists that repeat
+    their first gain, and at the length of MULTI_GAINS that list."""
+    lists = [st.lists(SEARCH_GAINS, min_size=size, max_size=size).map(tuple)]
+    if size > 1:
+        repeat = st.lists(SEARCH_GAINS, min_size=size - 1, max_size=size - 1)
+        lists.append(repeat.map(lambda gs: (*gs, gs[0])))
+    if size == len(MULTI_GAINS):
+        lists.append(st.just(MULTI_GAINS))
+    return st.one_of(lists)
+
+
 # 0 dB, 18.5 dB, 3081 dB (1.5 * SNR overflows) and 1.2e308 among random SNRs
 BATCH_SNRS = st.one_of(
     st.sampled_from([1.0, db_to_linear(18.5), db_to_linear(3081), 1.2e308]), SEARCH_SNRS
 )
+# a batch of rows whose gain lists share one length (a search holds one gain
+# count), mirrored: every batch has duplicate and descending rows
+BATCH_ROWS = st.integers(1, 3).flatmap(
+    lambda size: st.lists(st.tuples(gain_lists(size), BATCH_SNRS), min_size=1, max_size=5)
+).map(lambda rows: rows + rows[::-1])
 
 
 @pytest.fixture
@@ -472,24 +491,13 @@ class TestGridSearch:
         if len(gains) == 1:
             assert theorem1_rows(((gains[0], snr) for snr in snrs), p_max) == want
 
-    @given(
-        # mirrored: every batch has duplicate and descending rows
-        st.lists(st.tuples(GAIN_LISTS, BATCH_SNRS), min_size=1, max_size=5).map(
-            lambda rows: rows + rows[::-1]
-        ),
-        st.sampled_from([None, 101, PRIME_SEARCH_CAP]),
-    )
+    @given(BATCH_ROWS, st.sampled_from([None, 101, PRIME_SEARCH_CAP]))
     def test_rows_of_several_gain_lists_match_full_scan(self, rows, p_max):
         want = [oracles.best_prime_oracle(list(gains), snr, p_max) for gains, snr in rows]
         assert _best_primes(rows, p_max) == want
 
     @pytest.mark.parametrize("piece", [1, 3])
-    @given(
-        st.lists(st.tuples(GAIN_LISTS, BATCH_SNRS), min_size=1, max_size=5).map(
-            lambda rows: rows + rows[::-1]
-        ),
-        st.sampled_from([None, 101, PRIME_SEARCH_CAP]),
-    )
+    @given(BATCH_ROWS, st.sampled_from([None, 101, PRIME_SEARCH_CAP]))
     def test_rows_of_several_gain_lists_match_full_scan_in_small_pieces(self, piece, rows, p_max):
         # as above, with every kept step cut into pieces of 1 or 3 primes: steps
         # partly admissible, widths no multiple of the piece, rows sharing a batch
