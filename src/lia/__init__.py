@@ -2,7 +2,6 @@
 interference alignment on the same-linear-code modulo MAC."""
 
 from .codes import (
-    Codebook,
     Codeword,
     LinearCode,
     encode,
@@ -51,7 +50,6 @@ from .powertime import (
     schedule_rates,
 )
 from .rates import (
-    OmegaBreakdown,
     RatePoint,
     db_to_linear,
     default_p_max,

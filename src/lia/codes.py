@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,14 +20,14 @@ from .diophantine import is_prime
 from .modarith import grid_real, mod_interval  # noqa: F401
 
 ENUMERATION_CAP = 3000  # bound on p**k for exhaustive operations
-ENTRIES_CAP = 2**22  # bound on a generator's k x n and a Codebook's p**k x n entries
+ENTRIES_CAP = 2**22  # bound on a generator's k x n and an enumeration's p**k x n entries
 
 
 def check_code_size(p: int, n: int, k: int, enumerated: bool = False) -> None:
     """Refuse, before any primality test or allocation, k outside [1, n], a
     p with k (p-1)**2 >= 2**63 (encoding must be exact in int64), and more
     than ENTRIES_CAP entries in the k x n generator or, for an ``enumerated``
-    code (Codebook), more than ENUMERATION_CAP messages or p**k x n entries."""
+    code (LinearCode.messages), more than ENUMERATION_CAP messages or p**k x n entries."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if k * (p - 1) ** 2 >= 2**63:
@@ -38,8 +39,23 @@ def check_code_size(p: int, n: int, k: int, enumerated: bool = False) -> None:
         raise ValueError(f"{count} x {n} code entries exceed the cap of {ENTRIES_CAP}")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _all_messages(code: LinearCode) -> np.ndarray:
+    """The enumeration's builder, refused before it allocates where check_code_size says."""
+    check_code_size(code.p, code.n, code.k, enumerated=True)
+    return _read_only(np.arange(code.p**code.k)[:, None] // code._weights % code.p)
+
+
 @dataclass(frozen=True, eq=False)
 class LinearCode:
+    """A code and its enumeration, built once on first use and shared read-only: ``messages``
+    (row i spells i in base p, most significant digit first, so rows() is the base-p value
+    of a message) and row i's codeword, as ``residues`` on Z_p and ``reals`` on the grid."""
+
     p: int
     n: int
     k: int
@@ -54,13 +70,32 @@ class LinearCode:
             raise ValueError(f"generator shape {g.shape} != ({self.k}, {self.n})")
         if g.min() < 0 or g.max() >= self.p:
             raise ValueError("generator entries must lie in {0, ..., p-1}")
-        g.setflags(write=False)
-        object.__setattr__(self, "generator", g)
+        object.__setattr__(self, "generator", _read_only(g))
 
     @property
     def rate(self) -> float:
         """Realized rate k*log2(p)/n in bits per channel use."""
         return self.k * math.log2(self.p) / self.n
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        return self.p ** np.arange(self.k - 1, -1, -1)
+
+    @cached_property
+    def messages(self) -> np.ndarray:
+        return _all_messages(self)
+
+    @cached_property
+    def residues(self) -> np.ndarray:
+        return _read_only((self.messages @ self.generator) % self.p)
+
+    @cached_property
+    def reals(self) -> np.ndarray:
+        return _read_only(grid_real(self.residues, self.p))
+
+    def rows(self, messages) -> np.ndarray:
+        """Row of each message along the last axis."""
+        return np.asarray(messages, dtype=np.int64) @ self._weights
 
 
 class Codeword:
@@ -74,8 +109,7 @@ class Codeword:
             raise ValueError("codeword residues must be one-dimensional")
         if r.size and (r.min() < 0 or r.max() >= p):
             raise ValueError("codeword residues out of range")
-        r.setflags(write=False)
-        self.residues = r
+        self.residues = _read_only(r)
         self.p = p
 
     @property
@@ -112,31 +146,6 @@ def encode(code: LinearCode, w) -> Codeword:
     if wv.size and (wv.min() < 0 or wv.max() >= code.p):
         raise ValueError("message entries must lie in {0, ..., p-1}")
     return Codeword((wv @ code.generator) % code.p, code.p)
-
-
-class Codebook:
-    """Every message of a code beside its codeword, in one fixed row order.
-
-    Row i holds the message whose base-p digits, most significant first,
-    spell i, so rows() is the base-p value of a message.  ``residues`` and
-    ``reals`` hold row i's codeword on Z_p and on the grid.  Codes that
-    ``check_code_size`` refuses to enumerate are refused.
-    """
-
-    def __init__(self, code: LinearCode):
-        check_code_size(code.p, code.n, code.k, enumerated=True)
-        count = code.p**code.k
-        self._weights = code.p ** np.arange(code.k - 1, -1, -1)
-        self.messages = np.arange(count)[:, None] // self._weights % code.p
-        self.residues = (self.messages @ code.generator) % code.p
-        self.reals = grid_real(self.residues, code.p)
-
-    def __len__(self):
-        return self.messages.shape[0]
-
-    def rows(self, messages) -> np.ndarray:
-        """Row of each message along the last axis."""
-        return np.asarray(messages, dtype=np.int64) @ self._weights
 
 
 def messages_dependent(w1, w2, p: int) -> bool:

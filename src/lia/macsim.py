@@ -17,7 +17,7 @@ trial's messages as raw PCG64 words and reduces the whole block to [0, p)
 by the rule integers follows, and draws each trial's noise in place into a
 block array, scaled once; a trial whose reduction rejects a 32-bit draw,
 which happens with probability below p / 2**32 per draw, is drawn again the
-reference way.  A block's codewords come from a codebook lookup, its
+reference way.  A block's codewords come from the code's enumeration, its
 dependent draws from the decoder's mask, its received vectors from one
 channel evaluation, and its decisions from one PairDecoder.decode_many
 call, which decides every row exactly as decoding it alone would.  The
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import Codebook, Codeword, LinearCode
+from .codes import Codeword, LinearCode
 # macsim.encode stays importable: bench/test_bench.py checks the tracer patches it here
 from .codes import encode  # noqa: F401
 from .diophantine import Gain
@@ -168,11 +168,14 @@ def nearest_rows(Y: np.ndarray, tables) -> np.ndarray:
 
 
 def _per_vector_bytes(count: int, n: int, p: int) -> int:
-    """Temporaries of decoding one received vector.
+    """Temporaries of decoding one received vector, as the block size charges them.
 
     The gathered squares (count x n*p float32) beside the metric matrix
-    (count x count float32), the candidate test (count x count bool) and the
-    float64 n x p x p distance table with the temporaries of mod_interval.
+    (count x count float32), the candidate test (count x count bool) and eight
+    float64 n x p x p tables.  The distance stage holds about two (17*n*p*p bytes:
+    mod_interval and the square work in place); eight stays as the block-size setting,
+    since charging 17*n*p*p grew blocks from 52 to 99 rows at p=5, n=8, k=2 and slowed
+    a 3,000-trial network run from 86 to 90 ms.
     """
     return count * n * p * 4 + count * count * 5 + 8 * n * p * p * 8
 
@@ -183,19 +186,19 @@ def _block_rows(count: int, n: int, p: int) -> int:
 
 
 def _decoder_bytes(count: int, n: int, p: int, k: int, decoders: int = 1) -> int:
-    """Bytes ``decoders`` PairDecoders hold plus the temporaries of one block decode.
+    """Bytes ``decoders`` PairDecoders of one code hold plus the temporaries of one block decode.
 
-    Held: the one-hot codebook (count x n*p float32), the additive mask
-    (count x count float32), the Codebook (messages, residues and reals)
-    with the residues' one-hot columns, and psi.  Per block: the
-    temporaries of _block_rows received vectors (_per_vector_bytes each;
-    the block's candidate list takes the place of its freed metric
-    matrices), and one chunk of re-scored psi rows.  The build's boolean
-    dependency table is smaller than the per-block part.
+    Each decoder holds the one-hot codebook (count x n*p float32), the additive mask
+    (count x count float32), the residues' one-hot columns (count x n int64) and psi;
+    the code holds its enumeration (messages, residues and reals) once.  Per block: the
+    temporaries of _block_rows received vectors (_per_vector_bytes each; the block's
+    candidate list takes the place of its freed metric matrices), and one chunk of
+    re-scored psi rows.  The build's boolean dependency table is smaller than the
+    per-block part.
     """
-    held = count * n * p * 4 + count * count * 4 + count * (3 * n + k) * 8 + p * p * 8
-    chunk = min(count * count, _RESCORE_ROWS) * (8 * n + 4) * 8
-    return held * decoders + _block_rows(count, n, p) * _per_vector_bytes(count, n, p) + chunk
+    held = count * n * p * 4 + count * count * 4 + count * n * 8 + p * p * 8
+    once = count * (2 * n + k) * 8 + min(count * count, _RESCORE_ROWS) * (8 * n + 4) * 8
+    return held * decoders + once + _block_rows(count, n, p) * _per_vector_bytes(count, n, p)
 
 
 def _check_decoders(code: LinearCode, decoders: int) -> None:
@@ -246,7 +249,6 @@ class PairDecoder:
         count = p**code.k
         _check_decoders(code, 1)
         self.code = code
-        self.book = book = Codebook(code)
         self.block_rows = _block_rows(count, n, p)
 
         # dep[i, j] iff (w_i, w_j) linearly dependent: message 0 is the zero
@@ -254,8 +256,8 @@ class PairDecoder:
         dep = np.zeros((count, count), dtype=bool)
         dep[0, :] = True
         dep[:, 0] = True
-        multiples = (np.arange(1, p)[:, None, None] * book.messages) % p
-        dep[np.arange(count), book.rows(multiples)] = True
+        multiples = (np.arange(1, p)[:, None, None] * code.messages) % p
+        dep[np.arange(count), code.rows(multiples)] = True
         self.n_pairs = dep.size - int(np.count_nonzero(dep))
         if self.n_pairs == 0:
             raise ValueError("empty search space: no independent message pairs (need k >= 2)")
@@ -267,7 +269,7 @@ class PairDecoder:
         self.psi = mod_interval(grid[:, None] + float(gamma) * grid[None, :])
         # column t*p + c_i,t of the one-hot row i; also the row of D[t, c_i,t]
         # in D reshaped to (n*p) x p
-        self._cols = book.residues + p * np.arange(n)
+        self._cols = code.residues + p * np.arange(n)
         self._onehot = np.zeros((count, n * p), dtype=np.float32)
         np.put_along_axis(self._onehot, self._cols, 1.0, axis=1)
         self._slack = 16 * n * np.finfo(np.float32).eps
@@ -282,8 +284,8 @@ class PairDecoder:
         h = int(self.decode_many(y[None])[0])
         if h < 0:
             return AMBIGUOUS
-        i, j = divmod(h, len(self.book))
-        return (self.book.messages[i].copy(), self.book.messages[j].copy())
+        i, j = divmod(h, len(self.code.messages))
+        return (self.code.messages[i].copy(), self.code.messages[j].copy())
 
     def decode_many(self, Y) -> np.ndarray:
         """Decide each row y of Y: the closest pair's flat index i*M + j, -1 on a tie.
@@ -301,7 +303,7 @@ class PairDecoder:
 
     def _decode_block(self, Y):
         rows, (n, p) = Y.shape[0], (self.code.n, self.code.p)
-        count = len(self.book)
+        count = len(self.code.messages)
         d = mod_interval(Y[:, :, None, None] - self.psi)
         d *= d
         e = np.take(d.astype(np.float32).reshape(rows, n * p, p), self._cols, axis=1)
@@ -329,8 +331,8 @@ class PairDecoder:
 
     def _psi_rows(self, flat):
         """psi(i, j) rows, n components each, of the pairs at flat = i*M + j."""
-        rows, cols = np.divmod(flat, len(self.book))
-        return self.psi[self.book.residues[rows], self.book.residues[cols]]
+        rows, cols = np.divmod(flat, len(self.code.messages))
+        return self.psi[self.code.residues[rows], self.code.residues[cols]]
 
 
 def _words32(x: int) -> list[int]:
@@ -513,21 +515,20 @@ def estimate_error_prob(
     """
     check_run(snr, trials, seed, [gamma], code)
     decoder = PairDecoder(code, gamma)
-    book = decoder.book
     sigma = math.sqrt(1.0 / snr)
     dependent = errors_independent = ambiguous = 0
     for block, W, Z in trial_blocks(code, trials, seed, [()], 2, sigma, 0):
-        sent = book.rows(W)  # w1, w2 of each trial
+        sent = code.rows(W)  # w1, w2 of each trial
         independent = np.flatnonzero(decoder.mask[sent[:, 0], sent[:, 1]] == 0.0)
         dependent += len(block) - independent.size
         sent = sent[independent]
         # a dependent draw's noise is drawn too, but only independent draws use theirs
         y = mod_interval(
-            book.reals[sent[:, 0]] + float(gamma) * book.reals[sent[:, 1]] + Z[independent, 0]
+            code.reals[sent[:, 0]] + float(gamma) * code.reals[sent[:, 1]] + Z[independent, 0]
         )
         decided = decoder.decode_many(y)
         ambiguous += int(np.count_nonzero(decided < 0))
-        errors_independent += int(np.count_nonzero(decided != sent[:, 0] * len(book) + sent[:, 1]))
+        errors_independent += int(np.count_nonzero(decided != sent @ [len(code.messages), 1]))
     errors = dependent + errors_independent
     return SimResult(
         trials=trials,

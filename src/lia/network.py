@@ -31,7 +31,7 @@ from importlib import resources
 
 import numpy as np
 
-from .codes import Codebook, Codeword, LinearCode, encode
+from .codes import Codeword, LinearCode, encode
 from .diophantine import Gain, parse_gain
 from .macsim import PairDecoder, check_run, nearest_rows, trial_blocks, wilson_interval
 from .modarith import mod_interval
@@ -206,8 +206,7 @@ def simulate_network(
     sigma = math.sqrt(1.0 / snr)
     diag = np.asarray([float(g) for g in H.direct])
     pair_decoders = {h: PairDecoder(code, h) for h in set(diag[has_interference])}
-    book = Codebook(code)
-    single_tables = {h: mod_interval(h * book.reals) for h in set(diag[~has_interference])}
+    single_tables = {h: mod_interval(h * code.reals) for h in set(diag[~has_interference])}
 
     errors, ambiguous, dependent = [0] * K, [0] * K, [0] * K
     network_errors = 0
@@ -215,11 +214,11 @@ def simulate_network(
     # block x p**k x n floats, 1/p of a pair decode's gathered distances
     keys = [(j,) for j in range(K + 1)]
     for block, W, z in trial_blocks(code, trials, seed, keys, K, sigma, 1):
-        sent = book.rows(W)
+        sent = code.rows(W)
         # each receiver's interference folded on residues (a_jj = 0 keeps the
         # desired message out): the codeword of sum_k a_jk w_k mod p
-        aligned = book.rows(cross @ W % p)
-        y = mod_interval(book.reals[aligned] + diag[:, None] * book.reals[sent] + z)
+        aligned = code.rows(cross @ W % p)
+        y = mod_interval(code.reals[aligned] + diag[:, None] * code.reals[sent] + z)
         failed = np.zeros(len(block), dtype=bool)
         for j in range(K):
             if has_interference[j]:
@@ -227,7 +226,7 @@ def simulate_network(
                 # the desired message plays the gain-h_jj (second) role
                 dependent[j] += int(np.count_nonzero(decoder.mask[aligned[:, j], sent[:, j]]))
                 decided = decoder.decode_many(y[:, j])
-                decided = np.where(decided < 0, -1, decided % len(book))
+                decided = np.where(decided < 0, -1, decided % len(code.messages))
             else:
                 decided = nearest_rows(y[:, j], [single_tables[diag[j]]])
             erred = decided != sent[:, j]

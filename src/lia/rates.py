@@ -21,7 +21,9 @@ bounds clamp to zero.  SNR arguments here are linear; dB conversion happens
 at the CLI boundary.
 
 The prime search is the one evaluation of the rate (tests/oracles.py keeps
-per-prime references).  It is exact but evaluates the omega terms only on
+per-prime references).  Each row's RatePoint holds p*, the rate, the binding gain
+and its omega terms at p* (None where no prime wins); stdout prints no omega term.
+It is exact but evaluates the omega terms only on
 primes that can win, for a whole batch of rows at once; a row is a (gain list,
 SNR) pair, all lists of a batch of one length.  A prime scores 0 unless it
 passes every gain's admissibility test lhs < rhs (admissible_mask;
@@ -110,26 +112,16 @@ def default_p_max(snr: float) -> int:
 
 
 @dataclass(frozen=True, slots=True)
-class OmegaBreakdown:
-    """Per-case error-probability terms at one (p, gamma, SNR) point."""
-
-    p: int
-    gamma: Gain
-    snr: float
-    omega_a: float
-    omega_b: float  # also the case-c term
-    omega_d: float
-
-
-@dataclass(frozen=True, slots=True)
 class RatePoint:
-    """An evaluated rate with the optimizing prime and its omega terms."""
+    """An evaluated rate with the optimizing prime and its omega terms (None if none wins)."""
 
     gamma: Gain
     snr: float
     p_star: Optional[int]
     rate: float
-    breakdown: Optional[OmegaBreakdown]
+    omega_a: Optional[float]
+    omega_b: Optional[float]  # also the case-c term
+    omega_d: Optional[float]
 
 
 def _snr_terms(snr):
@@ -332,10 +324,9 @@ def _best_primes(rows, p_max: Optional[int]) -> list[RatePoint]:
     for lo, hi in _row_chunks(kept[1], kept[3], len(snrs)):
         found = _winners(primes, table, lid, terms, *(x[lo:hi] for x in kept))
         for r, p, j, rate, oa, ob, od in zip(*found):
-            g = keys[lid[r]][j]
-            points[r] = RatePoint(g, snrs[r], p, rate, OmegaBreakdown(p, g, snrs[r], oa, ob, od))
+            points[r] = RatePoint(keys[lid[r]][j], snrs[r], p, rate, oa, ob, od)
     return [
-        RatePoint(keys[i][0], snr, None, 0.0, None) if point is None else point
+        RatePoint(keys[i][0], snr, None, 0.0, None, None, None) if point is None else point
         for i, snr, point in zip(lid.tolist(), snrs, points)
     ]
 
@@ -366,9 +357,9 @@ def random_sym_capacity(gamma: Gain, snr: float) -> float:
 
 
 def theorem2_sym_rates(channel, snrs, p_max: Optional[int] = None) -> list[RatePoint]:
-    """Achievable symmetric rate on a K-user integer-interference channel (a ChannelMatrix)
-    at each SNR of an iterable, as in ``theorem1_rows``: the max over primes admissible for
-    every direct gain of the smallest per-receiver bound, with the binding receiver's breakdown."""
+    """Achievable symmetric rate on a K-user integer-interference channel (a ChannelMatrix) at
+    each SNR of an iterable, as in ``theorem1_rows``: the max over primes admissible for every
+    direct gain of the smallest per-receiver bound, and the binding receiver's omega terms."""
     # first-occurrence order, so a tie for the binding receiver goes to the
     # lowest index
     gains = tuple(dict.fromkeys(channel.direct))

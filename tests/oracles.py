@@ -35,7 +35,6 @@ from lia.modarith import HALF_L, L, grid_real, mod_interval
 from lia.network import NetworkSimResult
 from lia.powertime import SYMBOL_RATE, Schedule, build_schedule
 from lia.rates import (
-    OmegaBreakdown,
     RatePoint,
     _omega_arrays,
     _omega_d,
@@ -206,15 +205,16 @@ def mod_interval_formula(x):
     return r
 
 
-def omega_breakdown(p, gamma, snr) -> OmegaBreakdown:
-    """The four omega terms for a single prime (delta by direct enumeration)."""
+def omega_breakdown(p, gamma, snr) -> tuple[float, float, float]:
+    """(omega_a, omega_b, omega_d) for a single prime (delta by direct enumeration);
+    omega_b is also the case-c term."""
     _require_positive_snr(snr)
     c, tail, sq = _snr_terms(snr)
     pf = np.asarray([float(p)])
     oa, ob = _omega_arrays(pf, np.asarray([float(delta(p, gamma))]), c, tail, sq)
     with np.errstate(invalid="ignore"):  # a zero offset; the search never passes one
         od = _omega_d(pf, ob, float(mod_quarter_interval(gamma)), c, tail)
-    return OmegaBreakdown(p, gamma, snr, float(oa[0]), float(ob[0]), float(od[0]))
+    return float(oa[0]), float(ob[0]), float(od[0])
 
 
 def rate_for_p(p, gamma, snr) -> float:
@@ -222,8 +222,8 @@ def rate_for_p(p, gamma, snr) -> float:
     _require_positive_snr(snr)
     if not admissible_mask(np.asarray([p]), gamma, snr)[0]:
         return 0.0
-    bd = omega_breakdown(p, gamma, snr)
-    return max(0.0, float(_rate_from_omegas(np.asarray([bd.omega_a]), np.asarray([bd.omega_b]))[0]))
+    oa, ob, _ = omega_breakdown(p, gamma, snr)
+    return max(0.0, float(_rate_from_omegas(np.asarray([oa]), np.asarray([ob]))[0]))
 
 
 def _scan_primes(gamma, snr, p_max):
@@ -253,18 +253,18 @@ def best_prime_oracle(gains, snr, p_max=None):
         p_max = default_p_max(snr)
     scans = [_scan_primes(g, snr, p_max) for g in gains]
     if scans[0] is None:
-        return RatePoint(gains[0], snr, None, 0.0, None)
+        return RatePoint(gains[0], snr, None, 0.0, None, None, None)
     overall = scans[0][1]
     for scan in scans[1:]:
         overall = np.minimum(overall, scan[1])
     i = int(np.argmax(overall))
     if overall[i] <= 0.0:
-        return RatePoint(gains[0], snr, None, 0.0, None)
+        return RatePoint(gains[0], snr, None, 0.0, None, None, None)
     j = next(j for j, scan in enumerate(scans) if scan[1][i] == overall[i])
     primes, _, oa, ob, od = scans[j]
-    p_star = int(primes[i])
-    bd = OmegaBreakdown(p_star, gains[j], snr, float(oa[i]), float(ob[i]), float(od[i]))
-    return RatePoint(gains[j], snr, p_star, float(overall[i]), bd)
+    return RatePoint(
+        gains[j], snr, int(primes[i]), float(overall[i]), float(oa[i]), float(ob[i]), float(od[i])
+    )
 
 
 def schedule_rate_loop(H, snr, p_max=None):

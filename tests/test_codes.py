@@ -8,7 +8,6 @@ from scipy.stats import chi2
 from lia import codes
 from lia.codes import (
     ENTRIES_CAP,
-    Codebook,
     Codeword,
     LinearCode,
     encode,
@@ -90,65 +89,79 @@ class TestEncode:
 
 
 class TestAllCodewords:
-    """Codebook enumerates every codeword of a code."""
+    """A code's enumeration holds every codeword of the code."""
 
     def test_counts(self):
-        assert len(Codebook(sample_code(3, 4, 2, seed=0))) == 9
-        assert len(Codebook(sample_code(5, 4, 2, seed=0))) == 25
+        assert len(sample_code(3, 4, 2, seed=0).messages) == 9
+        assert len(sample_code(5, 4, 2, seed=0).residues) == 25
 
     def test_first_entry_zero_lexicographic(self):
-        book = Codebook(sample_code(3, 4, 2, seed=0))
-        assert book.messages[0].tolist() == [0, 0]
-        assert book.messages[1].tolist() == [0, 1]
-        assert not book.residues[0].any()
+        code = sample_code(3, 4, 2, seed=0)
+        assert code.messages[0].tolist() == [0, 0]
+        assert code.messages[1].tolist() == [0, 1]
+        assert not code.residues[0].any()
 
     def test_cap_enforced(self):
         code = sample_code(5, 8, 5, seed=0)  # 5**5 = 3125 > 3000
-        with pytest.raises(ValueError, match="enumeration cap"):
-            Codebook(code)
+        for name in ("messages", "residues", "reals"):
+            with pytest.raises(ValueError, match="enumeration cap"):
+                getattr(code, name)
 
 
-def _linearity_failures(book, residues, p):
+def _linearity_failures(code, residues, p):
     """Message pairs (a, b) whose residues do not add up to those of a + b."""
-    sums = (book.messages[:, None, :] + book.messages[None, :, :]) % p
+    sums = (code.messages[:, None, :] + code.messages[None, :, :]) % p
     lhs = (residues[:, None, :] + residues[None, :, :]) % p
-    return int(np.count_nonzero(np.any(lhs != residues[book.rows(sums)], axis=-1)))
+    return int(np.count_nonzero(np.any(lhs != residues[code.rows(sums)], axis=-1)))
 
 
-def _real_linearity_failures(book, reals, p):
+def _real_linearity_failures(code, reals, p):
     """Message pairs (a, b) whose real forms in ``reals``, added and reduced
-    into the interval, miss the codebook's real form of a + b by 1e-12 or more."""
-    sums = (book.messages[:, None, :] + book.messages[None, :, :]) % p
+    into the interval, miss the code's real form of a + b by 1e-12 or more."""
+    sums = (code.messages[:, None, :] + code.messages[None, :, :]) % p
     lhs = mod_interval(reals[:, None, :] + reals[None, :, :])
-    return int(np.count_nonzero(np.abs(lhs - book.reals[book.rows(sums)]).max(axis=-1) >= 1e-12))
+    return int(np.count_nonzero(np.abs(lhs - code.reals[code.rows(sums)]).max(axis=-1) >= 1e-12))
 
 
 class TestCodebook:
+    """The enumeration a code builds once, on first use."""
+
     @pytest.mark.parametrize("p, k", [(2, 4), (3, 2), (5, 2), (7, 3)])
     def test_rows_invert_the_enumeration(self, p, k):
-        book = Codebook(sample_code(p, 5, k, seed=p * k))
-        assert np.array_equal(book.rows(book.messages), np.arange(p**k))
-        assert len(book) == p**k
+        code = sample_code(p, 5, k, seed=p * k)
+        assert np.array_equal(code.rows(code.messages), np.arange(p**k))
+        assert len(code.messages) == p**k
         # row i spells i in base p, most significant digit first
         for i in (0, 1, p, p**k - 1):
-            assert int("".join(map(str, book.messages[i])), p) == i
+            assert int("".join(map(str, code.messages[i])), p) == i
 
     @pytest.mark.parametrize("p, k", [(3, 2), (5, 3)])
     def test_codewords_match_encode(self, p, k):
         code = sample_code(p, 6, k, seed=4)
-        book = Codebook(code)
-        for w, residues, reals in zip(book.messages, book.residues, book.reals):
+        for w, residues, reals in zip(code.messages, code.residues, code.reals):
             assert encode(code, w) == Codeword(residues, p)
             assert np.array_equal(encode(code, w).reals, reals)
 
     @pytest.mark.parametrize("p, k", [(2, 4), (3, 2), (5, 2), (7, 3)])
     def test_exhaustive_linearity(self, p, k):
-        book = Codebook(sample_code(p, 6, k, seed=11))
-        assert _linearity_failures(book, book.residues, p) == 0
+        code = sample_code(p, 6, k, seed=11)
+        assert _linearity_failures(code, code.residues, p) == 0
         # negative control: one corrupted residue breaks the identity
-        corrupted = book.residues.copy()
+        corrupted = code.residues.copy()
         corrupted[1, 0] = (corrupted[1, 0] + 1) % p
-        assert _linearity_failures(book, corrupted, p) > 0
+        assert _linearity_failures(code, corrupted, p) > 0
+
+    def test_built_once_and_read_only(self, monkeypatch):
+        # every reader shares one enumeration, so none may write into it
+        built, build = [], codes._all_messages
+        monkeypatch.setattr(codes, "_all_messages", lambda code: built.append(code) or build(code))
+        code = sample_code(3, 4, 2, seed=0)
+        arrays = [code.messages, code.residues, code.reals]
+        assert all(a is b for a, b in zip([code.messages, code.residues, code.reals], arrays))
+        assert built == [code]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[1, 0] += 1
 
     def test_entries_capped_before_build(self):
         # 2**11 messages x 2049 components: more than 2**22 entries, although
@@ -158,7 +171,7 @@ class TestCodebook:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="entries"):
-                Codebook(code)
+                code.reals
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -224,22 +237,22 @@ class TestCheckLinearity:
     on residues and to 1e-12 on real forms."""
 
     def test_passes_by_construction(self):
-        book = Codebook(sample_code(5, 10, 2, seed=8))
-        assert _linearity_failures(book, book.residues, 5) == 0
-        assert _real_linearity_failures(book, book.reals, 5) == 0
+        code = sample_code(5, 10, 2, seed=8)
+        assert _linearity_failures(code, code.residues, 5) == 0
+        assert _real_linearity_failures(code, code.reals, 5) == 0
 
     def test_holds_across_the_ensemble(self):
         # every message pair on each of 20 independently sampled codes
         for seed in range(20):
-            book = Codebook(sample_code(3, 12, 2, seed=seed))
-            assert _linearity_failures(book, book.residues, 3) == 0
-            assert _real_linearity_failures(book, book.reals, 3) == 0
+            code = sample_code(3, 12, 2, seed=seed)
+            assert _linearity_failures(code, code.residues, 3) == 0
+            assert _real_linearity_failures(code, code.reals, 3) == 0
 
     def test_corrupted_table_fails(self):
         # real forms of a different generator on the left-hand side
-        book = Codebook(sample_code(3, 6, 2, seed=8))
-        corrupted = Codebook(sample_code(3, 6, 2, seed=9))
-        assert _real_linearity_failures(book, corrupted.reals, 3) > 0
+        code = sample_code(3, 6, 2, seed=8)
+        corrupted = sample_code(3, 6, 2, seed=9)
+        assert _real_linearity_failures(code, corrupted.reals, 3) > 0
 
 
 class TestEnsembleStatistics:

@@ -149,7 +149,7 @@ class TestPairDecoder:
         dec = PairDecoder(code, SQRT2_OVER_2)
         i_idx, j_idx = np.nonzero(dec.mask == 0.0)
         for i, j in zip(i_idx[::5], j_idx[::5]):
-            w1, w2 = dec.book.messages[i], dec.book.messages[j]
+            w1, w2 = code.messages[i], code.messages[j]
             y = mod_interval(encode(code, w1).reals + SQRT2_OVER_2 * encode(code, w2).reals)
             out = dec.decode(y)
             assert np.array_equal(out[0], w1) and np.array_equal(out[1], w2)
@@ -215,7 +215,7 @@ class TestPairDecoder:
                 draws += 1
                 in_band += 1e-9 <= (second - best) / best <= 1e-6
                 want = oracle.decode(y)
-                if h != (-1 if want is AMBIGUOUS else dec.book.rows(want) @ [len(dec.book), 1]):
+                if h != (-1 if want is AMBIGUOUS else code.rows(want) @ [p**k, 1]):
                     disagreements.append((p, n, k, gamma, y))
         assert disagreements == []
         assert draws == 4 * 8 * 8 + 3 * 8
@@ -232,13 +232,12 @@ class TestPairDecoder:
         assert ys.shape[0] > dec.block_rows
         decided = dec.decode_many(ys)
         assert decided[0] == -1  # y = 0
-        count = len(dec.book)
         for h, y in zip(decided, ys):
             want = oracle.decode(y)
             if want is AMBIGUOUS:
                 assert h == -1
             else:
-                assert h == dec.book.rows(want) @ [count, 1]
+                assert h == code.rows(want) @ [len(code.messages), 1]
         assert dec.decode_many(np.zeros((0, 4))).shape == (0,)
         with pytest.raises(ValueError):
             dec.decode_many(np.zeros(4))
@@ -269,21 +268,27 @@ class TestPairDecoder:
 
     @pytest.mark.parametrize("p, n, k", [(3, 4, 2), (5, 32, 2), (7, 16, 3)])
     def test_held_arrays_are_what_the_cap_counts(self, p, n, k):
-        dec = PairDecoder(sample_code(p, n, k, seed=0), 0.3)
+        # one decoder per gain, each with arrays of its own, and the code's one
+        # enumeration, which every decoder reads
+        code = sample_code(p, n, k, seed=0)
         count = p**k
-        held = [dec._onehot, dec.mask, dec.psi, dec._cols]
-        held += [dec.book.messages, dec.book.residues, dec.book.reals]
         # _decoder_bytes less one block decode's temporaries and one re-scored chunk
         block = _block_rows(count, n, p) * _per_vector_bytes(count, n, p)
         chunk = min(count * count, _RESCORE_ROWS) * (8 * n + 4) * 8
-        assert sum(a.nbytes for a in held) == _decoder_bytes(count, n, p, k) - block - chunk
+        decoders = []
+        for gamma in (0.3, 0.6):
+            decoders.append(PairDecoder(code, gamma))
+            held = [a for dec in decoders for a in (dec._onehot, dec.mask, dec.psi, dec._cols)]
+            held += [code.messages, code.residues, code.reals]
+            assert all(dec.code is code for dec in decoders)
+            want = _decoder_bytes(count, n, p, k, len(decoders)) - block - chunk
+            assert sum(a.nbytes for a in held) == want
 
     @pytest.mark.parametrize("p, k", [(3, 2), (5, 2), (3, 3)])
     def test_mask_matches_messages_dependent(self, p, k):
-        dec = PairDecoder(sample_code(p, 4, k, seed=1), 0.3)
-        want = np.asarray(
-            [[messages_dependent(a, b, p) for b in dec.book.messages] for a in dec.book.messages]
-        )
+        code = sample_code(p, 4, k, seed=1)
+        dec = PairDecoder(code, 0.3)
+        want = np.asarray([[messages_dependent(a, b, p) for b in code.messages] for a in code.messages])
         assert np.array_equal(np.isinf(dec.mask), want)
         assert np.all(dec.mask[~want] == 0.0)
 

@@ -18,7 +18,7 @@ from lia.network import (
     simulate_network,
     sum_rate_curves,
 )
-from lia import macsim, network
+from lia import codes, macsim, network
 from lia.macsim import _decoder_bytes, wilson_interval
 from lia.rates import db_to_linear, dependent_message_prob
 from oracles import ENGINE_SHAPES, engine_trial_counts, network_result, network_trial_outcomes
@@ -322,17 +322,21 @@ class TestSimulateNetwork:
 
     def test_pair_decoders_are_bounded_together(self, monkeypatch):
         # under a cap that fits two p=5, n=8, k=2 decoders but not three, three
-        # distinct direct gains are refused before any decoder or codebook is
-        # built; three equal gains, and the bundled file (one distinct gain), run
-        # as without the cap
-        code, snr = sample_code(5, 8, 2, seed=1), db_to_linear(20)
+        # distinct direct gains are refused before any decoder is built or the
+        # code enumerated; three equal gains, and the bundled file (one distinct
+        # gain), run as without the cap.  Each run gets a fresh code, so an
+        # enumeration cached by an earlier run cannot hide a build
+        def fresh():
+            return sample_code(5, 8, 2, seed=1)
+
+        snr = db_to_linear(20)
         cross = 1 - np.eye(3, dtype=np.int64)
         distinct = ChannelMatrix(K=3, direct=(0.7, 0.6, 0.5), cross=cross)
         runs = [
             ChannelMatrix(K=3, direct=(0.7,) * 3, cross=cross),
             load_channel_file(bundled_channel_path()),
         ]
-        before = [simulate_network(H, code, snr, 60, 4) for H in runs]
+        before = [simulate_network(H, fresh(), snr, 60, 4) for H in runs]
         monkeypatch.setattr(macsim, "DECODER_TABLE_BYTES_CAP", _decoder_bytes(25, 8, 5, 2, 2))
         with monkeypatch.context() as mp:
 
@@ -340,13 +344,35 @@ class TestSimulateNetwork:
                 raise AssertionError("built before the run check")
 
             mp.setattr(network, "PairDecoder", built)
-            mp.setattr(network, "Codebook", built)
+            mp.setattr(codes, "_all_messages", built)
             with pytest.raises(ValueError, match=r"^decoder needs \d+ bytes for 3 distinct gain"):
-                simulate_network(distinct, code, snr, 60, 4)
-        assert [simulate_network(H, code, snr, 60, 4) for H in runs] == before
+                simulate_network(distinct, fresh(), snr, 60, 4)
+        assert [simulate_network(H, fresh(), snr, 60, 4) for H in runs] == before
         # the control: a cap that fits three decoders runs the distinct gains
         monkeypatch.setattr(macsim, "DECODER_TABLE_BYTES_CAP", _decoder_bytes(25, 8, 5, 2, 3))
-        assert simulate_network(distinct, code, snr, 60, 4).trials == 60
+        assert simulate_network(distinct, fresh(), snr, 60, 4).trials == 60
+
+    def test_pair_decoders_read_one_enumeration(self, monkeypatch):
+        # two distinct interfering direct gains make two pair decoders; they and
+        # the run's blocks read the code's one enumeration, built once per run
+        code, snr = sample_code(5, 8, 2, seed=1), db_to_linear(20)
+        H = ChannelMatrix(K=3, direct=(0.7, 0.6, 0.7), cross=1 - np.eye(3, dtype=np.int64))
+        built, build = [], codes._all_messages
+        monkeypatch.setattr(codes, "_all_messages", lambda c: built.append(c) or build(c))
+        decoders = []
+
+        class Recorded(macsim.PairDecoder):
+            def __init__(self, *args):
+                super().__init__(*args)
+                decoders.append(self)
+
+        monkeypatch.setattr(network, "PairDecoder", Recorded)
+        res = simulate_network(H, code, snr, 60, 4)
+        assert built == [code]
+        assert len(decoders) == 2 and all(d.code is code for d in decoders)
+        for d in decoders:
+            assert np.array_equal(d._cols - 5 * np.arange(8), code.residues)
+        assert res == network_result(network_trial_outcomes(H, code, snr, 4, 60))
 
     def test_negative_seed_rejected_before_decoding(self):
         with pytest.raises(ValueError, match="seed"):
