@@ -23,21 +23,22 @@ channel evaluation, and its decisions from one PairDecoder.decode_many
 call, which decides every row exactly as decoding it alone would.  The
 decoder scores every pair in float32 and re-scores, in float64, each pair
 whose score lies within the float32 rounding of its row's minimum, so its
-decisions are those of the float64 pairs x n table, bit for bit.  The substreams' generators are built
-from seed words that substream_words hashes for a whole span of trials at
-once, the words SeedSequence itself would generate, so every draw is the one
-SeedSequence's own generator makes.
+decisions are those of the float64 pairs x n table, bit for bit.  The
+substreams' generators are built from seed words that substream_words hashes
+for a whole span of trials at once, the words SeedSequence itself would
+generate, so every draw is the one SeedSequence's own generator makes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import Codeword, LinearCode
+from .codes import Codeword, LinearCode, _read_only
 # macsim.encode stays importable: bench/test_bench.py checks the tracer patches it here
 from .codes import encode  # noqa: F401
 from .diophantine import Gain
@@ -188,25 +189,49 @@ def _block_rows(count: int, n: int, p: int) -> int:
 def _decoder_bytes(count: int, n: int, p: int, k: int, decoders: int = 1) -> int:
     """Bytes ``decoders`` PairDecoders of one code hold plus the temporaries of one block decode.
 
-    Each decoder holds the one-hot codebook (count x n*p float32), the additive mask
-    (count x count float32), the residues' one-hot columns (count x n int64) and psi;
-    the code holds its enumeration (messages, residues and reals) once.  Per block: the
-    temporaries of _block_rows received vectors (_per_vector_bytes each; the block's
-    candidate list takes the place of its freed metric matrices), and one chunk of
-    re-scored psi rows.  The build's boolean dependency table is smaller than the
-    per-block part.
+    The code holds once, however many decoders read them, its gain-free decoder arrays
+    (_gain_free: the count x count float32 mask, the count x n int64 one-hot columns and
+    the count x n*p float32 one-hot codebook) and its enumeration (messages, residues
+    and reals); each decoder holds its own psi.  Per block: the temporaries of
+    _block_rows received vectors (_per_vector_bytes each; the block's candidate list
+    takes the place of its freed metric matrices), and one chunk of re-scored psi rows.
     """
-    held = count * n * p * 4 + count * count * 4 + count * n * 8 + p * p * 8
-    once = count * (2 * n + k) * 8 + min(count * count, _RESCORE_ROWS) * (8 * n + 4) * 8
-    return held * decoders + once + _block_rows(count, n, p) * _per_vector_bytes(count, n, p)
+    shared = count * n * p * 4 + count * count * 4 + count * n * 8 + count * (2 * n + k) * 8
+    once = shared + min(count * count, _RESCORE_ROWS) * (8 * n + 4) * 8
+    return once + p * p * 8 * decoders + _block_rows(count, n, p) * _per_vector_bytes(count, n, p)
 
 
 def _check_decoders(code: LinearCode, decoders: int) -> None:
-    """Refuse ``decoders`` (> 0) PairDecoders of ``code`` whose _decoder_bytes exceed the cap."""
+    """Refuse ``decoders`` (> 0) PairDecoders of ``code`` when k < 2, where no message pair
+    is independent, or when their _decoder_bytes exceed the cap."""
+    if decoders and code.k < 2:
+        raise ValueError(f"pair decoder needs k >= 2: no message pair is independent at k={code.k}")
     need = _decoder_bytes(code.p**code.k, code.n, code.p, code.k, decoders)
     if decoders and need > DECODER_TABLE_BYTES_CAP:
         raise ValueError(f"decoder needs {need} bytes for {decoders} distinct gain(s), above the"
                          f" cap of {DECODER_TABLE_BYTES_CAP} (reduce p, k or n)")
+
+
+def _gain_free(code: LinearCode):
+    """The read-only arrays every PairDecoder of ``code`` reads, whatever its gain: the
+    additive mask (+inf on dependent pairs), the one-hot columns and the one-hot codebook."""
+    p, n = code.p, code.n
+    count = p**code.k
+    # mask[i, j] is +inf iff (w_i, w_j) linearly dependent: message 0 is the zero
+    # vector, and j = c*w_i (c = 1..p-1) sits at row base-p value of c*w_i
+    mask = np.zeros((count, count), dtype=np.float32)
+    mask[0, :] = mask[:, 0] = np.inf
+    multiples = (np.arange(1, p)[:, None, None] * code.messages) % p
+    mask[np.arange(count), code.rows(multiples)] = np.inf
+    # column t*p + c_i,t of the one-hot row i; also the row of D[t, c_i,t]
+    # in D reshaped to (n*p) x p
+    cols = code.residues + p * np.arange(n)
+    onehot = np.zeros((count, n * p), dtype=np.float32)
+    np.put_along_axis(onehot, cols, 1.0, axis=1)
+    return _read_only(mask), _read_only(cols), _read_only(onehot)
+
+
+_GAIN_FREE = weakref.WeakKeyDictionary()  # code -> _gain_free(code), dropped with the code
 
 
 class PairDecoder:
@@ -219,10 +244,11 @@ class PairDecoder:
     table D[t, a, b] = ([y_t - psi[a, b]]*)^2 in float64, casts its squares
     to float32, gathers E[i, (t, b)] = D[t, c_i,t, b] and scores every pair
     at once as the count x count float32 matrix E @ A.T plus an additive
-    mask, where A is the one-hot codebook and the mask is +inf on linearly
-    dependent pairs; the whole block is one distance table, one gather and
-    one matrix product.  No per-pair table is stored or formed; there are
-    n_pairs = (M - 1)(M - p) independent pairs for M = p**k.
+    mask, +inf on linearly dependent pairs, where A is the one-hot codebook;
+    the whole block is one distance table, one gather and one matrix product.
+    No per-pair table is formed.  A, the mask and the gather columns are the
+    code's (_gain_free), built once and read by all its decoders, read-only;
+    psi alone is a decoder's own.  n_pairs = (M - 1)(M - p) are independent, M = p**k.
 
     A float32 score is not the float64 metric, and the matrix product sums
     each score in an order of its own.  Each cast square is its float64
@@ -238,10 +264,9 @@ class PairDecoder:
     in float64 (mod_interval, einsum, a minimum attained more than once is
     ambiguous), in chunks of _RESCORE_ROWS: every decision, ties included,
     is the one the exhaustive pairs x n table gives, bit for bit, however
-    many vectors are decoded together.  block_rows vectors are decoded at a time (see
-    _block_rows).  The decoder is refused before it is built when its
-    arrays plus one block decode's temporaries would exceed
-    DECODER_TABLE_BYTES_CAP.
+    many vectors are decoded together, block_rows at a time (_block_rows).
+    The decoder is refused before it is built when k < 2 or when its arrays
+    plus one block decode's temporaries would exceed DECODER_TABLE_BYTES_CAP.
     """
 
     def __init__(self, code: LinearCode, gamma: Gain):
@@ -250,28 +275,12 @@ class PairDecoder:
         _check_decoders(code, 1)
         self.code = code
         self.block_rows = _block_rows(count, n, p)
-
-        # dep[i, j] iff (w_i, w_j) linearly dependent: message 0 is the zero
-        # vector, and j = c*w_i (c = 1..p-1) sits at row base-p value of c*w_i
-        dep = np.zeros((count, count), dtype=bool)
-        dep[0, :] = True
-        dep[:, 0] = True
-        multiples = (np.arange(1, p)[:, None, None] * code.messages) % p
-        dep[np.arange(count), code.rows(multiples)] = True
-        self.n_pairs = dep.size - int(np.count_nonzero(dep))
-        if self.n_pairs == 0:
-            raise ValueError("empty search space: no independent message pairs (need k >= 2)")
-        self.mask = np.zeros((count, count), dtype=np.float32)
-        self.mask[dep] = np.inf
-        del dep
-
+        self.n_pairs = (count - 1) * (count - p)
+        if code not in _GAIN_FREE:
+            _GAIN_FREE[code] = _gain_free(code)
+        self.mask, self._cols, self._onehot = _GAIN_FREE[code]
         grid = grid_real(np.arange(p), p)
         self.psi = mod_interval(grid[:, None] + float(gamma) * grid[None, :])
-        # column t*p + c_i,t of the one-hot row i; also the row of D[t, c_i,t]
-        # in D reshaped to (n*p) x p
-        self._cols = code.residues + p * np.arange(n)
-        self._onehot = np.zeros((count, n * p), dtype=np.float32)
-        np.put_along_axis(self._onehot, self._cols, 1.0, axis=1)
         self._slack = 16 * n * np.finfo(np.float32).eps
         # error below the normal range is absolute, up to tiny per square if flushed to zero
         self._floor = n * np.finfo(np.float32).tiny

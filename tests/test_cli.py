@@ -29,6 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 HUGE_FRACTION = "1" + "0" * 400 + "/1"
 CHANNEL5 = str(bundled_channel_path())
 CHANNEL3 = str(ROOT / "bench" / "data" / "h3.txt")
+K_REFUSED = "lia: pair decoder needs k >= 2: no message pair is independent at k=1\n"
 
 
 def child_env(**extra):
@@ -669,17 +670,18 @@ class TestGlobalBehavior:
     @pytest.mark.parametrize(
         "argv, channel, message",
         [
-            (("mac-sim", "--gamma", "0.7"), None, b"lia: decoder needs "),
-            (("network", "--channel", CHANNEL5, "--simulate"), None, b"lia: decoder needs "),
+            (("mac-sim", "--gamma", "0.7"), None, K_REFUSED.encode()),
+            (("network", "--channel", CHANNEL5, "--simulate"), None, K_REFUSED.encode()),
             # nobody hears an interferer: the codebook's enumeration cap refuses
             (("network", "--simulate"), "2\n0.7 0\n0 0.7\n", b"enumeration cap"),
         ],
         ids=["mac-sim", "network", "single-user-network"],
     )
     def test_huge_prime_refused_by_the_size_caps(self, tmp_path, argv, channel, message):
-        # k = 1 passes the code-size check at p = 2**31 - 1, so the decoder or
-        # codebook cap must refuse it before anything of p entries is built;
-        # the child's address space is limited so that such an array fails fast
+        # k = 1 passes the code-size check at p = 2**31 - 1, so the pair
+        # decoder's k check or the codebook cap must refuse it before anything
+        # of p entries is built; the child's address space is limited so that
+        # such an array fails fast
         if channel is not None:
             (tmp_path / "quiet.txt").write_text(channel)
             argv = (*argv, "--channel", str(tmp_path / "quiet.txt"))
@@ -691,7 +693,30 @@ class TestGlobalBehavior:
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         )
         assert (done.returncode, done.stdout) == (EXIT_PRECONDITION, b"")
-        assert message in done.stderr and b"cap" in done.stderr
+        assert message in done.stderr
+
+    @pytest.mark.parametrize(
+        "argv, channel, refused",
+        [
+            (("mac-sim", "--gamma", "0.7"), None, True),
+            # receiver 0 hears user 1, receiver 1 hears nobody
+            (("network", "--simulate"), "2\n0.7 1\n0 0.7\n", True),
+            # the control: nobody hears an interferer, so no pair decoder is built
+            (("network", "--simulate"), "2\n0.7 0\n0 0.7\n", False),
+        ],
+        ids=["mac-sim", "hearing-receiver", "single-user-network"],
+    )
+    def test_pair_decoder_refuses_k_below_2(self, capsys, tmp_path, argv, channel, refused):
+        if channel is not None:
+            (tmp_path / "h2.txt").write_text(channel)
+            argv = (*argv, "--channel", str(tmp_path / "h2.txt"))
+        code, out, err = run_cli(capsys, *argv, "--snr-db", "20", "--p", "5", "--n", "8",
+                                 "--k", "1", "--trials", "10")
+        if refused:
+            assert (code, out) == (EXIT_PRECONDITION, "")
+            assert err == K_REFUSED
+        else:
+            assert (code, err) == (0, "") and out.splitlines()[-1].startswith("net,10,")
 
     @pytest.mark.parametrize(
         "grid, message",

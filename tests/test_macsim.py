@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from lia import codes, macsim
 from lia.codes import LinearCode, encode, messages_dependent, sample_code
 from lia.macsim import (
     AMBIGUOUS,
@@ -268,21 +269,30 @@ class TestPairDecoder:
 
     @pytest.mark.parametrize("p, n, k", [(3, 4, 2), (5, 32, 2), (7, 16, 3)])
     def test_held_arrays_are_what_the_cap_counts(self, p, n, k):
-        # one decoder per gain, each with arrays of its own, and the code's one
-        # enumeration, which every decoder reads
+        # d decoders of one code share the code's gain-free arrays and its
+        # enumeration; each holds only its own psi.  Every distinct array is
+        # counted once
         code = sample_code(p, n, k, seed=0)
         count = p**k
         # _decoder_bytes less one block decode's temporaries and one re-scored chunk
         block = _block_rows(count, n, p) * _per_vector_bytes(count, n, p)
         chunk = min(count * count, _RESCORE_ROWS) * (8 * n + 4) * 8
         decoders = []
-        for gamma in (0.3, 0.6):
+        for gamma in (0.3, 0.6, 0.9):
             decoders.append(PairDecoder(code, gamma))
-            held = [a for dec in decoders for a in (dec._onehot, dec.mask, dec.psi, dec._cols)]
-            held += [code.messages, code.residues, code.reals]
-            assert all(dec.code is code for dec in decoders)
+            arrays = [a for dec in decoders for a in (dec._onehot, dec.mask, dec.psi, dec._cols)]
+            arrays += [code.messages, code.residues, code.reals]
+            held = {id(a): a for a in arrays}
             want = _decoder_bytes(count, n, p, k, len(decoders)) - block - chunk
-            assert sum(a.nbytes for a in held) == want
+            assert sum(a.nbytes for a in held.values()) == want
+        shared = decoders[0].mask, decoders[0]._cols, decoders[0]._onehot
+        for dec in decoders:
+            assert dec.code is code
+            assert all(a is b for a, b in zip((dec.mask, dec._cols, dec._onehot), shared))
+        assert len({id(dec.psi) for dec in decoders}) == 3
+        for a in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1
 
     @pytest.mark.parametrize("p, k", [(3, 2), (5, 2), (3, 3)])
     def test_mask_matches_messages_dependent(self, p, k):
@@ -480,6 +490,24 @@ def test_both_simulators_check_the_run_before_building_a_decoder(
         with pytest.raises(ValueError) as checked:
             check_run(snr, trials, seed, [SQRT2_OVER_2], code)
         assert str(raised.value) == str(checked.value)
+
+
+def test_distinct_gains_pay_one_copy_of_the_gain_free_arrays(monkeypatch):
+    # the run check alone, which builds nothing: three distinct paired gains
+    # charge the code's gain-free arrays once and a p x p psi each, so at p=53,
+    # k=2 they fit at n=60 (173.3 MB) and n=115 (266.8 MB), where three copies
+    # of those arrays fit only up to n=45; one gain at n=116 is still refused
+    def built(*args):
+        raise AssertionError("the run check built an array")
+
+    monkeypatch.setattr(macsim, "_gain_free", built)
+    monkeypatch.setattr(codes, "_all_messages", built)
+    gains = [SQRT2_OVER_2, 0.5, 0.3]
+    for n, mb in [(60, 173.3), (115, 266.8)]:
+        assert round(_decoder_bytes(53**2, n, 53, 2, 3) / 1e6, 1) == mb
+        check_run(100.0, 10, 0, gains, sample_code(53, n, 2, seed=0))
+    with pytest.raises(ValueError, match=r"^decoder needs \d+ bytes for 1 distinct gain"):
+        check_run(100.0, 10, 0, gains[:1], sample_code(53, 116, 2, seed=0))
 
 
 def test_snr_one_db_above_the_noise_overflow_runs_like_the_per_trial_loops():

@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -354,11 +356,15 @@ class TestSimulateNetwork:
 
     def test_pair_decoders_read_one_enumeration(self, monkeypatch):
         # two distinct interfering direct gains make two pair decoders; they and
-        # the run's blocks read the code's one enumeration, built once per run
+        # the run's blocks read the code's one enumeration, built once per run,
+        # and the decoders the code's one set of gain-free arrays, also built
+        # once and dropped with the code
         code, snr = sample_code(5, 8, 2, seed=1), db_to_linear(20)
         H = ChannelMatrix(K=3, direct=(0.7, 0.6, 0.7), cross=1 - np.eye(3, dtype=np.int64))
         built, build = [], codes._all_messages
         monkeypatch.setattr(codes, "_all_messages", lambda c: built.append(c) or build(c))
+        shared, share = [], macsim._gain_free
+        monkeypatch.setattr(macsim, "_gain_free", lambda c: shared.append(c) or share(c))
         decoders = []
 
         class Recorded(macsim.PairDecoder):
@@ -368,11 +374,16 @@ class TestSimulateNetwork:
 
         monkeypatch.setattr(network, "PairDecoder", Recorded)
         res = simulate_network(H, code, snr, 60, 4)
-        assert built == [code]
+        assert built == [code] and shared == [code]
         assert len(decoders) == 2 and all(d.code is code for d in decoders)
         for d in decoders:
             assert np.array_equal(d._cols - 5 * np.arange(8), code.residues)
+            assert d.mask is decoders[0].mask and d._onehot is decoders[0]._onehot
         assert res == network_result(network_trial_outcomes(H, code, snr, 4, 60))
+        mask = weakref.ref(decoders[0].mask)
+        del code, decoders, d, built, shared
+        gc.collect()
+        assert mask() is None
 
     def test_negative_seed_rejected_before_decoding(self):
         with pytest.raises(ValueError, match="seed"):
