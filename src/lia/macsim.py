@@ -18,15 +18,16 @@ by the rule integers follows, and draws each trial's noise in place into a
 block array, scaled once; a trial whose reduction rejects a 32-bit draw,
 which happens with probability below p / 2**32 per draw, is drawn again the
 reference way.  A block's codewords come from the code's enumeration, its
-dependent draws from the decoder's mask, its received vectors from one
-channel evaluation, and its decisions from one PairDecoder.decode_many
-call, which decides every row exactly as decoding it alone would.  The
-decoder scores every pair in float32 and re-scores, in float64, each pair
-whose score lies within the float32 rounding of its row's minimum, so its
-decisions are those of the float64 pairs x n table, bit for bit.  The
-substreams' generators are built from seed words that substream_words hashes
-for a whole span of trials at once, the words SeedSequence itself would
-generate, so every draw is the one SeedSequence's own generator makes.
+dependent draws from the code's sorted index of dependent pairs, its
+received vectors from one channel evaluation, and its decisions from one
+PairDecoder.decode_many call, which decides every row exactly as decoding it
+alone would.  The decoder scores pairs in float32, in tiles of at most
+about _BATCH_BYTES, and re-scores, in float64, each pair whose score lies
+within the float32 rounding of its row's minimum, so its decisions are those
+of the float64 pairs x n table, bit for bit.  The substreams' generators
+are built from seed words that substream_words hashes for a whole span of
+trials at once, the words SeedSequence itself would generate, so every draw
+is the one SeedSequence's own generator makes.
 """
 
 from __future__ import annotations
@@ -141,48 +142,48 @@ def _blocks(total: int, size: int):
     return (range(start, min(start + size, total)) for start in range(0, total, size))
 
 
-def nearest_rows(Y: np.ndarray, tables) -> np.ndarray:
-    """Index of the row closest to each row y of Y in sum_t ([y_t - row_t]*)^2.
+def _metrics(Y: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_t ([y_t - row_t]*)^2 in float64 for each row y of Y (axis 0) and row of ``table``;
+    its bits do not depend on how many rows either has (mod_interval is elementwise, and
+    einsum sums each row's n terms in an order fixed by n)."""
+    d = mod_interval(Y[:, None, :] - table).reshape(-1, table.shape[1])
+    return np.einsum("ij,ij->i", d, d).reshape(Y.shape[0], -1)
 
-    ``tables`` is an iterable of 2-D arrays whose rows, taken in order, are
-    the candidates; the index counts across them.  It is -1 where the
-    minimum is attained more than once (exact float equality), which the
-    callers declare a decoding error.  A metric's bits do not depend on how
-    many rows Y or a table has: mod_interval is elementwise and einsum sums
-    each row's n terms in an order fixed by n.
+
+def nearest_rows(Y: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Index of the row of ``table`` closest to each row y of Y in sum_t ([y_t - row_t]*)^2.
+
+    It is -1 where the minimum is attained more than once (exact float
+    equality), which the caller declares a decoding error.
     """
-    best = np.full(Y.shape[0], np.inf)
-    winner = np.zeros(Y.shape[0], dtype=np.int64)
-    tied = np.zeros(Y.shape[0], dtype=bool)
-    offset = 0
-    for table in tables:
-        d = mod_interval(Y[:, None, :] - table).reshape(-1, table.shape[1])
-        metrics = np.einsum("ij,ij->i", d, d).reshape(Y.shape[0], -1)
-        low = metrics.min(axis=1)
-        at = metrics == low[:, None]
-        take = low <= best
-        tied = np.where(take, (np.count_nonzero(at, axis=1) > 1) | (low == best), tied)
-        winner = np.where(take, offset + at.argmax(axis=1), winner)
-        best = np.minimum(best, low)
-        offset += table.shape[0]
-    return np.where(tied, -1, winner)
+    metrics = _metrics(Y, table)
+    at = metrics == metrics.min(axis=1, keepdims=True)
+    return np.where(np.count_nonzero(at, axis=1) > 1, -1, at.argmax(axis=1))
+
+
+def _tile_rows(count: int) -> int:
+    """Rows i of a vector's count x count pair scores held at once: all while they fit in
+    _BATCH_BYTES at 5 bytes a pair (float32 score, bool candidate test), else as many as
+    fit, at least two, so that every tile holds an independent pair (a finite minimum)."""
+    return min(count, max(2, _BATCH_BYTES // (5 * count)))
 
 
 def _per_vector_bytes(count: int, n: int, p: int) -> int:
     """Temporaries of decoding one received vector, as the block size charges them.
 
-    The gathered squares (count x n*p float32) beside the metric matrix
-    (count x count float32), the candidate test (count x count bool) and eight
+    The gathered squares (count x n*p float32) beside one tile of pair scores
+    (_tile_rows(count) x count float32 and their candidate test, bool) and eight
     float64 n x p x p tables.  The distance stage holds about two (17*n*p*p bytes:
     mod_interval and the square work in place); eight stays as the block-size setting,
     since charging 17*n*p*p grew blocks from 52 to 99 rows at p=5, n=8, k=2 and slowed
     a 3,000-trial network run from 86 to 90 ms.
     """
-    return count * n * p * 4 + count * count * 5 + 8 * n * p * p * 8
+    return count * n * p * 4 + count * _tile_rows(count) * 5 + 8 * n * p * p * 8
 
 
 def _block_rows(count: int, n: int, p: int) -> int:
-    """Received vectors decoded together: as many as fit in _BATCH_BYTES, at least one."""
+    """Received vectors decoded together: as many as fit in _BATCH_BYTES, at least one
+    (exactly one when a vector's scores take more than one tile)."""
     return max(1, _BATCH_BYTES // _per_vector_bytes(count, n, p))
 
 
@@ -190,15 +191,19 @@ def _decoder_bytes(count: int, n: int, p: int, k: int, decoders: int = 1) -> int
     """Bytes ``decoders`` PairDecoders of one code hold plus the temporaries of one block decode.
 
     The code holds once, however many decoders read them, its gain-free decoder arrays
-    (_gain_free: the count x count float32 mask, the count x n int64 one-hot columns and
-    the count x n*p float32 one-hot codebook) and its enumeration (messages, residues
-    and reals); each decoder holds its own psi.  Per block: the temporaries of
-    _block_rows received vectors (_per_vector_bytes each; the block's candidate list
-    takes the place of its freed metric matrices), and one chunk of re-scored psi rows.
+    (_gain_free: the sorted int64 index of the count + (count - 1)*p dependent pairs,
+    the count x n int64 one-hot columns and the count x n*p float32 one-hot codebook)
+    and its enumeration (messages, residues and reals); each decoder holds its own
+    psi.  Per block: the temporaries of _block_rows received vectors (_per_vector_bytes
+    each) and their candidate list, at most every pair of their tiles at 8 bytes a
+    pair (a code whose pairs all tie), and one chunk of re-scored psi rows, which also
+    covers the fewer than _RESCORE_ROWS candidates a row keeps from one tile to the next.
     """
-    shared = count * n * p * 4 + count * count * 4 + count * n * 8 + count * (2 * n + k) * 8
+    index = (count + (count - 1) * p) * 8
+    shared = count * n * p * 4 + index + count * n * 8 + count * (2 * n + k) * 8
     once = shared + min(count * count, _RESCORE_ROWS) * (8 * n + 4) * 8
-    return once + p * p * 8 * decoders + _block_rows(count, n, p) * _per_vector_bytes(count, n, p)
+    block = _per_vector_bytes(count, n, p) + count * _tile_rows(count) * 8
+    return once + p * p * 8 * decoders + _block_rows(count, n, p) * block
 
 
 def _check_decoders(code: LinearCode, decoders: int) -> None:
@@ -214,21 +219,26 @@ def _check_decoders(code: LinearCode, decoders: int) -> None:
 
 def _gain_free(code: LinearCode):
     """The read-only arrays every PairDecoder of ``code`` reads, whatever its gain: the
-    additive mask (+inf on dependent pairs), the one-hot columns and the one-hot codebook."""
+    sorted flat indices i*M + j of the linearly dependent pairs, the one-hot columns and
+    the one-hot codebook."""
     p, n = code.p, code.n
     count = p**code.k
-    # mask[i, j] is +inf iff (w_i, w_j) linearly dependent: message 0 is the zero
-    # vector, and j = c*w_i (c = 1..p-1) sits at row base-p value of c*w_i
-    mask = np.zeros((count, count), dtype=np.float32)
-    mask[0, :] = mask[:, 0] = np.inf
-    multiples = (np.arange(1, p)[:, None, None] * code.messages) % p
-    mask[np.arange(count), code.rows(multiples)] = np.inf
+    # (w_i, w_j) is dependent iff w_i is message 0, the zero vector, or w_j = t*u_i for
+    # a t in 0..p-1, where u_i is w_i scaled to leading digit 1: t*u_i has leading digit
+    # t, so row i's base-p values ascend with t, and the index is built in order (no
+    # sort, and no np.unique, which imports numpy.ma)
+    nonzero = code.messages[1:]
+    lead = nonzero[np.arange(count - 1), np.argmax(nonzero != 0, axis=1)]
+    inverse = np.array([0] + [pow(a, -1, p) for a in range(1, p)])
+    unit = inverse[lead][:, None] * nonzero % p
+    lines = code.rows(np.arange(p)[:, None, None] * unit % p).T + np.arange(1, count)[:, None] * count
+    dependent = np.concatenate((np.arange(count), lines.reshape(-1)))
     # column t*p + c_i,t of the one-hot row i; also the row of D[t, c_i,t]
     # in D reshaped to (n*p) x p
     cols = code.residues + p * np.arange(n)
     onehot = np.zeros((count, n * p), dtype=np.float32)
     np.put_along_axis(onehot, cols, 1.0, axis=1)
-    return _read_only(mask), _read_only(cols), _read_only(onehot)
+    return _read_only(dependent), _read_only(cols), _read_only(onehot)
 
 
 _GAIN_FREE = weakref.WeakKeyDictionary()  # code -> _gain_free(code), dropped with the code
@@ -242,13 +252,15 @@ class PairDecoder:
     constellation ``psi[a, b] = [grid(a) + gamma*grid(b)]*``.  decode_many()
     takes a block of received vectors y and builds, per y, the n x p x p
     table D[t, a, b] = ([y_t - psi[a, b]]*)^2 in float64, casts its squares
-    to float32, gathers E[i, (t, b)] = D[t, c_i,t, b] and scores every pair
-    at once as the count x count float32 matrix E @ A.T plus an additive
-    mask, +inf on linearly dependent pairs, where A is the one-hot codebook;
-    the whole block is one distance table, one gather and one matrix product.
-    No per-pair table is formed.  A, the mask and the gather columns are the
-    code's (_gain_free), built once and read by all its decoders, read-only;
-    psi alone is a decoder's own.  n_pairs = (M - 1)(M - p) are independent, M = p**k.
+    to float32 and gathers E[i, (t, b)] = D[t, c_i,t, b]; E @ A.T, A the
+    one-hot codebook, scores the pairs (i, j) in float32, and +inf goes into
+    the dependent pairs, whose sorted flat indices i*M + j (``dependent``)
+    the code holds.  While a vector's M x M scores fit in about _BATCH_BYTES
+    (_tile_rows), the block is one matrix product; past that the block is one
+    vector, scored a tile of rows i at a time, so no M x M array is formed.
+    A, the index and the gather columns are the code's (_gain_free), built
+    once, read-only and read by all its decoders; psi alone is a decoder's
+    own.  n_pairs = (M - 1)(M - p) are independent, M = p**k.
 
     A float32 score is not the float64 metric, and the matrix product sums
     each score in an order of its own.  Each cast square is its float64
@@ -260,13 +272,20 @@ class PairDecoder:
     stand in the other order from their float64 metrics only when they lie
     within about a relative 2*n*eps plus n*tiny of each other.  Every pair
     scored within a relative 16*n*eps (room to spare) plus n*tiny of its
-    row's minimum is therefore re-scored on its psi row by ``nearest_rows``
-    in float64 (mod_interval, einsum, a minimum attained more than once is
-    ambiguous), in chunks of _RESCORE_ROWS: every decision, ties included,
-    is the one the exhaustive pairs x n table gives, bit for bit, however
-    many vectors are decoded together, block_rows at a time (_block_rows).
-    The decoder is refused before it is built when k < 2 or when its arrays
-    plus one block decode's temporaries would exceed DECODER_TABLE_BYTES_CAP.
+    row's minimum, the near set, is therefore re-scored on its psi row in
+    float64 (mod_interval, einsum): the least metric decides, and a minimum
+    attained more than once is ambiguous.  Each tile keeps the pairs within
+    that bound of the running minimum of the scores so far, which only
+    falls: the tiles keep a superset of the near set, and a kept pair outside
+    it has a float64 metric above the least, so it changes no decision.
+    Re-scoring goes in chunks of _RESCORE_ROWS (_shortlist), and between
+    tiles a vector's kept list is cut to its two least pairs whenever it
+    fills a chunk, so even a code whose pairs all tie stays bounded.  Every
+    decision, ties included, is the exhaustive pairs x n table's, bit for
+    bit, however many vectors are decoded together, block_rows at a time
+    (_block_rows), and however many tiles a vector's scores take.  The
+    decoder is refused before it is built when k < 2 or when its arrays plus
+    one block decode's temporaries would exceed DECODER_TABLE_BYTES_CAP.
     """
 
     def __init__(self, code: LinearCode, gamma: Gain):
@@ -275,15 +294,21 @@ class PairDecoder:
         _check_decoders(code, 1)
         self.code = code
         self.block_rows = _block_rows(count, n, p)
+        self.tile_rows = _tile_rows(count)
         self.n_pairs = (count - 1) * (count - p)
         if code not in _GAIN_FREE:
             _GAIN_FREE[code] = _gain_free(code)
-        self.mask, self._cols, self._onehot = _GAIN_FREE[code]
+        self.dependent, self._cols, self._onehot = _GAIN_FREE[code]
         grid = grid_real(np.arange(p), p)
         self.psi = mod_interval(grid[:, None] + float(gamma) * grid[None, :])
         self._slack = 16 * n * np.finfo(np.float32).eps
         # error below the normal range is absolute, up to tiny per square if flushed to zero
         self._floor = n * np.finfo(np.float32).tiny
+
+    def is_dependent(self, flat) -> np.ndarray:
+        """Whether each message pair (w_i, w_j) at flat = i*M + j is linearly dependent."""
+        # the last pair, (M-1, M-1), is dependent, so no pair sorts past the index's end
+        return self.dependent[np.searchsorted(self.dependent, flat)] == flat
 
     def decode(self, y):
         """Closest pair (w_i, w_j), or AMBIGUOUS when the minimum ties."""
@@ -317,31 +342,58 @@ class PairDecoder:
         d *= d
         e = np.take(d.astype(np.float32).reshape(rows, n * p, p), self._cols, axis=1)
         del d
-        s = e.reshape(rows * count, n * p) @ self._onehot.T
-        del e
-        s = s.reshape(rows, count * count)
-        s += self.mask.reshape(-1)
-        near = s <= s.min(axis=1, keepdims=True) * (1.0 + self._slack) + self._floor
-        del s  # the candidate list below takes the metric matrix's place
-        flat = np.flatnonzero(near)  # r*M*M + i*M + j for pair (i, j) of row r, ascending
-        del near
+        # each tile's candidates r*M*M + i*M + j, ascending; a row is cut into tiles
+        # only when it is the block's one row, so a tile's pairs start at its first i
+        cut = self.tile_rows < count
+        kept = []
+        for i in range(0, count, self.tile_rows):
+            dependent = self.dependent
+            if cut:  # the tile's own dependent pairs, counted from its first pair
+                lo, hi = np.searchsorted(dependent, (i * count, (i + self.tile_rows) * count))
+                dependent = dependent[lo:hi] - i * count
+            s = (e[:, i : i + self.tile_rows].reshape(-1, n * p) @ self._onehot.T).reshape(rows, -1)
+            if not cut:
+                del e  # the only tile: its candidate test takes the gathered squares' place
+            s[:, dependent] = np.inf
+            least = s.min(axis=1, keepdims=True)
+            low = np.minimum(low, least) if i else least  # running minimum across tiles
+            near = s <= low * (1.0 + self._slack) + self._floor
+            del s  # the candidate list below takes the tile's place
+            hits = np.flatnonzero(near)
+            del near
+            hits += i * count
+            kept.append(hits)
+            if cut and sum(a.size for a in kept) >= _RESCORE_ROWS:
+                kept = [self._shortlist(Y[0], kept)]
+        flat = kept[0] if len(kept) == 1 else np.concatenate(kept)
         square = count * count
         first = np.searchsorted(flat, np.arange(rows + 1) * square)
         out = flat[first[:-1]] - np.arange(rows) * square
         for r in np.flatnonzero(np.diff(first) > 1):
-            hits = flat[first[r] : first[r + 1]]
-            chunks = (
-                self._psi_rows(hits[c.start : c.stop] - r * square)
-                for c in _blocks(hits.size, _RESCORE_ROWS)
-            )
-            h = nearest_rows(Y[r : r + 1], chunks)[0]
-            out[r] = -1 if h < 0 else hits[h] - r * square
+            best = self._shortlist(Y[r], [flat[first[r] : first[r + 1]]])
+            out[r] = best[0] - r * square if best.size == 1 else -1
         return out
 
+    def _shortlist(self, y, pieces):
+        """At most two of the candidates r*M*M + i*M + j in ``pieces`` whose float64 metric
+        at y is least: one decides, two tie, a third changes nothing.  Scored _RESCORE_ROWS
+        at a time; each chunk's least two stand for it, so theirs are the least of all."""
+        while True:
+            kept = []
+            for piece in pieces:
+                for c in _blocks(piece.size, _RESCORE_ROWS):
+                    part = piece[c.start : c.stop]
+                    metrics = _metrics(y[None], self._psi_rows(part))[0]
+                    kept.append(part[metrics == metrics.min()][:2])
+            if len(kept) == 1:
+                return kept[0]
+            pieces = [np.concatenate(kept)]
+
     def _psi_rows(self, flat):
-        """psi(i, j) rows, n components each, of the pairs at flat = i*M + j."""
-        rows, cols = np.divmod(flat, len(self.code.messages))
-        return self.psi[self.code.residues[rows], self.code.residues[cols]]
+        """psi(i, j) rows, n components each, of the pairs at flat = r*M*M + i*M + j."""
+        count = len(self.code.messages)
+        rows, cols = np.divmod(flat, count)
+        return self.psi[self.code.residues[rows % count], self.code.residues[cols]]
 
 
 def _words32(x: int) -> list[int]:
@@ -528,7 +580,8 @@ def estimate_error_prob(
     dependent = errors_independent = ambiguous = 0
     for block, W, Z in trial_blocks(code, trials, seed, [()], 2, sigma, 0):
         sent = code.rows(W)  # w1, w2 of each trial
-        independent = np.flatnonzero(decoder.mask[sent[:, 0], sent[:, 1]] == 0.0)
+        pair = sent @ [len(code.messages), 1]
+        independent = np.flatnonzero(~decoder.is_dependent(pair))
         dependent += len(block) - independent.size
         sent = sent[independent]
         # a dependent draw's noise is drawn too, but only independent draws use theirs
@@ -537,7 +590,7 @@ def estimate_error_prob(
         )
         decided = decoder.decode_many(y)
         ambiguous += int(np.count_nonzero(decided < 0))
-        errors_independent += int(np.count_nonzero(decided != sent @ [len(code.messages), 1]))
+        errors_independent += int(np.count_nonzero(decided != pair[independent]))
     errors = dependent + errors_independent
     return SimResult(
         trials=trials,

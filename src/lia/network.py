@@ -166,7 +166,7 @@ class NetworkSimResult:
     ``receiver_ambiguous`` counts, per receiver, the errors that were
     decoder ties; the rest of ``receiver_errors`` are wrong decodes.
     ``receiver_dependent`` counts, per receiver, the trials whose pair
-    (w_IF, w_j) is linearly dependent, which its pair decoder masks; it is 0
+    (w_IF, w_j) is linearly dependent, which its pair decoder skips; it is 0
     for a receiver that decodes alone.
     """
 
@@ -219,16 +219,17 @@ def simulate_network(
         # desired message out): the codeword of sum_k a_jk w_k mod p
         aligned = code.rows(cross @ W % p)
         y = mod_interval(code.reals[aligned] + diag[:, None] * code.reals[sent] + z)
+        pairs = aligned * len(code.messages) + sent  # (w_IF, w_j) of each receiver
         failed = np.zeros(len(block), dtype=bool)
         for j in range(K):
             if has_interference[j]:
                 decoder = pair_decoders[diag[j]]
                 # the desired message plays the gain-h_jj (second) role
-                dependent[j] += int(np.count_nonzero(decoder.mask[aligned[:, j], sent[:, j]]))
+                dependent[j] += int(np.count_nonzero(decoder.is_dependent(pairs[:, j])))
                 decided = decoder.decode_many(y[:, j])
                 decided = np.where(decided < 0, -1, decided % len(code.messages))
             else:
-                decided = nearest_rows(y[:, j], [single_tables[diag[j]]])
+                decided = nearest_rows(y[:, j], single_tables[diag[j]])
             erred = decided != sent[:, j]
             errors[j] += int(np.count_nonzero(erred))
             ambiguous[j] += int(np.count_nonzero(decided < 0))

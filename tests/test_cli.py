@@ -619,6 +619,34 @@ class TestGlobalBehavior:
         )
         assert done.stdout == b"False\n"
 
+    def test_no_command_imports_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma, about 31 ms and 9 MB a process with numpy 2.4:
+        # no command may pay for it, the simulations with their decoders included
+        (tmp_path / "h3.txt").write_text("3\n1.41 0.87 2.24\n2.65 1.66 1.2\n1.03 4.36 1.6\n")
+        sim = ["--p", "3", "--n", "4", "--k", "2", "--trials", "20"]
+        commands = [
+            ["rate", "--gamma", "0.7", "--snr-db", "40"],
+            ["sweep", "--gamma", "0.1:0.4:0.1", "--snr-db", "20,40"],
+            ["mac-sim", "--gamma", "0.7", "--snr-db", "20", *sim],
+            ["network", "--channel", CHANNEL5, "--snr-db", "20,40"],
+            ["network", "--channel", CHANNEL5, "--snr-db", "20", "--simulate", *sim],
+            ["power-time", "--channel", str(tmp_path / "h3.txt"), "--snr-db", "80,120"],
+            ["dof-scan", "--gamma", "0.7", "--snr-db", "40,80"],
+        ]
+        script = (
+            "import contextlib, io, sys\n"
+            "from lia.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "    print(argv[0], 'numpy.ma' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=child_env(), capture_output=True, timeout=120,
+            check=True,
+        )
+        assert done.stdout.decode().split() == [w for c in commands for w in (c[0], "False")]
+
     @pytest.mark.parametrize(
         "argv, channel, status, expected",
         [

@@ -23,6 +23,7 @@ from lia.macsim import (
     _generator_from_words,
     _lemire,
     _per_vector_bytes,
+    _tile_rows,
     check_run,
     estimate_error_prob,
     mod_mac_channel,
@@ -148,7 +149,8 @@ class TestPairDecoder:
     def test_all_independent_pairs_decode_noiselessly(self):
         code = sample_code(3, 8, 2, seed=5)
         dec = PairDecoder(code, SQRT2_OVER_2)
-        i_idx, j_idx = np.nonzero(dec.mask == 0.0)
+        i_idx, j_idx = np.divmod(np.flatnonzero(~dec.is_dependent(np.arange(81))), 9)
+        assert i_idx.size == dec.n_pairs
         for i, j in zip(i_idx[::5], j_idx[::5]):
             w1, w2 = code.messages[i], code.messages[j]
             y = mod_interval(encode(code, w1).reals + SQRT2_OVER_2 * encode(code, w2).reals)
@@ -267,40 +269,46 @@ class TestPairDecoder:
         assert PairDecoder(sample_code(7, 16, 3, seed=0), 0.3).block_rows == 1
         assert PairDecoder(sample_code(5, 8, 2, seed=0), 0.3).block_rows > 1
 
-    @pytest.mark.parametrize("p, n, k", [(3, 4, 2), (5, 32, 2), (7, 16, 3)])
+    @pytest.mark.parametrize("p, n, k", [(3, 4, 2), (5, 32, 2), (7, 16, 3), (11, 8, 3)])
     def test_held_arrays_are_what_the_cap_counts(self, p, n, k):
         # d decoders of one code share the code's gain-free arrays and its
         # enumeration; each holds only its own psi.  Every distinct array is
-        # counted once
+        # counted once; p=11, k=3 scores a row in tiles
         code = sample_code(p, n, k, seed=0)
         count = p**k
-        # _decoder_bytes less one block decode's temporaries and one re-scored chunk
-        block = _block_rows(count, n, p) * _per_vector_bytes(count, n, p)
+        # _decoder_bytes less one block decode's temporaries with their candidate
+        # list, and one re-scored chunk
+        tile = _tile_rows(count) * count
+        block = _block_rows(count, n, p) * (_per_vector_bytes(count, n, p) + 8 * tile)
         chunk = min(count * count, _RESCORE_ROWS) * (8 * n + 4) * 8
         decoders = []
         for gamma in (0.3, 0.6, 0.9):
             decoders.append(PairDecoder(code, gamma))
-            arrays = [a for dec in decoders for a in (dec._onehot, dec.mask, dec.psi, dec._cols)]
+            arrays = [a for dec in decoders for a in (dec._onehot, dec.dependent, dec.psi, dec._cols)]
             arrays += [code.messages, code.residues, code.reals]
             held = {id(a): a for a in arrays}
             want = _decoder_bytes(count, n, p, k, len(decoders)) - block - chunk
             assert sum(a.nbytes for a in held.values()) == want
-        shared = decoders[0].mask, decoders[0]._cols, decoders[0]._onehot
+        shared = decoders[0].dependent, decoders[0]._cols, decoders[0]._onehot
         for dec in decoders:
             assert dec.code is code
-            assert all(a is b for a, b in zip((dec.mask, dec._cols, dec._onehot), shared))
+            assert all(a is b for a, b in zip((dec.dependent, dec._cols, dec._onehot), shared))
         assert len({id(dec.psi) for dec in decoders}) == 3
         for a in shared:
             with pytest.raises(ValueError, match="read-only"):
-                a[0, 0] = 1
+                a[(0,) * a.ndim] = 1
 
-    @pytest.mark.parametrize("p, k", [(3, 2), (5, 2), (3, 3)])
-    def test_mask_matches_messages_dependent(self, p, k):
+    @pytest.mark.parametrize("p, k", [(2, 3), (3, 2), (5, 2), (3, 3)])
+    def test_dependent_index_matches_messages_dependent(self, p, k):
+        # the index is the sorted flat i*M + j of exactly the pairs messages_dependent
+        # calls dependent, M + (M - 1)*p of them, and is_dependent reads it on every pair
         code = sample_code(p, 4, k, seed=1)
         dec = PairDecoder(code, 0.3)
         want = np.asarray([[messages_dependent(a, b, p) for b in code.messages] for a in code.messages])
-        assert np.array_equal(np.isinf(dec.mask), want)
-        assert np.all(dec.mask[~want] == 0.0)
+        M = p**k
+        assert np.array_equal(dec.dependent, np.flatnonzero(want))
+        assert dec.dependent.size == M + (M - 1) * p == M * M - dec.n_pairs
+        assert np.array_equal(dec.is_dependent(np.arange(M * M)), want.reshape(-1))
 
     def test_metric_invariant_to_interval_shifts(self):
         code = sample_code(3, 8, 2, seed=5)
@@ -349,6 +357,53 @@ class TestPairDecoder:
             tracemalloc.stop()
         assert outs[0] is AMBIGUOUS
         assert peak <= _decoder_bytes(7**3, 16, 7, 3) <= DECODER_TABLE_BYTES_CAP
+
+    def test_decoder_in_tiles_holds_no_pair_matrix(self):
+        # p=11, k=3 has 1331**2 pairs, 7.1 MB of float32 scores a row: the row is
+        # scored in tiles of about 1 MiB, so building the decoder and decoding three
+        # vectors peaks at 2.2 MiB traced (15.9 MiB with a dense float32 mask and
+        # whole-row scores)
+        code = sample_code(11, 8, 3, seed=0)
+        ys = np.random.default_rng(5).uniform(-L / 2, L / 2, size=(3, 8))
+        tracemalloc.start()
+        try:
+            dec = PairDecoder(code, SQRT2_OVER_2)
+            dec.decode_many(ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+        assert dec.tile_rows < 11**3
+
+    def test_all_tie_code_in_tiles_within_bound(self):
+        # an all-zero generator ties every independent pair at y = 0, in every
+        # tile: each row keeps fewer than _RESCORE_ROWS candidates from one tile to
+        # the next, so the peak stays within the charge (5.5 MB of 6.4 MB), where
+        # keeping all 1.75 million would take 14 MB of indices alone
+        code = LinearCode(p=11, n=8, k=3, generator=np.zeros((3, 8), dtype=np.int64))
+        tracemalloc.start()
+        try:
+            dec = PairDecoder(code, SQRT2_OVER_2)
+            out = dec.decode(np.zeros(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out is AMBIGUOUS
+        assert peak <= _decoder_bytes(11**3, 8, 11, 3)
+
+    @pytest.mark.parametrize(
+        "check",
+        ["test_agrees_with_oracle_on_tie_corpus", "test_agrees_with_oracle_on_near_ties",
+         "test_decode_many_matches_oracle_row_by_row"],
+    )
+    def test_small_tiles_agree_with_oracle(self, monkeypatch, check):
+        # the oracle checks again with every row scored in tiles of two rows i
+        # and cut down whenever five candidates are kept, so that the running
+        # threshold, the dependent pairs of later tiles and the cut are all used
+        monkeypatch.setattr(macsim, "_BATCH_BYTES", 64)
+        monkeypatch.setattr(macsim, "_RESCORE_ROWS", 5)
+        assert PairDecoder(sample_code(3, 4, 2, seed=0), 0.3).tile_rows == 2
+        getattr(self, check)()
 
     def test_k1_has_empty_search_space(self):
         code = sample_code(5, 6, 1, seed=0)
@@ -495,19 +550,19 @@ def test_both_simulators_check_the_run_before_building_a_decoder(
 def test_distinct_gains_pay_one_copy_of_the_gain_free_arrays(monkeypatch):
     # the run check alone, which builds nothing: three distinct paired gains
     # charge the code's gain-free arrays once and a p x p psi each, so at p=53,
-    # k=2 they fit at n=60 (173.3 MB) and n=115 (266.8 MB), where three copies
-    # of those arrays fit only up to n=45; one gain at n=116 is still refused
+    # k=2 they fit at n=60 (106.2 MB) and n=155 (267.7 MB), as one gain does;
+    # one gain at n=156 (269.4 MB) is refused
     def built(*args):
         raise AssertionError("the run check built an array")
 
     monkeypatch.setattr(macsim, "_gain_free", built)
     monkeypatch.setattr(codes, "_all_messages", built)
     gains = [SQRT2_OVER_2, 0.5, 0.3]
-    for n, mb in [(60, 173.3), (115, 266.8)]:
+    for n, mb in [(60, 106.2), (155, 267.7)]:
         assert round(_decoder_bytes(53**2, n, 53, 2, 3) / 1e6, 1) == mb
         check_run(100.0, 10, 0, gains, sample_code(53, n, 2, seed=0))
     with pytest.raises(ValueError, match=r"^decoder needs \d+ bytes for 1 distinct gain"):
-        check_run(100.0, 10, 0, gains[:1], sample_code(53, 116, 2, seed=0))
+        check_run(100.0, 10, 0, gains[:1], sample_code(53, 156, 2, seed=0))
 
 
 def test_snr_one_db_above_the_noise_overflow_runs_like_the_per_trial_loops():

@@ -263,7 +263,7 @@ class TestSimulateNetwork:
     def test_dependent_draws_counted_per_receiver(self):
         # every receiver of the bundled file hears an interferer, so each pair
         # (w_IF, w_j) is dependent with probability dependent_message_prob(5, 2);
-        # at 40 dB those masked draws are the receivers' errors
+        # at 40 dB those dependent draws are the receivers' errors
         H = load_channel_file(bundled_channel_path())
         trials = 2000
         res = simulate_network(H, sample_code(5, 8, 2, seed=1), db_to_linear(40), trials, 3)
@@ -272,7 +272,7 @@ class TestSimulateNetwork:
             lo, hi = wilson_interval(dep, trials)
             assert lo <= p_dep <= hi
             assert 0 < dep <= err
-        # a receiver that decodes alone has no pair to mask
+        # a receiver that decodes alone has no pair to classify
         H = ChannelMatrix(K=3, direct=(SQRT2_OVER_2, 0.5, 0.3), cross=ZERO_ROW_CROSS)
         res = simulate_network(H, sample_code(5, 8, 2, seed=1), db_to_linear(40), trials, 3)
         assert res.receiver_dependent[1] == 0
@@ -295,7 +295,7 @@ class TestSimulateNetwork:
     def test_cross_gain_multiple_of_p_decodes_alone(self):
         # a cross gain that is a nonzero multiple of p puts no interference on
         # the grid: the receivers must decode alone, as with cross gain 0, not
-        # through a pair decoder that masks the zero interferer as dependent
+        # through a pair decoder that counts the zero interferer as dependent
         code = sample_code(5, 8, 2, seed=1)
 
         def run(g):
@@ -378,12 +378,12 @@ class TestSimulateNetwork:
         assert len(decoders) == 2 and all(d.code is code for d in decoders)
         for d in decoders:
             assert np.array_equal(d._cols - 5 * np.arange(8), code.residues)
-            assert d.mask is decoders[0].mask and d._onehot is decoders[0]._onehot
+            assert d.dependent is decoders[0].dependent and d._onehot is decoders[0]._onehot
         assert res == network_result(network_trial_outcomes(H, code, snr, 4, 60))
-        mask = weakref.ref(decoders[0].mask)
+        dependent = weakref.ref(decoders[0].dependent)
         del code, decoders, d, built, shared
         gc.collect()
-        assert mask() is None
+        assert dependent() is None
 
     def test_negative_seed_rejected_before_decoding(self):
         with pytest.raises(ValueError, match="seed"):
