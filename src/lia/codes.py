@@ -54,7 +54,10 @@ def _all_messages(code: LinearCode) -> np.ndarray:
 class LinearCode:
     """A code and its enumeration, built once on first use and shared read-only: ``messages``
     (row i spells i in base p, most significant digit first, so rows() is the base-p value
-    of a message) and row i's codeword, as ``residues`` on Z_p and ``reals`` on the grid."""
+    of a message) and row i's codeword, as ``residues`` on Z_p and ``reals`` on the grid;
+    so too what its decoders read whatever their gain: ``dependent``, the sorted flat
+    indices i*M + j of the dependent message pairs (M = p**k), ``columns``, the one-hot
+    columns t*p + c_i,t of row i, and ``onehot``, the M x n*p float32 one-hot codebook."""
 
     p: int
     n: int
@@ -93,9 +96,39 @@ class LinearCode:
     def reals(self) -> np.ndarray:
         return _read_only(grid_real(self.residues, self.p))
 
+    @cached_property
+    def dependent(self) -> np.ndarray:
+        p, count = self.p, self.p**self.k
+        # (w_i, w_j) is dependent iff w_i is message 0, the zero vector, or w_j = t*u_i for
+        # a t in 0..p-1, where u_i is w_i scaled to leading digit 1: t*u_i has leading digit
+        # t, so row i's base-p values ascend with t, and the index is built in order (no
+        # sort, and no np.unique, which imports numpy.ma)
+        nonzero = self.messages[1:]
+        lead = nonzero[np.arange(count - 1), np.argmax(nonzero != 0, axis=1)]
+        inverse = np.array([0] + [pow(a, -1, p) for a in range(1, p)])
+        unit = inverse[lead][:, None] * nonzero % p
+        lines = self.rows(np.arange(p)[:, None, None] * unit % p).T + np.arange(1, count)[:, None] * count
+        return _read_only(np.concatenate((np.arange(count), lines.reshape(-1))))
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        # also the row of D[t, c_i,t] in an n x p x (...) table D reshaped to n*p rows
+        return _read_only(self.residues + self.p * np.arange(self.n))
+
+    @cached_property
+    def onehot(self) -> np.ndarray:
+        onehot = np.zeros((len(self.messages), self.n * self.p), dtype=np.float32)
+        np.put_along_axis(onehot, self.columns, 1.0, axis=1)
+        return _read_only(onehot)
+
     def rows(self, messages) -> np.ndarray:
         """Row of each message along the last axis."""
         return np.asarray(messages, dtype=np.int64) @ self._weights
+
+    def is_dependent(self, flat) -> np.ndarray:
+        """Whether each message pair (w_i, w_j) at flat = i*M + j is linearly dependent."""
+        # the last pair, (M-1, M-1), is dependent, so no pair sorts past the index's end
+        return self.dependent[np.searchsorted(self.dependent, flat)] == flat
 
 
 class Codeword:

@@ -21,25 +21,23 @@ reference way.  A block's codewords come from the code's enumeration, its
 dependent draws from the code's sorted index of dependent pairs, its
 received vectors from one channel evaluation, and its decisions from one
 PairDecoder.decode_many call, which decides every row exactly as decoding it
-alone would.  The decoder scores pairs in float32, in tiles of at most
-about _BATCH_BYTES, and re-scores, in float64, each pair whose score lies
-within the float32 rounding of its row's minimum, so its decisions are those
-of the float64 pairs x n table, bit for bit.  The substreams' generators
-are built from seed words that substream_words hashes for a whole span of
-trials at once, the words SeedSequence itself would generate, so every draw
-is the one SeedSequence's own generator makes.
+alone would, bit for bit as the float64 pairs x n table.  The same kernel
+decodes a network receiver that hears no interference: PairDecoder(...,
+alone=True), the pair decode with the first user known to be message 0.
+The substreams' generators are built from seed words that substream_words
+hashes for a whole span of trials at once, the words SeedSequence itself
+would generate, so every draw is the one SeedSequence's own generator makes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import Codeword, LinearCode, _read_only
+from .codes import Codeword, LinearCode
 # macsim.encode stays importable: bench/test_bench.py checks the tracer patches it here
 from .codes import encode  # noqa: F401
 from .diophantine import Gain
@@ -150,17 +148,6 @@ def _metrics(Y: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", d, d).reshape(Y.shape[0], -1)
 
 
-def nearest_rows(Y: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Index of the row of ``table`` closest to each row y of Y in sum_t ([y_t - row_t]*)^2.
-
-    It is -1 where the minimum is attained more than once (exact float
-    equality), which the caller declares a decoding error.
-    """
-    metrics = _metrics(Y, table)
-    at = metrics == metrics.min(axis=1, keepdims=True)
-    return np.where(np.count_nonzero(at, axis=1) > 1, -1, at.argmax(axis=1))
-
-
 def _tile_rows(count: int) -> int:
     """Rows i of a vector's count x count pair scores held at once: all while they fit in
     _BATCH_BYTES at 5 bytes a pair (float32 score, bool candidate test), else as many as
@@ -169,15 +156,12 @@ def _tile_rows(count: int) -> int:
 
 
 def _per_vector_bytes(count: int, n: int, p: int) -> int:
-    """Temporaries of decoding one received vector, as the block size charges them.
-
-    The gathered squares (count x n*p float32) beside one tile of pair scores
-    (_tile_rows(count) x count float32 and their candidate test, bool) and eight
-    float64 n x p x p tables.  The distance stage holds about two (17*n*p*p bytes:
-    mod_interval and the square work in place); eight stays as the block-size setting,
-    since charging 17*n*p*p grew blocks from 52 to 99 rows at p=5, n=8, k=2 and slowed
-    a 3,000-trial network run from 86 to 90 ms.
-    """
+    """Temporaries of decoding one received vector, as the block size charges them: the
+    gathered squares (count x n*p float32), one tile of pair scores (_tile_rows(count) x
+    count float32 and their bool candidate test) and eight float64 n x p x p tables, of
+    which the in-place distance stage holds about two; eight stays as the block-size
+    setting (charging two grew blocks from 52 to 99 rows at p=5, n=8, k=2 and slowed a
+    3,000-trial network run from 86 to 90 ms)."""
     return count * n * p * 4 + count * _tile_rows(count) * 5 + 8 * n * p * p * 8
 
 
@@ -190,14 +174,12 @@ def _block_rows(count: int, n: int, p: int) -> int:
 def _decoder_bytes(count: int, n: int, p: int, k: int, decoders: int = 1) -> int:
     """Bytes ``decoders`` PairDecoders of one code hold plus the temporaries of one block decode.
 
-    The code holds once, however many decoders read them, its gain-free decoder arrays
-    (_gain_free: the sorted int64 index of the count + (count - 1)*p dependent pairs,
-    the count x n int64 one-hot columns and the count x n*p float32 one-hot codebook)
-    and its enumeration (messages, residues and reals); each decoder holds its own
-    psi.  Per block: the temporaries of _block_rows received vectors (_per_vector_bytes
-    each) and their candidate list, at most every pair of their tiles at 8 bytes a
-    pair (a code whose pairs all tie), and one chunk of re-scored psi rows, which also
-    covers the fewer than _RESCORE_ROWS candidates a row keeps from one tile to the next.
+    Once: the code's enumeration and the arrays its decoders read (LinearCode.dependent,
+    count + (count - 1)*p int64; .columns, count x n int64; .onehot, count x n*p float32),
+    and one chunk of re-scored psi rows, which also covers the fewer than _RESCORE_ROWS
+    candidates a row keeps between tiles.  Per decoder its psi.  Per block, _block_rows
+    vectors' _per_vector_bytes and candidates, at most every pair of their tiles at 8
+    bytes a pair (a code whose pairs all tie).
     """
     index = (count + (count - 1) * p) * 8
     shared = count * n * p * 4 + index + count * n * 8 + count * (2 * n + k) * 8
@@ -217,101 +199,72 @@ def _check_decoders(code: LinearCode, decoders: int) -> None:
                          f" cap of {DECODER_TABLE_BYTES_CAP} (reduce p, k or n)")
 
 
-def _gain_free(code: LinearCode):
-    """The read-only arrays every PairDecoder of ``code`` reads, whatever its gain: the
-    sorted flat indices i*M + j of the linearly dependent pairs, the one-hot columns and
-    the one-hot codebook."""
-    p, n = code.p, code.n
-    count = p**code.k
-    # (w_i, w_j) is dependent iff w_i is message 0, the zero vector, or w_j = t*u_i for
-    # a t in 0..p-1, where u_i is w_i scaled to leading digit 1: t*u_i has leading digit
-    # t, so row i's base-p values ascend with t, and the index is built in order (no
-    # sort, and no np.unique, which imports numpy.ma)
-    nonzero = code.messages[1:]
-    lead = nonzero[np.arange(count - 1), np.argmax(nonzero != 0, axis=1)]
-    inverse = np.array([0] + [pow(a, -1, p) for a in range(1, p)])
-    unit = inverse[lead][:, None] * nonzero % p
-    lines = code.rows(np.arange(p)[:, None, None] * unit % p).T + np.arange(1, count)[:, None] * count
-    dependent = np.concatenate((np.arange(count), lines.reshape(-1)))
-    # column t*p + c_i,t of the one-hot row i; also the row of D[t, c_i,t]
-    # in D reshaped to (n*p) x p
-    cols = code.residues + p * np.arange(n)
-    onehot = np.zeros((count, n * p), dtype=np.float32)
-    np.put_along_axis(onehot, cols, 1.0, axis=1)
-    return _read_only(dependent), _read_only(cols), _read_only(onehot)
-
-
-_GAIN_FREE = weakref.WeakKeyDictionary()  # code -> _gain_free(code), dropped with the code
-
-
 class PairDecoder:
     """Exhaustive decoder for one (code, gamma) pair, scored per component.
 
     Component t of the metric of the ordered message pair (i, j) depends only
     on the residue pair (a, b) = (c_i,t, c_j,t), through the p x p
-    constellation ``psi[a, b] = [grid(a) + gamma*grid(b)]*``.  decode_many()
-    takes a block of received vectors y and builds, per y, the n x p x p
-    table D[t, a, b] = ([y_t - psi[a, b]]*)^2 in float64, casts its squares
-    to float32 and gathers E[i, (t, b)] = D[t, c_i,t, b]; E @ A.T, A the
-    one-hot codebook, scores the pairs (i, j) in float32, and +inf goes into
-    the dependent pairs, whose sorted flat indices i*M + j (``dependent``)
-    the code holds.  While a vector's M x M scores fit in about _BATCH_BYTES
-    (_tile_rows), the block is one matrix product; past that the block is one
-    vector, scored a tile of rows i at a time, so no M x M array is formed.
-    A, the index and the gather columns are the code's (_gain_free), built
-    once, read-only and read by all its decoders; psi alone is a decoder's
-    own.  n_pairs = (M - 1)(M - p) are independent, M = p**k.
+    constellation ``psi[a, b] = [grid(a) + gamma*grid(b)]*``.  Per received
+    vector y, decode_many() builds D[t, a, b] = ([y_t - psi[a, b]]*)^2 in
+    float64, casts it to float32 and gathers E[i, (t, b)] = D[t, c_i,t, b] at
+    the code's one-hot columns; E @ A.T, A the code's one-hot codebook,
+    scores the pairs, and +inf goes into the dependent pairs, whose sorted
+    flat indices i*M + j (M = p**k) the code also holds.  The code builds
+    these arrays once, read-only, for all its decoders (LinearCode.columns,
+    .onehot, .dependent); psi alone is a decoder's own.  While a vector's
+    M x M scores fit in about _BATCH_BYTES a block is one matrix product;
+    past that it is one vector, scored a tile of rows i at a time
+    (_tile_rows).  n_pairs = (M - 1)(M - p) pairs are independent.
 
-    A float32 score is not the float64 metric, and the matrix product sums
-    each score in an order of its own.  Each cast square is its float64
-    value within a relative 2**-24 (eps/2, eps of float32 throughout) or,
-    below float32's normal range, within an absolute ``tiny`` (the smallest
-    normal float32), also where a BLAS flushes subnormal inputs or outputs
-    to zero, which only lowers a score; summing n nonnegative terms in any
-    order adds at most a relative (n - 1)*2**-24.  So two pairs' scores can
-    stand in the other order from their float64 metrics only when they lie
-    within about a relative 2*n*eps plus n*tiny of each other.  Every pair
-    scored within a relative 16*n*eps (room to spare) plus n*tiny of its
-    row's minimum, the near set, is therefore re-scored on its psi row in
-    float64 (mod_interval, einsum): the least metric decides, and a minimum
-    attained more than once is ambiguous.  Each tile keeps the pairs within
-    that bound of the running minimum of the scores so far, which only
-    falls: the tiles keep a superset of the near set, and a kept pair outside
-    it has a float64 metric above the least, so it changes no decision.
-    Re-scoring goes in chunks of _RESCORE_ROWS (_shortlist), and between
-    tiles a vector's kept list is cut to its two least pairs whenever it
-    fills a chunk, so even a code whose pairs all tie stays bounded.  Every
-    decision, ties included, is the exhaustive pairs x n table's, bit for
-    bit, however many vectors are decoded together, block_rows at a time
-    (_block_rows), and however many tiles a vector's scores take.  The
-    decoder is refused before it is built when k < 2 or when its arrays plus
-    one block decode's temporaries would exceed DECODER_TABLE_BYTES_CAP.
+    With ``alone`` the first user is known to be message 0, whose codeword
+    is 0: the decoder of a network receiver that hears no interference on
+    the grid.  psi keeps its row a = 0, [gamma*grid(b)]*, the bits of
+    [gamma*x]* at each grid point x (grid(0) is 0.0), and row i = 0 is the
+    only row scored: message j's score sums its n gathered squares
+    D[t, 0, c_j,t], no pair is masked, n_pairs = M, k = 1 is allowed and
+    decode_many returns j.  It reads neither A nor the index and is charged
+    to no cap, as the M x n single-user table it replaces was not.
+
+    A float32 score, summed in an order of its own, is not the float64
+    metric: each cast square is within a relative 2**-24 (eps/2) or, below
+    float32's normal range (also where a BLAS flushes it to zero), an
+    absolute ``tiny``, and a sum of n adds at most a relative (n - 1)*2**-24.
+    So every candidate scored within a relative 16*n*eps plus n*tiny of its
+    row's minimum, the near set with room to spare, is re-scored in float64
+    on its psi row (mod_interval, einsum; _shortlist, _RESCORE_ROWS at a
+    time): the least metric decides, and a minimum attained more than once
+    is ambiguous.  Tiles keep the pairs within that bound of the running
+    minimum, a superset of the near set, and cut a vector's kept list to its
+    two least whenever it fills a chunk, so even an all-tie code stays
+    bounded.  Every decision, ties included, is thus the exhaustive table's
+    (pairs x n, or alone the M x n table of [gamma*x_j]*), bit for bit,
+    however many vectors a block holds (_block_rows) and however many tiles
+    it takes.  A pair decoder is refused before it is built when k < 2 or
+    when its arrays plus one block decode's temporaries would exceed
+    DECODER_TABLE_BYTES_CAP.
     """
 
-    def __init__(self, code: LinearCode, gamma: Gain):
+    def __init__(self, code: LinearCode, gamma: Gain, alone: bool = False):
         p, n = code.p, code.n
         count = p**code.k
-        _check_decoders(code, 1)
+        _check_decoders(code, 0 if alone else 1)
         self.code = code
+        self.alone = alone
+        # build the code's arrays this decoder reads, unless an earlier decoder of the code has
+        _ = code.columns if alone else (code.columns, code.dependent, code.onehot)
         self.block_rows = _block_rows(count, n, p)
-        self.tile_rows = _tile_rows(count)
-        self.n_pairs = (count - 1) * (count - p)
-        if code not in _GAIN_FREE:
-            _GAIN_FREE[code] = _gain_free(code)
-        self.dependent, self._cols, self._onehot = _GAIN_FREE[code]
+        self.tile_rows = count if alone else _tile_rows(count)
+        self.n_pairs = count if alone else (count - 1) * (count - p)
+        self._square = count if alone else count * count  # candidates a vector is scored on
         grid = grid_real(np.arange(p), p)
-        self.psi = mod_interval(grid[:, None] + float(gamma) * grid[None, :])
+        self.psi = mod_interval(grid[: 1 if alone else p, None] + float(gamma) * grid[None, :])
+        self._ones = np.ones(n, dtype=np.float32)
         self._slack = 16 * n * np.finfo(np.float32).eps
         # error below the normal range is absolute, up to tiny per square if flushed to zero
         self._floor = n * np.finfo(np.float32).tiny
 
-    def is_dependent(self, flat) -> np.ndarray:
-        """Whether each message pair (w_i, w_j) at flat = i*M + j is linearly dependent."""
-        # the last pair, (M-1, M-1), is dependent, so no pair sorts past the index's end
-        return self.dependent[np.searchsorted(self.dependent, flat)] == flat
-
     def decode(self, y):
-        """Closest pair (w_i, w_j), or AMBIGUOUS when the minimum ties."""
+        """Closest pair (w_i, w_j) (w_i message 0 with ``alone``), AMBIGUOUS on a tie."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.code.n,):
             raise ValueError(f"received vector shape {y.shape} != ({self.code.n},)")
@@ -322,11 +275,8 @@ class PairDecoder:
         return (self.code.messages[i].copy(), self.code.messages[j].copy())
 
     def decode_many(self, Y) -> np.ndarray:
-        """Decide each row y of Y: the closest pair's flat index i*M + j, -1 on a tie.
-
-        Row by row the decisions are decode()'s; block_rows rows are scored at
-        a time.
-        """
+        """Decide each row y of Y as decode() does, block_rows rows at a time: the closest
+        pair's flat index i*M + j (with ``alone``, j), -1 on a tie."""
         Y = np.asarray(Y, dtype=float)
         if Y.ndim != 2 or Y.shape[1] != self.code.n:
             raise ValueError(f"received block shape {Y.shape} != (rows, {self.code.n})")
@@ -340,42 +290,53 @@ class PairDecoder:
         count = len(self.code.messages)
         d = mod_interval(Y[:, :, None, None] - self.psi)
         d *= d
-        e = np.take(d.astype(np.float32).reshape(rows, n * p, p), self._cols, axis=1)
+        # E[r, i, t, b] = D[t, c_i,t, b]; with alone, E[r, j, t, 0] = D[t, 0, c_j,t]
+        e = np.take(d.astype(np.float32).reshape(rows, n * p, -1), self.code.columns, axis=1)
         del d
-        # each tile's candidates r*M*M + i*M + j, ascending; a row is cut into tiles
+        # each tile's candidates r*square + i*M + j, ascending; a row is cut into tiles
         # only when it is the block's one row, so a tile's pairs start at its first i
         cut = self.tile_rows < count
         kept = []
         for i in range(0, count, self.tile_rows):
-            dependent = self.dependent
-            if cut:  # the tile's own dependent pairs, counted from its first pair
-                lo, hi = np.searchsorted(dependent, (i * count, (i + self.tile_rows) * count))
-                dependent = dependent[lo:hi] - i * count
-            s = (e[:, i : i + self.tile_rows].reshape(-1, n * p) @ self._onehot.T).reshape(rows, -1)
+            s = self._scores(e, i)
             if not cut:
                 del e  # the only tile: its candidate test takes the gathered squares' place
-            s[:, dependent] = np.inf
             least = s.min(axis=1, keepdims=True)
             low = np.minimum(low, least) if i else least  # running minimum across tiles
             near = s <= low * (1.0 + self._slack) + self._floor
             del s  # the candidate list below takes the tile's place
             hits = np.flatnonzero(near)
             del near
-            hits += i * count
+            if i:
+                hits += i * count
             kept.append(hits)
             if cut and sum(a.size for a in kept) >= _RESCORE_ROWS:
                 kept = [self._shortlist(Y[0], kept)]
         flat = kept[0] if len(kept) == 1 else np.concatenate(kept)
-        square = count * count
-        first = np.searchsorted(flat, np.arange(rows + 1) * square)
-        out = flat[first[:-1]] - np.arange(rows) * square
+        if flat.size == rows:  # every row's minimum is a candidate: one a row decides it
+            return flat - np.arange(rows) * self._square
+        first = np.searchsorted(flat, np.arange(rows + 1) * self._square)
+        out = flat[first[:-1]] - np.arange(rows) * self._square
         for r in np.flatnonzero(np.diff(first) > 1):
             best = self._shortlist(Y[r], [flat[first[r] : first[r + 1]]])
-            out[r] = best[0] - r * square if best.size == 1 else -1
+            out[r] = best[0] - r * self._square if best.size == 1 else -1
         return out
 
+    def _scores(self, e, i):
+        """Float32 scores of the tile from row i of the gathered squares ``e``, per vector."""
+        rows, count, (n, p) = e.shape[0], len(self.code.messages), (self.code.n, self.code.p)
+        if self.alone:  # row i = 0 only, nothing masked: each message's n squares, summed
+            return e.reshape(rows, count, n) @ self._ones
+        dependent = self.code.dependent
+        if self.tile_rows < count:  # the tile's own dependent pairs, counted from its first pair
+            lo, hi = np.searchsorted(dependent, (i * count, (i + self.tile_rows) * count))
+            dependent = dependent[lo:hi] - i * count
+        s = (e[:, i : i + self.tile_rows].reshape(-1, n * p) @ self.code.onehot.T).reshape(rows, -1)
+        s[:, dependent] = np.inf
+        return s
+
     def _shortlist(self, y, pieces):
-        """At most two of the candidates r*M*M + i*M + j in ``pieces`` whose float64 metric
+        """At most two of the candidates r*square + i*M + j in ``pieces`` whose float64 metric
         at y is least: one decides, two tie, a third changes nothing.  Scored _RESCORE_ROWS
         at a time; each chunk's least two stand for it, so theirs are the least of all."""
         while True:
@@ -390,10 +351,10 @@ class PairDecoder:
             pieces = [np.concatenate(kept)]
 
     def _psi_rows(self, flat):
-        """psi(i, j) rows, n components each, of the pairs at flat = r*M*M + i*M + j."""
-        count = len(self.code.messages)
-        rows, cols = np.divmod(flat, count)
-        return self.psi[self.code.residues[rows % count], self.code.residues[cols]]
+        """psi(i, j) rows, n components each, of the candidates at flat = r*square + i*M + j
+        (i = 0 with ``alone``: message 0's residues are all 0, psi's one row)."""
+        rows, cols = np.divmod(flat % self._square, len(self.code.messages))
+        return self.psi[self.code.residues[rows], self.code.residues[cols]]
 
 
 def _words32(x: int) -> list[int]:
@@ -581,7 +542,7 @@ def estimate_error_prob(
     for block, W, Z in trial_blocks(code, trials, seed, [()], 2, sigma, 0):
         sent = code.rows(W)  # w1, w2 of each trial
         pair = sent @ [len(code.messages), 1]
-        independent = np.flatnonzero(~decoder.is_dependent(pair))
+        independent = np.flatnonzero(~code.is_dependent(pair))
         dependent += len(block) - independent.size
         sent = sent[independent]
         # a dependent draw's noise is drawn too, but only independent draws use theirs

@@ -10,11 +10,13 @@ interference-sum estimate alone does not count against the scheme.
 
 The simulation runs on macsim.trial_blocks, the trial engine of both
 simulators: every trial draws from its own seed substreams, and each
-receiver decodes a whole block with one PairDecoder.decode_many call (or,
-when all its cross gains are multiples of p, so that it hears no interferer
-on the grid, one macsim.nearest_rows pass), after
+receiver decodes a whole block with one PairDecoder.decode_many call, after
 macsim.check_run has accepted the SNR, trial count, seed and direct gains,
-and the pair decoders of the receivers that hear interference together.
+and the pair decoders of the receivers that hear interference together.  A
+receiver whose cross gains are all multiples of p hears the zero codeword
+as its interference: its decoder is the pair decoder with the first user
+known to be message 0 (alone=True), which decides as the exhaustive
+single-user table does and which no run check charges.
 
 Channel files: first line K, then K whitespace-separated rows.  Diagonal
 entries may be "a/b" fractions or decimals; off-diagonal entries must parse
@@ -33,7 +35,7 @@ import numpy as np
 
 from .codes import Codeword, LinearCode, encode
 from .diophantine import Gain, parse_gain
-from .macsim import PairDecoder, check_run, nearest_rows, trial_blocks, wilson_interval
+from .macsim import PairDecoder, check_run, trial_blocks, wilson_interval
 from .modarith import mod_interval
 from .rates import db_to_linear, dof_benchmark, theorem2_sym_rates, time_sharing_sum_rate
 
@@ -198,20 +200,16 @@ def simulate_network(
     K, p = H.K, code.p
     cross = H.cross % p  # integer gains act on the grid only mod p
     # A receiver whose cross gains are all multiples of p hears no interference
-    # on the grid and faces a point-to-point channel: there is no aligned
-    # codeword to decode jointly, so it searches messages alone, scoring
-    # [h x_i]* for every message i.
-    has_interference = cross.any(axis=1)
-    check_run(snr, trials, seed, H.direct, code, [g for g, h in zip(H.direct, has_interference) if h])
+    # on the grid: its aligned codeword is message 0's, which it decodes knowing
+    # that, alone, scoring [h x_j]* for every message j.
+    heard = cross.any(axis=1)
+    check_run(snr, trials, seed, H.direct, code, [g for g, h in zip(H.direct, heard) if h])
     sigma = math.sqrt(1.0 / snr)
-    diag = np.asarray([float(g) for g in H.direct])
-    pair_decoders = {h: PairDecoder(code, h) for h in set(diag[has_interference])}
-    single_tables = {h: mod_interval(h * code.reals) for h in set(diag[~has_interference])}
+    diag, alone = np.asarray([float(g) for g in H.direct]), ~heard
+    decoders = {(h, a): PairDecoder(code, h, alone=a) for h, a in set(zip(diag, alone))}
 
-    errors, ambiguous, dependent = [0] * K, [0] * K, [0] * K
+    errors, ambiguous, dependent = [0] * K, [0] * K, np.zeros(K, dtype=np.int64)
     network_errors = 0
-    # blocks of the pair decoders' size; a single-user pass over a block holds
-    # block x p**k x n floats, 1/p of a pair decode's gathered distances
     keys = [(j,) for j in range(K + 1)]
     for block, W, z in trial_blocks(code, trials, seed, keys, K, sigma, 1):
         sent = code.rows(W)
@@ -219,17 +217,14 @@ def simulate_network(
         # desired message out): the codeword of sum_k a_jk w_k mod p
         aligned = code.rows(cross @ W % p)
         y = mod_interval(code.reals[aligned] + diag[:, None] * code.reals[sent] + z)
-        pairs = aligned * len(code.messages) + sent  # (w_IF, w_j) of each receiver
+        if heard.any():  # the dependent pairs (w_IF, w_j) the pair decoders skip
+            pairs = aligned[:, heard] * len(code.messages) + sent[:, heard]
+            dependent[heard] += np.count_nonzero(code.is_dependent(pairs), axis=0)
         failed = np.zeros(len(block), dtype=bool)
         for j in range(K):
-            if has_interference[j]:
-                decoder = pair_decoders[diag[j]]
-                # the desired message plays the gain-h_jj (second) role
-                dependent[j] += int(np.count_nonzero(decoder.is_dependent(pairs[:, j])))
-                decided = decoder.decode_many(y[:, j])
-                decided = np.where(decided < 0, -1, decided % len(code.messages))
-            else:
-                decided = nearest_rows(y[:, j], single_tables[diag[j]])
+            # the desired message plays the gain-h_jj (second) role
+            decided = decoders[diag[j], alone[j]].decode_many(y[:, j])
+            decided = np.where(decided < 0, -1, decided % len(code.messages))
             erred = decided != sent[:, j]
             errors[j] += int(np.count_nonzero(erred))
             ambiguous[j] += int(np.count_nonzero(decided < 0))
@@ -245,7 +240,7 @@ def simulate_network(
         network_p_e=network_errors / trials,
         network_ci95=wilson_interval(network_errors, trials),
         receiver_ambiguous=tuple(ambiguous),
-        receiver_dependent=tuple(dependent),
+        receiver_dependent=tuple(int(d) for d in dependent),
     )
 
 

@@ -1,7 +1,8 @@
 """Reference implementations that the simulation code and the prime search
 are tested against.
 
-``OracleDecoder`` is the exhaustive pairs x n table decoder.  The two
+``OracleDecoder`` is the exhaustive pairs x n table decoder and
+``nearest_message`` the exhaustive single-user decision.  The two
 ``*_trial_outcomes`` functions are the per-trial Monte Carlo loops: one seed
 substream, one encode, one dependency check, one channel evaluation and one
 decode per trial, with the substreams of ``lia.macsim`` and ``lia.network``.
@@ -97,6 +98,19 @@ class OracleDecoder:
         return (self.messages[self.i_idx[hits[0]]], self.messages[self.j_idx[hits[0]]])
 
 
+def nearest_message(code, gamma, y):
+    """The exhaustive single-user decision at y: the index, in base-p order, of the message
+    w whose [gamma*x_w]* is closest to y in sum_t ([y_t - .]*)^2, -1 where that minimum
+    is attained more than once (exact float equality); every message encoded on its own
+    and scored in float64 over the whole table."""
+    messages = np.asarray(list(np.ndindex(*([code.p] * code.k))), dtype=np.int64)
+    table = mod_interval(float(gamma) * np.array([encode(code, m).reals for m in messages]))
+    d = mod_interval(np.asarray(y, dtype=float)[None, :] - table)
+    metrics = np.einsum("ij,ij->i", d, d)
+    hits = np.flatnonzero(metrics == metrics.min())
+    return int(hits[0]) if hits.size == 1 else -1
+
+
 def mac_trial_outcomes(code, gamma, snr, seed, trials):
     """Per trial of estimate_error_prob: "dependent", "ambiguous", "wrong" or "right"."""
     decoder = OracleDecoder(code, gamma)
@@ -146,7 +160,6 @@ def network_trial_outcomes(H, code, snr, seed, trials):
     heard = (H.cross % code.p).any(axis=1)
     pair = {float(g): OracleDecoder(code, g) for j, g in enumerate(H.direct) if heard[j]}
     messages = np.asarray(list(np.ndindex(*([code.p] * code.k))), dtype=np.int64)
-    reals = np.array([encode(code, m).reals for m in messages])
     outcomes = np.zeros((trials, K), dtype=int)
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t, 0)))
@@ -164,10 +177,8 @@ def network_trial_outcomes(H, code, snr, seed, trials):
                 out = pair[h].decode(y)
                 decoded = None if out is AMBIGUOUS else out[1]
             else:
-                d = mod_interval(y[None, :] - mod_interval(h * reals))
-                metrics = np.einsum("ij,ij->i", d, d)
-                hits = np.flatnonzero(metrics == metrics.min())
-                decoded = messages[hits[0]] if hits.size == 1 else None
+                hit = nearest_message(code, h, y)
+                decoded = messages[hit] if hit >= 0 else None
             if decoded is None:
                 outcomes[t, j] |= TIE
             elif not np.array_equal(decoded, W[j]):

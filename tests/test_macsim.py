@@ -41,6 +41,7 @@ from oracles import (
     mac_result,
     mac_trial_outcomes,
     network_result,
+    nearest_message,
     network_trial_outcomes,
 )
 
@@ -149,7 +150,7 @@ class TestPairDecoder:
     def test_all_independent_pairs_decode_noiselessly(self):
         code = sample_code(3, 8, 2, seed=5)
         dec = PairDecoder(code, SQRT2_OVER_2)
-        i_idx, j_idx = np.divmod(np.flatnonzero(~dec.is_dependent(np.arange(81))), 9)
+        i_idx, j_idx = np.divmod(np.flatnonzero(~code.is_dependent(np.arange(81))), 9)
         assert i_idx.size == dec.n_pairs
         for i, j in zip(i_idx[::5], j_idx[::5]):
             w1, w2 = code.messages[i], code.messages[j]
@@ -271,28 +272,31 @@ class TestPairDecoder:
 
     @pytest.mark.parametrize("p, n, k", [(3, 4, 2), (5, 32, 2), (7, 16, 3), (11, 8, 3)])
     def test_held_arrays_are_what_the_cap_counts(self, p, n, k):
-        # d decoders of one code share the code's gain-free arrays and its
-        # enumeration; each holds only its own psi.  Every distinct array is
-        # counted once; p=11, k=3 scores a row in tiles
+        # d decoders of one code read the code's gain-free arrays and its
+        # enumeration, built with the first decoder; each holds only its own psi.
+        # Every distinct array is counted once; p=11, k=3 scores a row in tiles
         code = sample_code(p, n, k, seed=0)
+        gain_free = ("dependent", "columns", "onehot")
         count = p**k
         # _decoder_bytes less one block decode's temporaries with their candidate
         # list, and one re-scored chunk
         tile = _tile_rows(count) * count
         block = _block_rows(count, n, p) * (_per_vector_bytes(count, n, p) + 8 * tile)
         chunk = min(count * count, _RESCORE_ROWS) * (8 * n + 4) * 8
+        assert not set(gain_free) & vars(code).keys()
         decoders = []
         for gamma in (0.3, 0.6, 0.9):
             decoders.append(PairDecoder(code, gamma))
-            arrays = [a for dec in decoders for a in (dec._onehot, dec.dependent, dec.psi, dec._cols)]
+            if len(decoders) == 1:
+                shared = tuple(vars(code)[name] for name in gain_free)
+            arrays = [dec.psi for dec in decoders] + [getattr(code, name) for name in gain_free]
             arrays += [code.messages, code.residues, code.reals]
             held = {id(a): a for a in arrays}
             want = _decoder_bytes(count, n, p, k, len(decoders)) - block - chunk
             assert sum(a.nbytes for a in held.values()) == want
-        shared = decoders[0].dependent, decoders[0]._cols, decoders[0]._onehot
         for dec in decoders:
             assert dec.code is code
-            assert all(a is b for a, b in zip((dec.dependent, dec._cols, dec._onehot), shared))
+            assert all(getattr(code, name) is a for name, a in zip(gain_free, shared))
         assert len({id(dec.psi) for dec in decoders}) == 3
         for a in shared:
             with pytest.raises(ValueError, match="read-only"):
@@ -306,9 +310,9 @@ class TestPairDecoder:
         dec = PairDecoder(code, 0.3)
         want = np.asarray([[messages_dependent(a, b, p) for b in code.messages] for a in code.messages])
         M = p**k
-        assert np.array_equal(dec.dependent, np.flatnonzero(want))
-        assert dec.dependent.size == M + (M - 1) * p == M * M - dec.n_pairs
-        assert np.array_equal(dec.is_dependent(np.arange(M * M)), want.reshape(-1))
+        assert np.array_equal(code.dependent, np.flatnonzero(want))
+        assert code.dependent.size == M + (M - 1) * p == M * M - dec.n_pairs
+        assert np.array_equal(code.is_dependent(np.arange(M * M)), want.reshape(-1))
 
     def test_metric_invariant_to_interval_shifts(self):
         code = sample_code(3, 8, 2, seed=5)
@@ -414,6 +418,117 @@ class TestPairDecoder:
         code = sample_code(5, 8, 5, seed=0)
         with pytest.raises(ValueError):
             PairDecoder(code, 0.3)
+
+
+class _SingleUserTable:
+    """The M x n table [gamma*x_j]* with the metrics _near_tie_received reads."""
+
+    def __init__(self, code, gamma):
+        self.psi = mod_interval(gamma * code.reals)
+
+    def metrics(self, y):
+        d = mod_interval(y[None, :] - self.psi)
+        return np.einsum("ij,ij->i", d, d)
+
+
+def _single_user_received(code, gamma, rng, draws):
+    """y = 0, noiseless and noisy (sigma 0.3 and 1.5) receptions [gamma*x_j + z]* of
+    random messages j, and points drawn uniformly on the interval."""
+    yield np.zeros(code.n)
+    for sigma in (0.0, 0.3, 1.5):
+        for j in rng.integers(0, len(code.messages), size=draws):
+            yield mod_interval(gamma * code.reals[j] + rng.normal(0.0, sigma, size=code.n))
+    yield from rng.uniform(-L / 2, L / 2, size=(draws, code.n))
+
+
+class TestAloneDecoder:
+    """PairDecoder(..., alone=True): the pair decode with the first user known to be
+    message 0, whose decisions must be nearest_message's, ties included."""
+
+    def _disagreements(self, code, gamma, ys):
+        dec = PairDecoder(code, gamma, alone=True)
+        want = [nearest_message(code, gamma, y) for y in ys]
+        got = dec.decode_many(np.array(ys))
+        return [(y, h, w) for y, h, w in zip(ys, got, want) if h != w], want
+
+    def test_agrees_with_nearest_message_on_tie_corpus(self):
+        # an all-zero generator ties every message everywhere; duplicated rows and
+        # zero columns tie some; gamma = 0 ties every message too
+        rng = np.random.default_rng(26)
+        draws = ties = 0
+        disagreements = []
+        for p, n, k in [(3, 4, 2), (5, 8, 2), (5, 5, 3), (7, 10, 2), (7, 16, 3)]:
+            kinds = list(_corpus_generators(p, n, k, rng)) + [("zero", np.zeros((k, n), np.int64))]
+            for kind, generator in kinds:
+                code = LinearCode(p=p, n=n, k=k, generator=generator)
+                for gamma in (0.707106781, 1.0, -2.0, 0.0):
+                    ys = list(_single_user_received(code, gamma, rng, 3))
+                    wrong, want = self._disagreements(code, gamma, ys)
+                    disagreements += [(p, n, k, kind, gamma, y) for y, _, _ in wrong]
+                    draws += len(ys)
+                    ties += want.count(-1)
+        assert disagreements == []
+        assert draws == 5 * 4 * 4 * 13
+        assert ties >= 500
+
+    def test_agrees_with_nearest_message_on_near_ties(self):
+        # the two best messages' float64 metrics differ by less than float32
+        # resolves: only the float64 re-score of the near set decides them
+        rng = np.random.default_rng(27)
+        draws = in_band = 0
+        disagreements = []
+        shapes = [(5, 8, 2, 0.707106781), (7, 10, 2, 0.3), (7, 16, 3, 2.0), (11, 12, 1, 0.9)]
+        for p, n, k, gamma in shapes:
+            code = sample_code(p, n, k, seed=p * n)
+            table = _SingleUserTable(code, gamma)
+            ys = list(_near_tie_received(table, rng, 8, 4))
+            for y in ys:
+                best, second = np.partition(table.metrics(y), 1)[:2]
+                in_band += 1e-9 <= (second - best) / best <= 1e-6
+            draws += len(ys)
+            disagreements += self._disagreements(code, gamma, ys)[0]
+        assert disagreements == []
+        assert draws == 4 * 8 * 4
+        assert in_band >= 100
+
+    def test_k1_decodes_every_message(self):
+        # k = 1 has no independent pair, but every message decodes alone; the
+        # decode is the pair decode's, with message 0 as the first user
+        code = sample_code(7, 6, 1, seed=4)
+        rng = np.random.default_rng(5)
+        ys = list(_single_user_received(code, 0.3, rng, 40))
+        assert self._disagreements(code, 0.3, ys)[0] == []
+        dec = PairDecoder(code, 0.3, alone=True)
+        assert dec.n_pairs == 7 and dec.psi.shape == (1, 7)
+        for j, w in enumerate(code.messages):
+            assert dec.decode_many(mod_interval(0.3 * code.reals[j])[None]).tolist() == [j]
+            first, second = dec.decode(mod_interval(0.3 * code.reals[j]))
+            assert not first.any() and np.array_equal(second, w)
+        assert not {"dependent", "onehot"} & vars(code).keys()
+
+    def test_small_batches_agree_with_nearest_message(self, monkeypatch):
+        # p=53, k=2: one vector a block, and every near set re-scored five
+        # candidates at a time, so the all-zero generator's 2809-way tie goes
+        # through many rounds of the chunked re-score
+        monkeypatch.setattr(macsim, "_BATCH_BYTES", 64)
+        monkeypatch.setattr(macsim, "_RESCORE_ROWS", 5)
+        rng = np.random.default_rng(53)
+        ties = 0
+        for generator in (rng.integers(0, 53, size=(2, 4)), np.zeros((2, 4), np.int64)):
+            code = LinearCode(p=53, n=4, k=2, generator=generator)
+            assert PairDecoder(code, 0.3, alone=True).block_rows == 1
+            ys = list(_single_user_received(code, 0.3, rng, 2))
+            wrong, want = self._disagreements(code, 0.3, ys)
+            assert wrong == []
+            ties += want.count(-1)
+        assert ties >= len(ys)
+
+    def test_psi_row_is_the_single_user_table(self):
+        # phi(b) = [gamma*grid(b)]*, the bits of [gamma*x]* at every codeword component
+        code = sample_code(11, 9, 2, seed=3)
+        for gamma in (0.707106781, -3.5, 0.0):
+            dec = PairDecoder(code, gamma, alone=True)
+            assert np.array_equal(dec.psi[0][code.residues], mod_interval(gamma * code.reals))
 
 
 class TestEstimateErrorProb:
@@ -555,12 +670,14 @@ def test_distinct_gains_pay_one_copy_of_the_gain_free_arrays(monkeypatch):
     def built(*args):
         raise AssertionError("the run check built an array")
 
-    monkeypatch.setattr(macsim, "_gain_free", built)
+    # every array the code holds comes from its enumeration
     monkeypatch.setattr(codes, "_all_messages", built)
     gains = [SQRT2_OVER_2, 0.5, 0.3]
     for n, mb in [(60, 106.2), (155, 267.7)]:
         assert round(_decoder_bytes(53**2, n, 53, 2, 3) / 1e6, 1) == mb
-        check_run(100.0, 10, 0, gains, sample_code(53, n, 2, seed=0))
+        code = sample_code(53, n, 2, seed=0)
+        check_run(100.0, 10, 0, gains, code)
+        assert not {"messages", "dependent", "columns", "onehot"} & vars(code).keys()
     with pytest.raises(ValueError, match=r"^decoder needs \d+ bytes for 1 distinct gain"):
         check_run(100.0, 10, 0, gains[:1], sample_code(53, 156, 2, seed=0))
 

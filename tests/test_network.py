@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import tracemalloc
@@ -34,6 +35,8 @@ BUNDLED_CROSS = [
     [3, 7, 6, 0, 9],
     [11, 2, 6, 4, 0],
 ]
+# the arrays every decoder of a code reads whatever its gain, the code's own
+GAIN_FREE = ("dependent", "columns", "onehot")
 # receiver 2 hears nobody and decodes its message alone
 ZERO_ROW_CROSS = np.array([[0, 1, 2], [0, 0, 0], [3, 1, 0]], dtype=np.int64)
 
@@ -308,6 +311,17 @@ class TestSimulateNetwork:
         for g in (5, 10, -5):
             assert run(g) == (alone, alone_oracle), g
 
+    def test_all_alone_network_builds_no_pair_arrays(self):
+        # cross gains that are all multiples of p: every receiver decodes alone,
+        # reading the code's gather columns but neither its one-hot codebook nor
+        # its dependent-pair index, which only pair decoders read
+        code, snr = sample_code(5, 8, 2, seed=1), db_to_linear(10)
+        H = ChannelMatrix(K=3, direct=(0.7, 0.5, 0.7), cross=5 * (1 - np.eye(3, dtype=np.int64)))
+        res = simulate_network(H, code, snr, 300, 6)
+        assert "columns" in vars(code) and not {"onehot", "dependent"} & vars(code).keys()
+        assert res == network_result(network_trial_outcomes(H, code, snr, 6, 300))
+        assert res.receiver_dependent == (0, 0, 0) and min(res.receiver_errors) > 0
+
     def test_traced_peak_holds_one_trial_of_generators(self):
         # this 3-word code decodes 1438 trials per block; a traced peak of 1.3 MB
         # here against 10.1 MB when the block's 7 generators per trial are all
@@ -358,30 +372,36 @@ class TestSimulateNetwork:
         # two distinct interfering direct gains make two pair decoders; they and
         # the run's blocks read the code's one enumeration, built once per run,
         # and the decoders the code's one set of gain-free arrays, also built
-        # once and dropped with the code
+        # once, read-only and dropped with the code
         code, snr = sample_code(5, 8, 2, seed=1), db_to_linear(20)
         H = ChannelMatrix(K=3, direct=(0.7, 0.6, 0.7), cross=1 - np.eye(3, dtype=np.int64))
         built, build = [], codes._all_messages
         monkeypatch.setattr(codes, "_all_messages", lambda c: built.append(c) or build(c))
-        shared, share = [], macsim._gain_free
-        monkeypatch.setattr(macsim, "_gain_free", lambda c: shared.append(c) or share(c))
+        shared = []
+        for name in GAIN_FREE:
+            make = vars(codes.LinearCode)[name].func
+            recorded = functools.cached_property(lambda c, f=make, a=name: shared.append((a, c)) or f(c))
+            recorded.__set_name__(codes.LinearCode, name)
+            monkeypatch.setattr(codes.LinearCode, name, recorded)
         decoders = []
 
         class Recorded(macsim.PairDecoder):
-            def __init__(self, *args):
-                super().__init__(*args)
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
                 decoders.append(self)
 
         monkeypatch.setattr(network, "PairDecoder", Recorded)
         res = simulate_network(H, code, snr, 60, 4)
-        assert built == [code] and shared == [code]
+        assert built == [code] and sorted(shared) == [(name, code) for name in sorted(GAIN_FREE)]
         assert len(decoders) == 2 and all(d.code is code for d in decoders)
-        for d in decoders:
-            assert np.array_equal(d._cols - 5 * np.arange(8), code.residues)
-            assert d.dependent is decoders[0].dependent and d._onehot is decoders[0]._onehot
+        assert np.array_equal(code.columns - 5 * np.arange(8), code.residues)
+        assert all(vars(code)[name] is getattr(code, name) for name in GAIN_FREE)
+        for name in GAIN_FREE:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(code, name).flat[0] = 1
         assert res == network_result(network_trial_outcomes(H, code, snr, 4, 60))
-        dependent = weakref.ref(decoders[0].dependent)
-        del code, decoders, d, built, shared
+        dependent = weakref.ref(code.dependent)
+        del code, decoders, built, shared
         gc.collect()
         assert dependent() is None
 
