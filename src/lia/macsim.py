@@ -148,27 +148,36 @@ def _metrics(Y: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", d, d).reshape(Y.shape[0], -1)
 
 
-def _tile_rows(count: int) -> int:
-    """Rows i of a vector's count x count pair scores held at once: all while they fit in
-    _BATCH_BYTES at 5 bytes a pair (float32 score, bool candidate test), else as many as
-    fit, at least two, so that every tile holds an independent pair (a finite minimum)."""
-    return min(count, max(2, _BATCH_BYTES // (5 * count)))
+def _tile_rows(count: int, n: int, p: int) -> int:
+    """Rows i of a vector's count x count pair scores scored at once: all while they fit in
+    _BATCH_BYTES at 5*count + 4*n*p bytes a row (float32 scores and their bool candidate
+    test, and the row's n*p float32 gathered squares, which each tile gathers for itself),
+    else as many as fit, at least two, so that every tile holds an independent pair (a
+    finite minimum)."""
+    return min(count, max(2, _BATCH_BYTES // (5 * count + 4 * n * p)))
 
 
-def _per_vector_bytes(count: int, n: int, p: int) -> int:
-    """Temporaries of decoding one received vector, as the block size charges them: the
-    gathered squares (count x n*p float32), one tile of pair scores (_tile_rows(count) x
-    count float32 and their bool candidate test) and eight float64 n x p x p tables, of
-    which the in-place distance stage holds about two; eight stays as the block-size
-    setting (charging two grew blocks from 52 to 99 rows at p=5, n=8, k=2 and slowed a
-    3,000-trial network run from 86 to 90 ms)."""
-    return count * n * p * 4 + count * _tile_rows(count) * 5 + 8 * n * p * p * 8
+def _per_vector_bytes(count: int, n: int, p: int, alone: bool = False) -> int:
+    """Temporaries of decoding one received vector, as the block size charges them.
+
+    A pair decode holds one tile (_tile_rows rows i of float32 scores, their bool
+    candidate test and the tile's _tile_rows x n*p gathered float32 squares) and eight
+    float64 n x p x p tables, of which the in-place distance stage holds about two;
+    eight stays as the block-size setting (charging two grew blocks from 52 to 99 rows
+    at p=5, n=8, k=2 and slowed a 3,000-trial network run from 86 to 90 ms).  While a
+    vector is one tile this is the charge of a whole-vector gather.  An ``alone``
+    decode holds its count x n float32 gather, count float32 scores and one float64
+    n x p distance row.
+    """
+    if alone:
+        return count * n * 4 + count * 4 + n * p * 8
+    return _tile_rows(count, n, p) * (5 * count + 4 * n * p) + 8 * n * p * p * 8
 
 
-def _block_rows(count: int, n: int, p: int) -> int:
+def _block_rows(count: int, n: int, p: int, alone: bool = False) -> int:
     """Received vectors decoded together: as many as fit in _BATCH_BYTES, at least one
     (exactly one when a vector's scores take more than one tile)."""
-    return max(1, _BATCH_BYTES // _per_vector_bytes(count, n, p))
+    return max(1, _BATCH_BYTES // _per_vector_bytes(count, n, p, alone))
 
 
 def _decoder_bytes(count: int, n: int, p: int, k: int, decoders: int = 1) -> int:
@@ -178,13 +187,13 @@ def _decoder_bytes(count: int, n: int, p: int, k: int, decoders: int = 1) -> int
     count + (count - 1)*p int64; .columns, count x n int64; .onehot, count x n*p float32),
     and one chunk of re-scored psi rows, which also covers the fewer than _RESCORE_ROWS
     candidates a row keeps between tiles.  Per decoder its psi.  Per block, _block_rows
-    vectors' _per_vector_bytes and candidates, at most every pair of their tiles at 8
-    bytes a pair (a code whose pairs all tie).
+    vectors' _per_vector_bytes, whose tile gathers its own squares, and candidates, at
+    most every pair of their tiles at 8 bytes a pair (a code whose pairs all tie).
     """
     index = (count + (count - 1) * p) * 8
     shared = count * n * p * 4 + index + count * n * 8 + count * (2 * n + k) * 8
     once = shared + min(count * count, _RESCORE_ROWS) * (8 * n + 4) * 8
-    block = _per_vector_bytes(count, n, p) + count * _tile_rows(count) * 8
+    block = _per_vector_bytes(count, n, p) + count * _tile_rows(count, n, p) * 8
     return once + p * p * 8 * decoders + _block_rows(count, n, p) * block
 
 
@@ -211,10 +220,13 @@ class PairDecoder:
     scores the pairs, and +inf goes into the dependent pairs, whose sorted
     flat indices i*M + j (M = p**k) the code also holds.  The code builds
     these arrays once, read-only, for all its decoders (LinearCode.columns,
-    .onehot, .dependent); psi alone is a decoder's own.  While a vector's
-    M x M scores fit in about _BATCH_BYTES a block is one matrix product;
-    past that it is one vector, scored a tile of rows i at a time
-    (_tile_rows).  n_pairs = (M - 1)(M - p) pairs are independent.
+    .onehot, .dependent); psi alone is a decoder's own.  E is gathered a
+    tile of rows i at a time (_tile_rows), and each tile's rows of E are
+    scored and dropped before the next tile gathers its own.  While a
+    vector's M x M scores and its rows of E fit in about _BATCH_BYTES a
+    vector is one tile and a block one gather and one matrix product; past
+    that a block is one vector in tiles.  n_pairs = (M - 1)(M - p) pairs
+    are independent.
 
     With ``alone`` the first user is known to be message 0, whose codeword
     is 0: the decoder of a network receiver that hears no interference on
@@ -223,7 +235,8 @@ class PairDecoder:
     only row scored: message j's score sums its n gathered squares
     D[t, 0, c_j,t], no pair is masked, n_pairs = M, k = 1 is allowed and
     decode_many returns j.  It reads neither A nor the index and is charged
-    to no cap, as the M x n single-user table it replaces was not.
+    to no cap, as the M x n single-user table it replaces was not; its
+    blocks are sized by what its own decode holds (_per_vector_bytes).
 
     A float32 score, summed in an order of its own, is not the float64
     metric: each cast square is within a relative 2**-24 (eps/2) or, below
@@ -252,8 +265,8 @@ class PairDecoder:
         self.alone = alone
         # build the code's arrays this decoder reads, unless an earlier decoder of the code has
         _ = code.columns if alone else (code.columns, code.dependent, code.onehot)
-        self.block_rows = _block_rows(count, n, p)
-        self.tile_rows = count if alone else _tile_rows(count)
+        self.block_rows = _block_rows(count, n, p, alone)
+        self.tile_rows = count if alone else _tile_rows(count, n, p)
         self.n_pairs = count if alone else (count - 1) * (count - p)
         self._square = count if alone else count * count  # candidates a vector is scored on
         grid = grid_real(np.arange(p), p)
@@ -292,17 +305,17 @@ class PairDecoder:
         count = len(self.code.messages)
         d = mod_interval(Y[:, :, None, None] - self.psi)
         d *= d
-        # E[r, i, t, b] = D[t, c_i,t, b]; with alone, E[r, j, t, 0] = D[t, 0, c_j,t]
-        e = np.take(d.astype(np.float32).reshape(rows, n * p, -1), self.code.columns, axis=1)
-        del d
+        d = d.astype(np.float32).reshape(rows, n * p, -1)
         # each tile's candidates r*square + i*M + j, ascending; a row is cut into tiles
         # only when it is the block's one row, so a tile's pairs start at its first i
-        cut = self.tile_rows < count
         kept = []
         for i in range(0, count, self.tile_rows):
+            # E[r, i, t, b] = D[t, c_i,t, b]; with alone, E[r, j, t, 0] = D[t, 0, c_j,t]
+            e = np.take(d, self.code.columns[i : i + self.tile_rows], axis=1)
+            if i + self.tile_rows >= count:
+                del d  # every tile has gathered its squares: the scores take the table's place
             s = self._scores(e, i)
-            if not cut:
-                del e  # the only tile: its candidate test takes the gathered squares' place
+            del e  # the candidate test takes the tile's squares' place
             least = s.min(axis=1, keepdims=True)
             low = np.minimum(low, least) if i else least  # running minimum across tiles
             near = s <= low * (1.0 + self._slack) + self._floor
@@ -312,7 +325,7 @@ class PairDecoder:
             if i:
                 hits += i * count
             kept.append(hits)
-            if cut and sum(a.size for a in kept) >= _RESCORE_ROWS:
+            if self.tile_rows < count and sum(a.size for a in kept) >= _RESCORE_ROWS:
                 kept = [self._shortlist(Y[0], kept)]
         flat = kept[0] if len(kept) == 1 else np.concatenate(kept)
         if flat.size == rows:  # every row's minimum is a candidate: one a row decides it
@@ -325,7 +338,8 @@ class PairDecoder:
         return out
 
     def _scores(self, e, i):
-        """Float32 scores of the tile from row i of the gathered squares ``e``, per vector."""
+        """Float32 scores of the tile from row i, per vector, from the tile's gathered squares
+        ``e`` (rows x tile_rows x n x p, or x 1 with ``alone``)."""
         rows, count, (n, p) = e.shape[0], len(self.code.messages), (self.code.n, self.code.p)
         if self.alone:  # row i = 0 only, nothing masked: each message's n squares, summed
             return e.reshape(rows, count, n) @ self._ones
@@ -333,7 +347,7 @@ class PairDecoder:
         if self.tile_rows < count:  # the tile's own dependent pairs, counted from its first pair
             lo, hi = np.searchsorted(dependent, (i * count, (i + self.tile_rows) * count))
             dependent = dependent[lo:hi] - i * count
-        s = (e[:, i : i + self.tile_rows].reshape(-1, n * p) @ self.code.onehot.T).reshape(rows, -1)
+        s = (e.reshape(-1, n * p) @ self.code.onehot.T).reshape(rows, -1)
         s[:, dependent] = np.inf
         return s
 
@@ -504,10 +518,14 @@ def _draw_block(words: np.ndarray, p: int, shape, n: int, sigma: float, noise_fr
 
 
 def trial_blocks(
-    code: LinearCode, trials: int, seed: int, keys, users: int, sigma: float, noise_from: int
+    code: LinearCode, trials: int, seed: int, keys, users: int, sigma: float, noise_from: int,
+    rows: int,
 ):
-    """The trial engine: yields (block, W, Z), range(trials) in the blocks a PairDecoder
-    of ``code`` decodes together, with the block's messages and noise.
+    """The trial engine: yields (block, W, Z), range(trials) in blocks of ``rows`` trials
+    (the last one shorter), with the block's messages and noise.  A run passes the least
+    block_rows of its decoders, so that each decodes a block in one _decode_block call;
+    blocks stop at _SPAN_TRIALS trials, since the engine's own arrays of a block grow
+    with its trials times its keys, which no decoder's block_rows counts.
 
     Trial t has one generator per key, drawing from SeedSequence(seed,
     spawn_key=(t, *key)).  The first draws its ``users`` messages, W[b] (users x k),
@@ -517,11 +535,11 @@ def trial_blocks(
     from one substream_words pass per span of whole blocks (about _SPAN_TRIALS
     trials), so the blocks are those of the trials alone.
     """
-    size = _block_rows(code.p**code.k, code.n, code.p)
-    span = max(size, _SPAN_TRIALS // size * size)
+    rows = min(rows, _SPAN_TRIALS)
+    span = _SPAN_TRIALS // rows * rows
     for start in range(0, trials, span):
         words = substream_words(seed, range(start, min(start + span, trials)), keys)
-        for block in _blocks(words.shape[0], size):
+        for block in _blocks(words.shape[0], rows):
             W, Z = _draw_block(
                 words[block.start : block.stop], code.p, (users, code.k), code.n, sigma, noise_from
             )
@@ -541,7 +559,7 @@ def estimate_error_prob(
     decoder = PairDecoder(code, gamma)
     sigma = math.sqrt(1.0 / snr)
     dependent = errors_independent = ambiguous = 0
-    for block, W, Z in trial_blocks(code, trials, seed, [()], 2, sigma, 0):
+    for block, W, Z in trial_blocks(code, trials, seed, [()], 2, sigma, 0, decoder.block_rows):
         sent = code.rows(W)  # w1, w2 of each trial
         pair = sent @ [len(code.messages), 1]
         independent = np.flatnonzero(~code.is_dependent(pair))

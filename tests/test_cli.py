@@ -234,11 +234,16 @@ class TestMacSim:
         assert code == EXIT_USAGE and not out and f"argument {flag}:" in err
 
     def test_oversized_decoder_table_precondition(self, capsys):
-        big = list(self.ARGS)
-        for flag, value in (("--p", "53"), ("--n", "256"), ("--k", "2")):
-            big[big.index(flag) + 1] = value
-        code, out, err = run_cli(capsys, *big)
-        assert code == EXIT_PRECONDITION and not out and "cap" in err
+        # at p=53, k=2 one decoder and one block decode need 285.6 MB at n=256 and
+        # 269.1 MB at n=241, both above the 256 MiB cap (n=240 needs 268.0 MB)
+        for n, mb in (("256", 285.6), ("241", 269.1)):
+            big = list(self.ARGS)
+            for flag, value in (("--p", "53"), ("--n", n), ("--k", "2")):
+                big[big.index(flag) + 1] = value
+            code, out, err = run_cli(capsys, *big)
+            need = macsim._decoder_bytes(53**2, int(n), 53, 2)
+            assert round(need / 1e6, 1) == mb and f"needs {need} bytes" in err
+            assert code == EXIT_PRECONDITION and not out and "cap" in err
 
     def test_output_independent_of_blas_threads(self):
         # the pair decoder scores with a matrix product, whose summation order
