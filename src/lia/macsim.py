@@ -148,36 +148,28 @@ def _metrics(Y: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", d, d).reshape(Y.shape[0], -1)
 
 
-def _tile_rows(count: int, n: int, p: int) -> int:
-    """Rows i of a vector's count x count pair scores scored at once: all while they fit in
-    _BATCH_BYTES at 5*count + 4*n*p bytes a row (float32 scores and their bool candidate
-    test, and the row's n*p float32 gathered squares, which each tile gathers for itself),
-    else as many as fit, at least two, so that every tile holds an independent pair (a
-    finite minimum)."""
-    return min(count, max(2, _BATCH_BYTES // (5 * count + 4 * n * p)))
+def _tile_rows(count: int) -> int:
+    """Rows i of a vector's count x count pair scores held at once: all while they fit in
+    _BATCH_BYTES at 5 bytes a pair (float32 score, bool candidate test), else as many as
+    fit, at least two, so that every tile holds an independent pair (a finite minimum)."""
+    return min(count, max(2, _BATCH_BYTES // (5 * count)))
 
 
-def _per_vector_bytes(count: int, n: int, p: int, alone: bool = False) -> int:
-    """Temporaries of decoding one received vector, as the block size charges them.
-
-    A pair decode holds one tile (_tile_rows rows i of float32 scores, their bool
-    candidate test and the tile's _tile_rows x n*p gathered float32 squares) and eight
-    float64 n x p x p tables, of which the in-place distance stage holds about two;
-    eight stays as the block-size setting (charging two grew blocks from 52 to 99 rows
-    at p=5, n=8, k=2 and slowed a 3,000-trial network run from 86 to 90 ms).  While a
-    vector is one tile this is the charge of a whole-vector gather.  An ``alone``
-    decode holds its count x n float32 gather, count float32 scores and one float64
-    n x p distance row.
-    """
-    if alone:
-        return count * n * 4 + count * 4 + n * p * 8
-    return _tile_rows(count, n, p) * (5 * count + 4 * n * p) + 8 * n * p * p * 8
+def _per_vector_bytes(count: int, n: int, p: int) -> int:
+    """Temporaries of decoding one received vector, as the block size charges them: one
+    tile (_tile_rows(count) rows i of count float32 scores and their bool candidate test,
+    and the tile's own n*p float32 gathered squares a row) and eight float64 n x p x p
+    tables, of which the in-place distance stage holds about two; eight stays as the
+    block-size setting (charging two grew blocks from 52 to 99 rows at p=5, n=8, k=2 and
+    slowed a 3,000-trial network run from 86 to 90 ms).  While a vector is one tile this
+    is the charge of gathering its whole count x n*p squares at once."""
+    return _tile_rows(count) * (5 * count + 4 * n * p) + 8 * n * p * p * 8
 
 
-def _block_rows(count: int, n: int, p: int, alone: bool = False) -> int:
+def _block_rows(count: int, n: int, p: int) -> int:
     """Received vectors decoded together: as many as fit in _BATCH_BYTES, at least one
     (exactly one when a vector's scores take more than one tile)."""
-    return max(1, _BATCH_BYTES // _per_vector_bytes(count, n, p, alone))
+    return max(1, _BATCH_BYTES // _per_vector_bytes(count, n, p))
 
 
 def _decoder_bytes(count: int, n: int, p: int, k: int, decoders: int = 1) -> int:
@@ -193,7 +185,7 @@ def _decoder_bytes(count: int, n: int, p: int, k: int, decoders: int = 1) -> int
     index = (count + (count - 1) * p) * 8
     shared = count * n * p * 4 + index + count * n * 8 + count * (2 * n + k) * 8
     once = shared + min(count * count, _RESCORE_ROWS) * (8 * n + 4) * 8
-    block = _per_vector_bytes(count, n, p) + count * _tile_rows(count, n, p) * 8
+    block = _per_vector_bytes(count, n, p) + count * _tile_rows(count) * 8
     return once + p * p * 8 * decoders + _block_rows(count, n, p) * block
 
 
@@ -223,10 +215,9 @@ class PairDecoder:
     .onehot, .dependent); psi alone is a decoder's own.  E is gathered a
     tile of rows i at a time (_tile_rows), and each tile's rows of E are
     scored and dropped before the next tile gathers its own.  While a
-    vector's M x M scores and its rows of E fit in about _BATCH_BYTES a
-    vector is one tile and a block one gather and one matrix product; past
-    that a block is one vector in tiles.  n_pairs = (M - 1)(M - p) pairs
-    are independent.
+    vector's M x M scores fit in about _BATCH_BYTES a vector is one tile
+    and a block one gather and one matrix product; past that a block is one
+    vector in tiles.  n_pairs = (M - 1)(M - p) pairs are independent.
 
     With ``alone`` the first user is known to be message 0, whose codeword
     is 0: the decoder of a network receiver that hears no interference on
@@ -235,8 +226,7 @@ class PairDecoder:
     only row scored: message j's score sums its n gathered squares
     D[t, 0, c_j,t], no pair is masked, n_pairs = M, k = 1 is allowed and
     decode_many returns j.  It reads neither A nor the index and is charged
-    to no cap, as the M x n single-user table it replaces was not; its
-    blocks are sized by what its own decode holds (_per_vector_bytes).
+    to no cap, as the M x n single-user table it replaces was not.
 
     A float32 score, summed in an order of its own, is not the float64
     metric: each cast square is within a relative 2**-24 (eps/2) or, below
@@ -265,8 +255,8 @@ class PairDecoder:
         self.alone = alone
         # build the code's arrays this decoder reads, unless an earlier decoder of the code has
         _ = code.columns if alone else (code.columns, code.dependent, code.onehot)
-        self.block_rows = _block_rows(count, n, p, alone)
-        self.tile_rows = count if alone else _tile_rows(count, n, p)
+        self.block_rows = _block_rows(count, n, p)
+        self.tile_rows = count if alone else _tile_rows(count)
         self.n_pairs = count if alone else (count - 1) * (count - p)
         self._square = count if alone else count * count  # candidates a vector is scored on
         grid = grid_real(np.arange(p), p)
@@ -518,14 +508,10 @@ def _draw_block(words: np.ndarray, p: int, shape, n: int, sigma: float, noise_fr
 
 
 def trial_blocks(
-    code: LinearCode, trials: int, seed: int, keys, users: int, sigma: float, noise_from: int,
-    rows: int,
+    code: LinearCode, trials: int, seed: int, keys, users: int, sigma: float, noise_from: int
 ):
-    """The trial engine: yields (block, W, Z), range(trials) in blocks of ``rows`` trials
-    (the last one shorter), with the block's messages and noise.  A run passes the least
-    block_rows of its decoders, so that each decodes a block in one _decode_block call;
-    blocks stop at _SPAN_TRIALS trials, since the engine's own arrays of a block grow
-    with its trials times its keys, which no decoder's block_rows counts.
+    """The trial engine: yields (block, W, Z), range(trials) in the blocks a PairDecoder
+    of ``code`` decodes together, with the block's messages and noise.
 
     Trial t has one generator per key, drawing from SeedSequence(seed,
     spawn_key=(t, *key)).  The first draws its ``users`` messages, W[b] (users x k),
@@ -535,11 +521,11 @@ def trial_blocks(
     from one substream_words pass per span of whole blocks (about _SPAN_TRIALS
     trials), so the blocks are those of the trials alone.
     """
-    rows = min(rows, _SPAN_TRIALS)
-    span = _SPAN_TRIALS // rows * rows
+    size = _block_rows(code.p**code.k, code.n, code.p)
+    span = max(size, _SPAN_TRIALS // size * size)
     for start in range(0, trials, span):
         words = substream_words(seed, range(start, min(start + span, trials)), keys)
-        for block in _blocks(words.shape[0], rows):
+        for block in _blocks(words.shape[0], size):
             W, Z = _draw_block(
                 words[block.start : block.stop], code.p, (users, code.k), code.n, sigma, noise_from
             )
@@ -559,7 +545,7 @@ def estimate_error_prob(
     decoder = PairDecoder(code, gamma)
     sigma = math.sqrt(1.0 / snr)
     dependent = errors_independent = ambiguous = 0
-    for block, W, Z in trial_blocks(code, trials, seed, [()], 2, sigma, 0, decoder.block_rows):
+    for block, W, Z in trial_blocks(code, trials, seed, [()], 2, sigma, 0):
         sent = code.rows(W)  # w1, w2 of each trial
         pair = sent @ [len(code.messages), 1]
         independent = np.flatnonzero(~code.is_dependent(pair))

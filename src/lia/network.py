@@ -16,9 +16,7 @@ and the pair decoders of the receivers that hear interference together.  A
 receiver whose cross gains are all multiples of p hears the zero codeword
 as its interference: its decoder is the pair decoder with the first user
 known to be message 0 (alone=True), which decides as the exhaustive
-single-user table does and which no run check charges.  A block holds the
-least block_rows of the run's decoders: a pair decoder's when any receiver
-hears interference, else the alone decoders' own, which are far larger.
+single-user table does and which no run check charges.
 
 Channel files: first line K, then K whitespace-separated rows.  Diagonal
 entries may be "a/b" fractions or decimals; off-diagonal entries must parse
@@ -213,9 +211,7 @@ def simulate_network(
     errors, ambiguous, dependent = [0] * K, [0] * K, np.zeros(K, dtype=np.int64)
     network_errors = 0
     keys = [(j,) for j in range(K + 1)]
-    # blocks that every receiver's decoder takes in one pass: a pair decoder's, if any
-    rows = min(dec.block_rows for dec in decoders.values())
-    for block, W, z in trial_blocks(code, trials, seed, keys, K, sigma, 1, rows):
+    for block, W, z in trial_blocks(code, trials, seed, keys, K, sigma, 1):
         sent = code.rows(W)
         # each receiver's interference folded on residues (a_jj = 0 keeps the
         # desired message out): the codeword of sum_k a_jk w_k mod p

@@ -234,9 +234,9 @@ class TestMacSim:
         assert code == EXIT_USAGE and not out and f"argument {flag}:" in err
 
     def test_oversized_decoder_table_precondition(self, capsys):
-        # at p=53, k=2 one decoder and one block decode need 285.6 MB at n=256 and
-        # 269.1 MB at n=241, both above the 256 MiB cap (n=240 needs 268.0 MB)
-        for n, mb in (("256", 285.6), ("241", 269.1)):
+        # at p=53, k=2 one decoder and one block decode need 291.0 MB at n=256 and
+        # 268.6 MB at n=236, both above the 256 MiB cap (n=235 needs 267.4 MB)
+        for n, mb in (("256", 291.0), ("236", 268.6)):
             big = list(self.ARGS)
             for flag, value in (("--p", "53"), ("--n", n), ("--k", "2")):
                 big[big.index(flag) + 1] = value

@@ -268,12 +268,12 @@ class TestPairDecoder:
         # one block decode's temporaries stay within 1 MiB unless one decode
         # alone is larger (p=7, n=16, k=3: about 0.8 MB, so two do not fit).
         # The benchmark's codes: the first three score a vector in one tile, p=11
-        # in 9 tiles of 149 rows i, each with its own 149 x 88 squares
+        # in 9 tiles of 157 rows i, each with its own 157 x 88 squares
         assert PairDecoder(sample_code(7, 16, 3, seed=0), 0.3).block_rows == 1
         assert PairDecoder(sample_code(5, 8, 2, seed=0), 0.3).block_rows > 1
-        shapes = [(5, 8, 2, 52, 25), (5, 32, 2, 14, 25), (7, 16, 3, 1, 343), (11, 8, 3, 1, 149)]
+        shapes = [(5, 8, 2, 52, 25), (5, 32, 2, 14, 25), (7, 16, 3, 1, 343), (11, 8, 3, 1, 157)]
         for p, n, k, rows, tile in shapes:
-            assert (_block_rows(p**k, n, p), _tile_rows(p**k, n, p)) == (rows, tile)
+            assert (_block_rows(p**k, n, p), _tile_rows(p**k)) == (rows, tile)
 
     def test_one_tile_charge_is_the_whole_vector_gather(self):
         # where a vector is one tile, a tile's gathered squares are the whole vector's,
@@ -283,14 +283,14 @@ class TestPairDecoder:
         for p, k in itertools.product(primes, range(1, 5)):
             M = p**k
             for n in range(1, 1001):
-                if _tile_rows(M, n, p) == M:
-                    whole = M * n * p * 4 + M * min(M, max(2, 2**20 // (5 * M))) * 5 + 64 * n * p * p
+                if _tile_rows(M) == M:
+                    whole = M * n * p * 4 + M * M * 5 + 64 * n * p * p
                     assert _per_vector_bytes(M, n, p) == whole, (p, n, k)
                     shapes += 1
         assert shapes > 10_000
 
     def test_tiled_decode_gathers_one_tile_of_squares(self):
-        # one vector at p=11, n=8, k=3 in 9 tiles: each tile gathers its own 149 x 88
+        # one vector at p=11, n=8, k=3 in 9 tiles: each tile gathers its own 157 x 88
         # squares, so one call peaks within the charge of one tile (scores, candidate
         # test and squares) and the distance tables, plus about 8 KB a call; gathering
         # the vector's 1331 x 88 squares (468 KB) before the tiles peaks at 1.52 MB
@@ -319,7 +319,7 @@ class TestPairDecoder:
         count = p**k
         # _decoder_bytes less one block decode's temporaries with their candidate
         # list, and one re-scored chunk
-        tile = _tile_rows(count, n, p) * count
+        tile = _tile_rows(count) * count
         block = _block_rows(count, n, p) * (_per_vector_bytes(count, n, p) + 8 * tile)
         chunk = min(count * count, _RESCORE_ROWS) * (8 * n + 4) * 8
         assert not set(gain_free) & vars(code).keys()
@@ -704,22 +704,22 @@ def test_both_simulators_check_the_run_before_building_a_decoder(
 def test_distinct_gains_pay_one_copy_of_the_gain_free_arrays(monkeypatch):
     # the run check alone, which builds nothing: three distinct paired gains
     # charge the code's gain-free arrays once and a p x p psi each, so at p=53,
-    # k=2 they fit at n=60 (69.7 MB; 69.6 MB for one gain) and n=240 (268.0 MB),
-    # as one gain does; one gain at n=241 (269.1 MB) is refused
+    # k=2 they fit at n=60 (71.4 MB; 71.3 MB for one gain) and n=235 (267.5 MB),
+    # as one gain does; one gain at n=236 (268.6 MB) is refused
     def built(*args):
         raise AssertionError("the run check built an array")
 
     # every array the code holds comes from its enumeration
     monkeypatch.setattr(codes, "_all_messages", built)
     gains = [SQRT2_OVER_2, 0.5, 0.3]
-    assert round(_decoder_bytes(53**2, 60, 53, 2) / 1e6, 1) == 69.6
-    for n, mb in [(60, 69.7), (240, 268.0)]:
+    assert round(_decoder_bytes(53**2, 60, 53, 2) / 1e6, 1) == 71.3
+    for n, mb in [(60, 71.4), (235, 267.5)]:
         assert round(_decoder_bytes(53**2, n, 53, 2, 3) / 1e6, 1) == mb
         code = sample_code(53, n, 2, seed=0)
         check_run(100.0, 10, 0, gains, code)
         assert not {"messages", "dependent", "columns", "onehot"} & vars(code).keys()
     with pytest.raises(ValueError, match=r"^decoder needs \d+ bytes for 1 distinct gain"):
-        check_run(100.0, 10, 0, gains[:1], sample_code(53, 241, 2, seed=0))
+        check_run(100.0, 10, 0, gains[:1], sample_code(53, 236, 2, seed=0))
 
 
 def test_snr_one_db_above_the_noise_overflow_runs_like_the_per_trial_loops():
@@ -745,7 +745,7 @@ class TestTrialBlocks:
         span = max(rows, _SPAN_TRIALS // rows * rows)
         counts = engine_trial_counts(p, n, k) + [span - 1, span + 1, 2 * span + 3]
         for seed, trials in itertools.product([31, 2**64 + 1], counts):
-            blocks = list(trial_blocks(code, trials, seed, keys, users, sigma, noise_from, rows))
+            blocks = list(trial_blocks(code, trials, seed, keys, users, sigma, noise_from))
             assert [len(b) for b, _, _ in blocks] == [
                 min(rows, trials - start) for start in range(0, trials, rows)
             ]

@@ -322,58 +322,10 @@ class TestSimulateNetwork:
         assert res == network_result(network_trial_outcomes(H, code, snr, 6, 300))
         assert res.receiver_dependent == (0, 0, 0) and min(res.receiver_errors) > 0
 
-    @staticmethod
-    def _count_decode_calls(monkeypatch):
-        """The rows of every PairDecoder.decode_many call, in order."""
-        calls, decode_many = [], macsim.PairDecoder.decode_many
-
-        def counted(self, Y):
-            calls.append(len(Y))
-            return decode_many(self, Y)
-
-        monkeypatch.setattr(macsim.PairDecoder, "decode_many", counted)
-        return calls
-
-    def test_all_alone_run_decodes_in_the_alone_decoders_blocks(self, monkeypatch):
-        # no receiver hears interference, so a block is an alone decoder's block_rows
-        # (43 at p=7, n=16, k=3, where a pair decoder's is 1): each receiver makes
-        # ceil(trials / 43) decode_many calls, not one per trial
-        code, snr = sample_code(7, 16, 3, seed=2), db_to_linear(2)
-        H = ChannelMatrix(K=3, direct=(0.7, 0.5, 0.7), cross=7 * (1 - np.eye(3, dtype=np.int64)))
-        rows = macsim.PairDecoder(code, 0.5, alone=True).block_rows
-        assert rows == 43 and macsim._block_rows(7**3, 16, 7) == 1
-        counts = [1, rows - 1, rows, rows + 1, 2 * rows + 3]
-        outcomes = network_trial_outcomes(H, code, snr, 11, counts[-1])
-        calls = self._count_decode_calls(monkeypatch)
-        for trials in counts:
-            calls.clear()
-            res = simulate_network(H, code, snr, trials, 11)
-            assert res == network_result(outcomes[:trials])
-            assert len(calls) <= 3 * math.ceil(trials / rows) and max(calls) <= rows
-        assert min(res.receiver_errors) > 0
-
-    def test_mixed_run_keeps_the_pair_decoders_blocks(self, monkeypatch):
-        # receiver 0 hears receiver 1, the others decode alone: every receiver's
-        # block is the pair decoder's 52 rows at p=5, n=8, k=2, not the alone
-        # decoders' 859, so that the pair decoder takes each block in one pass
-        code, snr = sample_code(5, 8, 2, seed=1), db_to_linear(10)
-        cross = np.zeros((3, 3), dtype=np.int64)
-        cross[0, 1] = 1
-        H = ChannelMatrix(K=3, direct=(0.7, 0.5, 0.7), cross=cross)
-        rows = macsim.PairDecoder(code, 0.7).block_rows
-        assert (rows, macsim.PairDecoder(code, 0.5, alone=True).block_rows) == (52, 859)
-        trials = 2 * rows + 3
-        calls = self._count_decode_calls(monkeypatch)
-        res = simulate_network(H, code, snr, trials, 4)
-        assert res == network_result(network_trial_outcomes(H, code, snr, 4, trials))
-        assert calls == [rows] * 6 + [3] * 3
-        assert res.receiver_dependent[0] > 0 and res.receiver_dependent[1:] == (0, 0)
-
     def test_traced_peak_holds_one_trial_of_generators(self):
-        # every receiver decodes alone, so this 3-word code decodes its 1500 trials
-        # in blocks of _SPAN_TRIALS; a traced peak of 0.6 MB here against about
-        # 10 MB when a block's 7 generators per trial are all made before the first
-        # trial draws
+        # this 3-word code decodes 1438 trials per block; a traced peak of 1.3 MB
+        # here against 10.1 MB when the block's 7 generators per trial are all
+        # made before the first trial draws
         H = ChannelMatrix(K=6, direct=(0.3,) * 6, cross=np.zeros((6, 6), np.int64))
         tracemalloc.start()
         try:
@@ -383,23 +335,6 @@ class TestSimulateNetwork:
             tracemalloc.stop()
         assert res.trials == 1500
         assert peak < 4 * 2**20
-
-    def test_alone_blocks_of_many_receivers_stay_bounded(self):
-        # an alone decoder of this 3-word code would take 6721 vectors a block, but
-        # each trial of 20 receivers holds 21 substreams' words and 20 noise and
-        # received vectors: blocks stop at _SPAN_TRIALS, so the run peaks at about
-        # 5.3 MB traced, where one 6000-trial block takes 22.3 MB
-        H = ChannelMatrix(K=20, direct=(0.3,) * 20, cross=np.zeros((20, 20), np.int64))
-        code = sample_code(3, 4, 1, seed=0)
-        assert macsim.PairDecoder(code, 0.3, alone=True).block_rows > 6000
-        tracemalloc.start()
-        try:
-            res = simulate_network(H, code, 100.0, 6000, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert res.trials == 6000
-        assert peak < 8 * 2**20
 
     def test_pair_decoders_are_bounded_together(self, monkeypatch):
         # under a cap that fits two p=5, n=8, k=2 decoders but not three, three
