@@ -164,11 +164,12 @@ class Codeword:
 
 
 def sample_code(p: int, n: int, k: int, seed: int) -> LinearCode:
-    """Draw a generator with i.i.d. uniform entries; deterministic in seed."""
+    """Draw a generator with i.i.d. uniform entries; deterministic in seed: numpy's
+    default_rng(seed).integers(0, p, size=(k, n)), which macsim.integers draws itself."""
+    from .macsim import integers  # lia.macsim imports this module
+
     check_code_size(p, n, k)
-    rng = np.random.default_rng(seed)
-    g = rng.integers(0, p, size=(k, n), dtype=np.int64)
-    return LinearCode(p=p, n=n, k=k, generator=g)
+    return LinearCode(p=p, n=n, k=k, generator=integers(seed, p, k * n).reshape(k, n))
 
 
 def encode(code: LinearCode, w) -> Codeword:

@@ -9,31 +9,38 @@ than once.  Drawing a linearly dependent message pair counts as an error
 without decoding.
 
 Determinism contract: trial t draws its messages and noise from the
-substream SeedSequence(seed, spawn_key=(t,)), as integers(0, p, size=(2, k))
-and then normal(0, 1/sqrt(snr), size=n) would, so aggregate counts depend on
-the seed alone.  trial_blocks, the trial engine of both simulators, cuts the
-trials into blocks and gives each trial its own substreams.  It takes each
-trial's messages as raw PCG64 words and reduces the whole block to [0, p)
-by the rule integers follows, and draws each trial's noise in place into a
-block array, scaled once; a trial whose reduction rejects a 32-bit draw,
-which happens with probability below p / 2**32 per draw, is drawn again the
-reference way.  A block's codewords come from the code's enumeration, its
-dependent draws from the code's sorted index of dependent pairs, its
-received vectors from one channel evaluation, and its decisions from one
-PairDecoder.decode_many call, which decides every row exactly as decoding it
-alone would, bit for bit as the float64 pairs x n table.  The same kernel
-decodes a network receiver that hears no interference: PairDecoder(...,
-alone=True), the pair decode with the first user known to be message 0.
-The substreams' generators are built from seed words that substream_words
-hashes for a whole span of trials at once, the words SeedSequence itself
-would generate, so every draw is the one SeedSequence's own generator makes.
+substream SeedSequence(seed, spawn_key=(t,)), as numpy's integers(0, p,
+size=(2, k)) and then normal(0, 1/sqrt(snr), size=n) would, so aggregate
+counts depend on the seed alone.  trial_blocks, the trial engine of both simulators, cuts the
+trials into blocks and gives each trial its own substreams.  No generator is
+built and numpy's random module is not imported: substream_words hashes the
+seed words of a whole span of trials at once, the words SeedSequence itself
+would generate, and _pcg64 computes each substream's PCG64 words from them,
+vectorized over the span's streams in 128-bit arithmetic on uint64 halves.
+A trial's messages are its first words, reduced to [0, p) by the rule
+integers follows (_lemire); its noise is the next words through numpy's
+256-layer ziggurat (_normals, with numpy's tables from data/ziggurat.txt),
+scaled once.  The few streams that this vectorized pass cannot decide, a
+reduction that rejects a 32-bit draw (probability below p / 2**32 a draw), a
+ziggurat tail or noise that runs past its words, are replayed a word at a
+time in Python ints (_stream, _stream_integers, _stream_normal), so every
+draw is the one SeedSequence's own generator makes.  A block's codewords come from the
+code's enumeration, its dependent draws from the code's sorted index of
+dependent pairs, its received vectors from one channel evaluation, and its
+decisions from one PairDecoder.decode_many call, which decides every row
+exactly as decoding it alone would, bit for bit as the float64 pairs x n
+table.  The same kernel decodes a network receiver that hears no
+interference: PairDecoder(..., alone=True), the pair decode with the first
+user known to be message 0.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
 
@@ -47,13 +54,22 @@ from .rates import _require_positive_snr
 DECODER_TABLE_BYTES_CAP = 2**28  # bound on a run's PairDecoders plus one block decode's temporaries
 _RESCORE_ROWS = 4096  # near-tie candidates re-scored per chunk
 _BATCH_BYTES = 2**20  # temporaries of one block decode, when one decode's are smaller
-_SPAN_TRIALS = 1024  # trials whose substream words are hashed together, rounded to whole blocks
+_SPAN_TRIALS = 1024  # trials whose substreams are hashed and drawn at once, rounded to whole blocks
+_PASS_WORDS = _BATCH_BYTES // 32  # PCG64 words a draw pass holds, each array 1/4 of _BATCH_BYTES
 _MASK32 = 2**32 - 1
+_MASK64 = 2**64 - 1
+_MASK128 = 2**128 - 1
+_MANTISSA = 2**52 - 1
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _POOL_WORDS = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# numpy's PCG64 multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# the layer-0 tail of numpy's ziggurat, x > _ZIG_R (numpy/random/src/distributions)
+_ZIG_R = 3.6541528853610087963519472518
+_ZIG_INV_R = 0.27366123732975827203338247596
 
 
 class _Ambiguous:
@@ -398,6 +414,42 @@ def _mix_in(pool: list, words, const: int):
     return pool, const
 
 
+def _pool(seed: int, extra=()):
+    """SeedSequence's pool after hashing the seed's 32-bit words, zero-padded to the 4-word
+    pool, then ``extra`` (ints or uint32 arrays): (pool, next hash constant).  With no
+    spawn key SeedSequence does not pad, but hashes 0 for each missing word: the same."""
+    entropy = _words32(seed)
+    entropy += [0] * (_POOL_WORDS - len(entropy))
+    const = _INIT_A
+    pool = []
+    for w in entropy[:_POOL_WORDS]:
+        h, const = _hashmix(w, const)
+        pool.append(h)
+    # mix every pool word into every other, so late words affect early ones
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                h, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], h)
+    return _mix_in(pool, entropy[_POOL_WORDS:] + list(extra), const)
+
+
+def _generate(pool, out) -> None:
+    """SeedSequence's generate_state(4, np.uint64) of ``pool``, as 8 uint32 words along the
+    last axis of ``out``."""
+    const = _INIT_B
+    for i in range(2 * 4):
+        out[..., i], const = _hashmix(pool[i % _POOL_WORDS], const, _MULT_B)
+
+
+def seed_words(seed: int) -> np.ndarray:
+    """SeedSequence(seed).generate_state(4, np.uint64): the words default_rng(seed) seeds
+    its PCG64 from."""
+    state = np.empty(2 * 4, dtype=np.uint32)
+    _generate(_pool(seed)[0], state)
+    return state.view(np.uint64)
+
+
 def substream_words(seed: int, ts, keys) -> np.ndarray:
     """SeedSequence(seed, spawn_key=(t, *key)).generate_state(4, np.uint64) for every t
     in ``ts`` and key in ``keys``, as a C-contiguous len(ts) x len(keys) x 4 array.
@@ -412,52 +464,178 @@ def substream_words(seed: int, ts, keys) -> np.ndarray:
     if t.size and (t.min() < 0 or t.max() > _MASK32):
         raise ValueError("every trial index must fit one 32-bit word")
     t = t.astype(np.uint32).reshape(-1)
-    entropy = _words32(seed)
-    entropy += [0] * (_POOL_WORDS - len(entropy))
-    const = _INIT_A
-    pool = []
-    for w in entropy[:_POOL_WORDS]:
-        h, const = _hashmix(w, const)
-        pool.append(h)
-    # mix every pool word into every other, so late words affect early ones
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                h, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], h)
-    pool, const = _mix_in(pool, entropy[_POOL_WORDS:] + [t], const)
+    pool, const = _pool(seed, [t])
     state = np.empty((t.size, len(keys), 2 * 4), dtype=np.uint32)
     for j, key in enumerate(keys):
-        key_pool, _ = _mix_in(pool, [w for k in key for w in _words32(k)], const)
-        gen = _INIT_B
-        for i in range(2 * 4):
-            state[:, j, i], gen = _hashmix(key_pool[i % _POOL_WORDS], gen, _MULT_B)
+        _generate(_mix_in(pool, [w for k in key for w in _words32(k)], const)[0], state[:, j])
     # pairs of 32-bit words, viewed as 64-bit words as SeedSequence views its state
     return state.view(np.uint64)
 
 
-@functools.cache
-def _generator_from_words():
-    """The function that makes a substream's Generator from its substream_words entry.
+def _mul_add(hi, lo, a, c_hi, c_lo, out_hi, out_lo) -> None:
+    """out = (hi:lo)*a + (c_hi:c_lo) mod 2**128, on 128-bit numbers held as uint64 halves,
+    ``a`` too (its halves (a_hi, a_lo) constants, or arrays that broadcast against lo); the
+    high half of lo*a_lo is summed from 32-bit parts.  ``out`` must not overlap the inputs."""
+    a_hi, a_lo = a
+    b1, b0 = a_lo >> 32, a_lo & _MASK32
+    x1, x0 = lo >> 32, lo & _MASK32
+    t = x0 * b0
+    u = x1 * b0
+    u += t >> 32
+    v = x0 * b1
+    v += u & _MASK32
+    x1 = x1 * b1
+    u >>= 32
+    v >>= 32
+    x1 += u
+    x1 += v  # the high half of lo*a_lo
+    x1 += lo * a_hi
+    x1 += hi * a_lo
+    x1 += c_hi
+    np.multiply(lo, a_lo, out=t)
+    np.add(t, c_lo, out=out_lo)
+    np.add(x1, out_lo < t, out=out_hi)
 
-    numpy seeds PCG64 from the words as from SeedSequence(seed, spawn_key=(t, *key)).
-    Built on first use, so that importing lia does not import numpy.random.
+
+def _jump(steps: int):
+    """``steps`` PCG64 steps, state -> state*M + inc, as one map state*a + inc*c: (a, c)."""
+    a, c, step_a, step_c = 1, 0, _PCG_MULT, 1
+    while steps:
+        if steps & 1:
+            a, c = a * step_a & _MASK128, (c * step_a + step_c) & _MASK128
+        step_a, step_c = step_a * step_a & _MASK128, step_c * (step_a + 1) & _MASK128
+        steps >>= 1
+    return a, c
+
+
+def _u128(values) -> tuple[np.ndarray, np.ndarray]:
+    """Ints below 2**128 as the uint64 arrays of their high and low halves."""
+    v = np.array(values, dtype=object)
+    return (v >> 64).astype(np.uint64), (v & _MASK64).astype(np.uint64)
+
+
+def _pcg64(words: np.ndarray, count: int, start: int = 0) -> np.ndarray:
+    """Words start to start + count - 1 (count >= 1) of the PCG64 stream that numpy seeds
+    from each row of ``words`` (... x 4 uint64, a generate_state(4, np.uint64)), as a
+    ... x count uint64 array.  The states are held position-major, each position's words
+    contiguous, and the words are transposed once at the end.
+
+    numpy's seeding: inc = (w2:w3 << 1) | 1 and state ((w0:w1 + inc)*M + inc) mod 2**128;
+    each word steps the state to state*M + inc and outputs XSL-RR, rotr64(hi ^ lo, hi >> 58).
+    The first word's state is one _jump from w0:w1 + inc, the next B - 1 (B = isqrt(count))
+    one step each, and every later B words one _jump of B positions from the B before them.
     """
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
+    w = words.reshape(-1, 4)
+    inc_hi, inc_lo = w[:, 2] << 1 | w[:, 3] >> 63, w[:, 3] << 1 | 1
+    lo = w[:, 1] + inc_lo
+    hi, lo = w[:, 0] + inc_hi + (lo < inc_lo), lo
+    B = math.isqrt(count)
+    (a0, c0), (a, c) = _jump(start + 2), _jump(B)
+    a_hi, a_lo = _u128([a0, _PCG_MULT, a])
+    c_hi, c_lo = _u128([[c0], [c]])
+    C_hi = np.empty((2, w.shape[0]), dtype=np.uint64)
+    C_lo = np.empty_like(C_hi)
+    _mul_add(inc_hi, inc_lo, (c_hi, c_lo), 0, 0, C_hi, C_lo)  # inc*c0 and inc*c
+    H = np.empty((count, w.shape[0]), dtype=np.uint64)
+    L = np.empty_like(H)
+    _mul_add(hi, lo, (a_hi[0], a_lo[0]), C_hi[0], C_lo[0], H[0], L[0])
+    for j in range(1, B):
+        _mul_add(H[j - 1], L[j - 1], (a_hi[1], a_lo[1]), inc_hi, inc_lo, H[j], L[j])
+    for j in range(B, count, B):
+        k = min(j + B, count) - B
+        _mul_add(H[j - B : k], L[j - B : k], (a_hi[2], a_lo[2]), C_hi[1], C_lo[1],
+                 H[j : k + B], L[j : k + B])
+    x = H ^ L
+    H >>= 58  # the rotation
+    out = x >> H
+    np.subtract(64, H, out=H)
+    H &= 63
+    x <<= H
+    out |= x
+    return np.ascontiguousarray(out.T).reshape(*words.shape[:-1], count)
 
-    class Words(ISeedSequence):
-        """A seed sequence whose generate_state(4, np.uint64) is given."""
 
-        def __init__(self, words):
-            self.words = words
+def _stream(words, start: int = 0):
+    """Words start, start + 1, ... of the PCG64 stream seeded from one row of 4 seed words,
+    a word at a time as ints: where the draws the vectorized passes leave are replayed."""
+    w0, w1, w2, w3 = (int(w) for w in words)
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    a, c = _jump(start + 1)
+    state = (a * ((w0 << 64 | w1) + inc) + c * inc) & _MASK128
+    while True:
+        state = (state * _PCG_MULT + inc) & _MASK128
+        x, r = (state >> 64 ^ state) & _MASK64, state >> 122
+        yield (x >> r | x << (64 - r)) & _MASK64
 
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError("only the 4 uint64 words PCG64 seeds from are held")
-            return self.words
 
-    return lambda words: Generator(PCG64(Words(words)))
+def _resume(raw: np.ndarray, words):
+    """A stream's words already drawn, ``raw``, then the words after them, a word at a time."""
+    return itertools.chain(raw.tolist(), _stream(words, raw.size))
+
+
+@functools.cache
+def _ziggurat():
+    """numpy's ziggurat tables for the standard normal, read from data/ziggurat.txt on the
+    first draw (importing lia reads no table): (wi, ki, fi) arrays, wi and ki indexed by a
+    word's 9 low bits, its layer and its sign bit 8, since rabs*(-wi) is -(rabs*wi) bit for
+    bit; fi by the layer."""
+    text = resources.files("lia").joinpath("data", "ziggurat.txt").read_text(encoding="ascii")
+    rows = [line.split() for line in text.splitlines() if not line.startswith("#")]
+    if [int(row[0]) for row in rows] != list(range(256)):
+        raise ValueError("the ziggurat table must hold layers 0 to 255, one a line")
+    wi, ki, fi = zip(*((float.fromhex(w), int(k, 16), float.fromhex(f)) for _, w, k, f in rows))
+    wi = np.array(wi)
+    return np.concatenate((wi, -wi)), np.array(ki * 2, dtype=np.uint64), np.array(fi)
+
+
+@functools.cache
+def _ziggurat_lists():
+    """_ziggurat()'s tables as lists of Python numbers, for draws replayed a word at a time."""
+    return tuple(table.tolist() for table in _ziggurat())
+
+
+def _unit(word: int) -> float:
+    """numpy's next_double: the top 53 bits of a word, times 2**-53."""
+    return (word >> 11) * 2.0**-53
+
+
+def _stream_normal(stream) -> float:
+    """numpy's random_standard_normal on the words of ``stream``, a word at a time."""
+    wi, ki, fi = _ziggurat_lists()
+    while True:
+        r = next(stream)
+        layer, rabs = r & 0xFF, r >> 9 & _MANTISSA
+        x = rabs * wi[r & 0x1FF]
+        if rabs < ki[layer]:
+            return x
+        if layer == 0:  # the tail beyond _ZIG_R, its sign from bit 8 of rabs
+            while True:
+                xx = -_ZIG_INV_R * math.log1p(-_unit(next(stream)))
+                yy = -math.log1p(-_unit(next(stream)))
+                if yy + yy > xx * xx:
+                    return -(_ZIG_R + xx) if rabs >> 8 & 1 else _ZIG_R + xx
+        elif (fi[layer - 1] - fi[layer]) * _unit(next(stream)) + fi[layer] < math.exp(-0.5 * x * x):
+            return x
+
+
+def _stream_integers(stream, p: int, count: int) -> list[int]:
+    """integers(0, p, count) for p < 2**32 on the words of ``stream``: Lemire's rule on
+    each word's 32-bit halves, low half first, a rejected half skipped; a half left over
+    is lost, as numpy's next 64-bit draw loses it."""
+    values, threshold = [], 2**32 % p
+    while True:
+        word = next(stream)
+        for half in (word & _MASK32, word >> 32):
+            m = half * p
+            if m & _MASK32 >= threshold:
+                values.append(m >> 32)
+                if len(values) == count:
+                    return values
+
+
+def _halves(raw: np.ndarray) -> np.ndarray:
+    """The 32-bit halves of each 64-bit word along the last axis, low half first."""
+    return np.stack((raw & _MASK32, raw >> 32), axis=-1).reshape(*raw.shape[:-1], -1)
 
 
 def _lemire(raw: np.ndarray, p: int, count: int):
@@ -469,11 +647,74 @@ def _lemire(raw: np.ndarray, p: int, count: int):
     the rows where that happened: integers would have drawn on, so their values
     from that point on are not these.
     """
-    halves = np.empty((raw.shape[0], 2 * raw.shape[1]), dtype=np.uint64)
-    halves[:, 0::2] = raw & _MASK32
-    halves[:, 1::2] = raw >> 32
-    m = halves[:, :count] * np.uint64(p)
+    m = _halves(raw)[:, :count] * np.uint64(p)
     return (m >> 32).astype(np.int64), ((m & _MASK32) < 2**32 % p).any(axis=1)
+
+
+def integers(seed: int, p: int, count: int) -> np.ndarray:
+    """What numpy's default_rng(seed).integers(0, p, count) draws, for 1 <= p < 2**32:
+    Lemire's rule on the 32-bit halves of the PCG64 stream seeded from seed_words(seed),
+    each rejected half skipped, drawn at most _PASS_WORDS words a pass."""
+    if not 1 <= p < 2**32:
+        raise ValueError(f"integers are drawn for 1 <= p < 2**32, got p={p}")
+    words, threshold = seed_words(seed), 2**32 % p
+    parts, held, start = [], 0, 0
+    while held < count:
+        raw = _pcg64(words, min(_PASS_WORDS, (count - held + 1) // 2), start)
+        start += raw.size
+        m = _halves(raw) * np.uint64(p)
+        parts.append((m >> 32)[(m & _MASK32) >= threshold])
+        held += parts[-1].size
+    return np.concatenate(parts)[:count].astype(np.int64)
+
+
+def _normals(raw: np.ndarray, n: int):
+    """numpy's random_standard_normal on each row of PCG64 words ``raw``: (Z, ok), Z[r] the
+    first n standard normals row r makes where ok[r], and ok[r] False where the row meets
+    the layer-0 tail, or runs out of words, before its n-th normal.
+
+    A word r gives layer r & 0xff, sign bit 8 and magnitude rabs = (r >> 9) & (2**52 - 1),
+    and x = rabs*wi[layer], negated by the sign bit, is kept when rabs < ki[layer], as all
+    but about 1.5% of words are.
+    A row whose first n words all pass is its n normals.  Otherwise the test of a slow
+    word, one that fails, takes the next word: a word after a passing one starts a draw,
+    so in each run of slow words the draws start at even offsets.  A slow start in layers
+    1 to 255 keeps x when (fi[l-1] - fi[l])*U + fi[l] < exp(-x*x/2), U the next word's
+    next_double, through math.exp, the libm exp that numpy's C code calls.
+    """
+    wi, ki, fi = _ziggurat()
+    signed = (raw & 0x1FF).view(np.int64)  # the layer, and 256 more with the sign bit set
+    rabs = raw >> 9
+    rabs &= _MANTISSA
+    x = rabs.astype(np.float64)
+    x *= wi[signed]
+    slow = rabs >= ki[signed]
+    Z, ok = np.array(x[:, :n], order="C"), np.ones(raw.shape[0], dtype=bool)
+    rows = np.flatnonzero(slow[:, :n].any(axis=1))
+    if rows.size == 0:
+        return Z, ok
+    raw, layer, x, slow = raw[rows], signed[rows] & 0xFF, x[rows], slow[rows]
+    at = np.arange(raw.shape[1])
+    # 1 + the offset of each slow word in its run of slow words
+    run = at - np.maximum.accumulate(np.where(slow, -1, at), axis=1)
+    start = slow & (run % 2 == 1)  # a slow word that starts a draw
+    emit = ~slow
+    emit[:, 1:] &= ~start[:, :-1]  # a passing word is a slow start's U, not a draw
+    wedge = start & (layer != 0)
+    wedge[:, -1] = False
+    r, c = np.nonzero(wedge)
+    l, v = layer[r, c], x[r, c]
+    u = (raw[r, c + 1] >> 11).astype(np.float64) * 2.0**-53
+    bound = np.array([math.exp(e) for e in (-0.5 * v * v).tolist()])
+    emit[r, c] = (fi[l - 1] - fi[l]) * u + fi[l] < bound
+    made = np.cumsum(emit, axis=1)
+    # a tail start, or a slow start whose U is past the row, before the n-th normal
+    unknown = (start & ~wedge & (made < n)).any(axis=1) | (made[:, -1] < n)
+    ok[rows[unknown]] = False
+    keep = emit & (made <= n)
+    keep[unknown] = False
+    Z[rows[~unknown]] = x[keep].reshape(-1, n)
+    return Z, ok
 
 
 def _draw_block(words: np.ndarray, p: int, shape, n: int, sigma: float, noise_from: int):
@@ -481,30 +722,46 @@ def _draw_block(words: np.ndarray, p: int, shape, n: int, sigma: float, noise_fr
 
     Returns (W, Z): W[b] is what trial b's first generator draws as
     integers(0, p, size=shape), and Z[b, j] what its generator of key
-    noise_from + j then draws as normal(0, sigma, size=n).  A trial's generators are
-    dropped once it has drawn: its messages are raw PCG64 words, reduced for the
-    whole block at once, and its noise goes into its row of Z as standard normals,
-    scaled once.  A trial whose reduction rejected a draw is drawn again, the
-    reference way, from a generator rebuilt from its words.
+    noise_from + j then draws as normal(0, sigma, size=n).  No generator is built: each
+    stream's PCG64 words come from _pcg64, for as many trials a pass as keep a pass's
+    words near _PASS_WORDS.  The messages are a trial's first words, reduced by _lemire;
+    the noise is each noise stream's next words (a MAC trial's own after its messages,
+    from key 0), through the ziggurat of _normals, scaled once.  The few streams the
+    vectorized passes cannot decide, a message draw that rejects a half or noise that
+    meets the ziggurat's tail or runs past its words, are replayed a word at a time from
+    the words the pass drew (_resume).
     """
-    generator = _generator_from_words()
+    trials, keys = words.shape[:2]
     count = shape[0] * shape[1]
-    raw = np.empty((len(words), (count + 1) // 2), dtype=np.uint64)
-    Z = np.empty((len(words), words.shape[1] - noise_from, n))
-    for b, trial in enumerate(words):
-        gens = [generator(w) for w in trial]
-        raw[b] = gens[0].bit_generator.random_raw(raw.shape[1])
-        for g, row in zip(gens[noise_from:], Z[b]):
-            g.standard_normal(out=row)
-    W, rejected = _lemire(raw, p, count)
-    W = W.reshape(len(words), *shape)
-    for b in np.flatnonzero(rejected):
-        g = generator(words[b, 0])
-        W[b] = g.integers(0, p, size=shape)
-        if noise_from == 0:
-            g.standard_normal(out=Z[b, 0])
+    head = (count + 1) // 2  # the words the messages take, two 32-bit draws a word
+    spare = n + 3 + n // 12  # a noise stream's words: about 1.5% of words fail the fast test
+    first = max(noise_from, 1)  # the first key whose noise starts at its stream's first word
+    own = spare if noise_from == 0 else 0  # words of key 0's own noise, after its messages
+    W = np.empty((trials, count), dtype=np.int64)
+    Z = np.empty((trials, keys - noise_from, n))
+    per_trial = head + own + (keys - first) * spare
+    for b in _blocks(trials, max(1, _PASS_WORDS // per_trial)):
+        rows = slice(b.start, b.stop)
+        raw = _pcg64(words[rows, 0], head + own)
+        W[rows], redo = _lemire(raw[:, :head], p, count)
+        if own:
+            Z[rows, 0], ok = _normals(raw[:, head:], n)
+            redo |= ~ok
+        for i in np.flatnonzero(redo):
+            stream = _resume(raw[i], words[b.start + i, 0])
+            W[b.start + i] = _stream_integers(stream, p, count)
+            if own:  # its noise starts where its messages end
+                Z[b.start + i, 0] = [_stream_normal(stream) for _ in range(n)]
+        if keys > first:
+            noise = words[rows, first:].reshape(-1, 4)
+            raw = _pcg64(noise, spare)
+            z, ok = _normals(raw, n)
+            for i in np.flatnonzero(~ok):
+                stream = _resume(raw[i], noise[i])
+                z[i] = [_stream_normal(stream) for _ in range(n)]
+            Z[rows, first - noise_from :] = z.reshape(len(b), -1, n)
     Z *= sigma
-    return W, Z
+    return W.reshape(trials, *shape), Z
 
 
 def trial_blocks(
@@ -513,23 +770,24 @@ def trial_blocks(
     """The trial engine: yields (block, W, Z), range(trials) in the blocks a PairDecoder
     of ``code`` decodes together, with the block's messages and noise.
 
-    Trial t has one generator per key, drawing from SeedSequence(seed,
-    spawn_key=(t, *key)).  The first draws its ``users`` messages, W[b] (users x k),
-    as integers(0, p, size=(users, k)) would; then the generator of each key from
-    keys[noise_from] on draws an n-vector of noise, Z[b, j], as normal(0, sigma, n)
-    would (the first generator after the messages).  The generators' seed words come
-    from one substream_words pass per span of whole blocks (about _SPAN_TRIALS
-    trials), so the blocks are those of the trials alone.
+    Trial t has one stream per key, SeedSequence(seed, spawn_key=(t, *key))'s PCG64.
+    The first draws its ``users`` messages, W[b] (users x k), as integers(0, p,
+    size=(users, k)) would; then the stream of each key from keys[noise_from] on draws
+    an n-vector of noise, Z[b, j], as normal(0, sigma, n) would (the first stream after
+    the messages).  The streams' seed words come from one substream_words pass per span
+    of whole blocks (about _SPAN_TRIALS trials, fewer when the span's noise would take
+    more than _BATCH_BYTES), so the blocks are those of the trials alone; one _draw_block
+    call draws the span, and each block is a slice of its arrays.
     """
     size = _block_rows(code.p**code.k, code.n, code.p)
-    span = max(size, _SPAN_TRIALS // size * size)
+    span = min(_SPAN_TRIALS, _BATCH_BYTES // (8 * code.n * max(1, len(keys) - noise_from)))
+    span = max(size, span // size * size)
     for start in range(0, trials, span):
         words = substream_words(seed, range(start, min(start + span, trials)), keys)
-        for block in _blocks(words.shape[0], size):
-            W, Z = _draw_block(
-                words[block.start : block.stop], code.p, (users, code.k), code.n, sigma, noise_from
-            )
-            yield range(start + block.start, start + block.stop), W, Z
+        W, Z = _draw_block(words, code.p, (users, code.k), code.n, sigma, noise_from)
+        for block in _blocks(len(words), size):
+            rows = slice(block.start, block.stop)
+            yield range(start + block.start, start + block.stop), W[rows], Z[rows]
 
 
 def estimate_error_prob(

@@ -652,6 +652,39 @@ class TestGlobalBehavior:
         )
         assert done.stdout.decode().split() == [w for c in commands for w in (c[0], "False")]
 
+    def test_no_simulation_imports_numpy_random(self, tmp_path):
+        # lia draws PCG64 words and the ziggurat itself: numpy.random costs about 6 MB of
+        # peak RSS and 10 ms of import a process, which no simulation may pay
+        (tmp_path / "alone.txt").write_text("2\n0.7 0\n0 0.5\n")  # no receiver hears anyone
+        sim = ["--p", "3", "--n", "4", "--k", "2", "--trials", "20"]
+        steps = {
+            "mac-sim": ["mac-sim", "--gamma", "0.7", "--snr-db", "20", *sim],
+            "network": ["network", "--channel", CHANNEL5, "--snr-db", "20", "--simulate", *sim],
+            "alone": ["network", "--channel", str(tmp_path / "alone.txt"), "--snr-db", "20",
+                      "--simulate", *sim],
+        }
+        # then sample_code, and a draw at p = 2**31 + 11, where most rows reject a half
+        script = (
+            "import contextlib, io, sys\n"
+            "import lia\n"
+            "from lia.cli import main\n"
+            "from lia.macsim import _draw_block, substream_words\n"
+            f"for name, argv in {list(steps.items())!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "    print(name, 'numpy.random' in sys.modules)\n"
+            "lia.sample_code(5, 8, 2, seed=3)\n"
+            "print('sample_code', 'numpy.random' in sys.modules)\n"
+            "_draw_block(substream_words(17, range(50), [()]), 2**31 + 11, (2, 2), 3, 0.25, 0)\n"
+            "print('draw', 'numpy.random' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=child_env(), capture_output=True, timeout=120,
+            check=True,
+        )
+        names = [*steps, "sample_code", "draw"]
+        assert done.stdout.decode().split() == [w for name in names for w in (name, "False")]
+
     @pytest.mark.parametrize(
         "argv, channel, status, expected",
         [

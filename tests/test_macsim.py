@@ -15,17 +15,23 @@ from lia.macsim import (
     AMBIGUOUS,
     DECODER_TABLE_BYTES_CAP,
     PairDecoder,
+    _PASS_WORDS,
     _RESCORE_ROWS,
     _SPAN_TRIALS,
     _block_rows,
     _decoder_bytes,
     _draw_block,
-    _generator_from_words,
     _lemire,
+    _normals,
+    _pcg64,
     _per_vector_bytes,
+    _stream,
+    _stream_normal,
     _tile_rows,
+    _ziggurat_lists,
     check_run,
     estimate_error_prob,
+    integers,
     mod_mac_channel,
     substream_words,
     trial_blocks,
@@ -786,18 +792,145 @@ class TestMessageDraws:
             assert np.array_equal(W[t], fresh[0].integers(0, p, size=shape)), t
             assert np.array_equal(Z[t, 0], fresh[noise_from].normal(0.0, sigma, size=n)), t
 
+    @example(seed=2**256 - 1, n=40, k=3)
+    @given(seed=st.integers(0, 2**256 - 1), n=st.integers(1, 40), k=st.integers(1, 3))
+    def test_sample_code_is_default_rng_integers(self, seed, n, k):
+        for p in self.PRIMES:
+            k = 1 if p > 2**31 else min(k, n)  # k <= n, and k (p - 1)**2 < 2**63
+            want = np.random.default_rng(seed).integers(0, p, size=(k, n))
+            assert np.array_equal(sample_code(p, n, k, seed=seed).generator, want), p
+
+    @pytest.mark.parametrize("p", [3, 2**31 + 11])
+    def test_integers_across_passes(self, p):
+        # more values than one pass of words holds; about half the halves rejected at the large p
+        count = 4 * _PASS_WORDS + 3
+        want = np.random.default_rng(2**70 + 9).integers(0, p, size=count)
+        assert np.array_equal(integers(2**70 + 9, p, count), want)
+
     @pytest.mark.parametrize("p", PRIMES)
     def test_rejections_are_what_integers_rejects(self, p):
         # every row the reduction leaves unrejected holds integers' values; at
         # p = 2**31 + 11 the rejection path above runs for most of the 1,000 rows
-        words = substream_words(17, range(1000), [()])
-        generator = _generator_from_words()
-        raw = np.array([generator(w).bit_generator.random_raw(2) for w in words[:, 0]])
+        fresh = [np.random.SeedSequence(17, spawn_key=(t,)) for t in range(1000)]
+        raw = np.array([np.random.default_rng(s).bit_generator.random_raw(2) for s in fresh])
         values, rejected = _lemire(raw, p, 4)
-        reference = np.array([generator(w).integers(0, p, size=4) for w in words[:, 0]])
+        reference = np.array([np.random.default_rng(s).integers(0, p, size=4) for s in fresh])
         assert np.array_equal(values[~rejected], reference[~rejected])
         # below 2**31 a draw is rejected with probability 2**32 % p / 2**32 < p / 2**32
         assert np.count_nonzero(rejected) > 800 if p > 2**31 else not rejected.any()
+
+
+def _ziggurat_cases(raw, n):
+    """What the first n normals of each row of PCG64 words meet, walked a word at a time:
+    (layers of the words that start a draw, wedge outcomes, tails); a row stops at a tail."""
+    wi, ki, fi = _ziggurat_lists()
+    layers, wedges, tails = set(), set(), 0
+    for row in raw.tolist():
+        words, made = iter(row), 0
+        for r in words:
+            if made == n:
+                break
+            layer, rabs = r & 0xFF, r >> 9 & (2**52 - 1)
+            layers.add(layer)
+            if rabs < ki[layer]:
+                made += 1
+            elif layer == 0:
+                tails += 1
+                break
+            else:
+                x, u = rabs * wi[layer], (next(words, 0) >> 11) * 2.0**-53
+                accepted = (fi[layer - 1] - fi[layer]) * u + fi[layer] < math.exp(-0.5 * x * x)
+                wedges.add(accepted)
+                made += accepted
+    return layers, wedges, tails
+
+
+def _emitting(first: int, second: int):
+    """A PCG64 whose next two words are ``first`` and ``second``: a state whose XSL-RR is
+    each, the second one step on from the first through the increment."""
+    rng = np.random.default_rng(first ^ second)
+
+    def state_for(word, hi):
+        rot = hi >> 58
+        return hi << 64 | (((word << rot | word >> (64 - rot)) & 2**64 - 1) ^ hi)
+
+    mult = macsim._PCG_MULT
+    s1 = state_for(first, int(rng.integers(0, 2**63)) << 1)
+    hi = int(rng.integers(0, 2**63)) << 1
+    if (state_for(second, hi) - mult * s1) % 2 == 0:
+        hi |= 1  # the increment is odd: flip the low bit of s2 through hi's
+    s2 = state_for(second, hi)
+    inc = (s2 - mult * s1) % 2**128
+    bits = np.random.PCG64()
+    bits.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": (s1 - inc) * pow(mult, -1, 2**128) % 2**128, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bits
+
+
+class TestZiggurat:
+    @pytest.mark.parametrize("n, noise_from", [(8, 0), (32, 1), (64, 1)])
+    def test_normals_are_numpys(self, n, noise_from):
+        # 4,000 substreams a setting, 416,000 normals in all, from the MAC's stream after
+        # its messages or from a stream of their own
+        trials, keys = 4000, [()] if noise_from == 0 else [(0,), (1,)]
+        words = substream_words(29, range(trials), keys)
+        _, Z = _draw_block(words, 5, (2, 2), n, 1.0, noise_from)
+        head = 2 if noise_from == 0 else 0  # the words the MAC's four messages take
+        raw = _pcg64(words[:, -1], head + 2 * n)[:, head:]
+        z, ok = _normals(raw, n)
+        for t in range(trials):
+            g = np.random.default_rng(np.random.SeedSequence(29, spawn_key=(t, *keys[-1])))
+            if noise_from == 0:
+                g.integers(0, 5, size=(2, 2))
+            reference = g.normal(size=n)
+            assert np.array_equal(Z[t, 0], reference), t
+            assert not ok[t] or np.array_equal(z[t], reference), t
+        # the vectorized pass decides all but the rows that meet a tail (about 2.6e-4 a
+        # draw) or, rarely with 2n words, run out; the run met every layer, wedges kept
+        # and refused, and the tail
+        assert np.count_nonzero(~ok) < trials * n * 5e-4
+        layers, wedges, tails = _ziggurat_cases(raw, n)
+        assert layers == set(range(256)) and wedges == {True, False} and tails > 0
+
+    def test_crafted_words_of_every_layer_are_numpys(self):
+        # per layer, a word of magnitude 1, ki - 1, ki and 2**52 - 1, each sign; after a slow
+        # one, a U on each side of the wedge's edge as lia's tables place it (at ki the edge
+        # is near U = 1, where fi[l - 1] sets it, at 2**52 - 1 near U = 0, where fi[l] does)
+        wi, ki, fi = _ziggurat_lists()
+        rng, decided, probes = np.random.default_rng(3), 0, 0
+        for layer, sign in itertools.product(range(256), (0, 1)):
+            for rabs in sorted({m for m in (1, ki[layer] - 1, ki[layer], 2**52 - 1) if m >= 0}):
+                word = int(rng.integers(0, 8)) << 61 | rabs << 9 | sign << 8 | layer
+                units = [int(rng.integers(0, 2**53))]
+                x = rabs * wi[layer]
+                if rabs >= ki[layer] and layer:
+                    # the least 53-bit U that the wedge refuses, by bisection
+                    lo, hi = 0, 2**53
+                    while lo < hi:
+                        mid = (lo + hi) // 2
+                        lhs = (fi[layer - 1] - fi[layer]) * (mid * 2.0**-53) + fi[layer]
+                        lo, hi = (mid + 1, hi) if lhs < math.exp(-0.5 * x * x) else (lo, mid)
+                    units += [u for u in (lo - 1, lo) if 0 <= u < 2**53]
+                for unit in units:
+                    bits = _emitting(word, unit << 11 | int(rng.integers(0, 2**11)))
+                    start = bits.state
+                    raw = bits.random_raw(64)
+                    bits.state = start
+                    reference = np.random.Generator(bits).standard_normal(3)
+                    words = iter(raw.tolist())
+                    replayed = [_stream_normal(words) for _ in range(3)]
+                    assert replayed == reference.tolist(), (layer, rabs)
+                    z, ok = _normals(raw[None], 3)
+                    # a tail is replayed; so is a row whose random words meet one later
+                    assert not (layer == 0 and rabs >= ki[0] and ok[0])
+                    assert not ok[0] or z[0].tolist() == reference.tolist(), (layer, rabs)
+                    decided += int(ok[0])
+                    probes += 1
+        assert decided > 0.95 * probes
 
 
 class TestSubstreamWords:
@@ -815,9 +948,17 @@ class TestSubstreamWords:
         words = substream_words(seed, [t], [key])
         assert words.shape == (1, 1, 4) and words.dtype == np.uint64
         assert np.array_equal(words[0, 0], sequence.generate_state(4, np.uint64))
-        g, fresh = _generator_from_words()(words[0, 0]), np.random.default_rng(sequence)
-        assert np.array_equal(g.integers(0, 2**62, size=3), fresh.integers(0, 2**62, size=3))
-        assert g.normal() == fresh.normal()
+        # the words seed the PCG64 that default_rng(sequence) holds: integers(0, 2**62) is
+        # each word >> 2 (Lemire's 64-bit rule never rejects at a power of two), and the
+        # normal after those three words is the ziggurat's on the words that follow
+        fresh = np.random.default_rng(sequence)
+        raw = _pcg64(words[0, 0], 3 + 64)
+        assert np.array_equal(raw[:3] >> 2, fresh.integers(0, 2**62, size=3))
+        stream = _stream(words[0, 0])
+        assert [next(stream) for _ in range(3)] == raw[:3].tolist()
+        normal, (z, ok) = fresh.normal(), _normals(raw[None, 3:], 1)
+        assert _stream_normal(stream) == normal
+        assert z[0, 0] == normal or not ok[0]  # a tail is left to _stream_normal
 
     @pytest.mark.parametrize("ts", [[2**32], [0, 2**32 + 5], [-1]])
     def test_a_trial_index_that_does_not_fit_one_word_is_refused(self, ts):
